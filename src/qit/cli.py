@@ -30,13 +30,7 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .errors import (
-    ConvergenceError,
-    ImpossibleTrajectoryError,
-    QDomainError,
-    SamplingError,
-    SizeBudgetError,
-)
+from .errors import ConvergenceError, SamplingError
 from .laws import LawId, SlackReport, all_laws, fuzz
 from .markov import MarkovChain, SecondLawRow, second_law_report
 from .maxent import MaxEntProblem, solve, verify_optimality
@@ -357,11 +351,8 @@ def run(argv=None) -> int:
         return exc.code
     except (
         ValueError,  # covers QDomainError, SizeBudgetError, ImpossibleTrajectoryError
-        QDomainError,
         ConvergenceError,
         SamplingError,
-        SizeBudgetError,
-        ImpossibleTrajectoryError,
         OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

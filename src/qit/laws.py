@@ -42,7 +42,7 @@ import numpy as np
 
 from . import measures
 from .prob import JointTable, ProbVec, make_rng, product_dist, random_dist, random_joint, random_markov_triple
-from .qcore import SHANNON_TOL, ln_q, q_value
+from .qcore import cross_term, ln_q, ln_q_pos, q_value
 
 #: Violation threshold for inequality laws.
 TOL_INEQUALITY = 1e-9
@@ -64,13 +64,6 @@ class LawId(str, Enum):
 
     def __str__(self) -> str:  # keep CLI text clean
         return self.value
-
-
-def _lnq_pos(a, qv):
-    if abs(1.0 - qv) <= SHANNON_TOL:
-        return np.log(a)
-    eps = 1.0 - qv
-    return (np.power(a, eps) - 1.0) / eps
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +122,7 @@ def _slack_qln_sum(instance, qv: float) -> float:
     mask = r > 0
     if (s[mask] == 0).any():
         return math.inf
-    lhs = float((r[mask] * _lnq_pos(r[mask] / s[mask], qv)).sum())
+    lhs = float((r[mask] * ln_q_pos(r[mask] / s[mask], qv)).sum())
     rhs = rs * float(ln_q(rs / ss, qv))
     return lhs - rhs
 
@@ -144,19 +137,21 @@ def _slack_max_bound(p, qv: float) -> float:
     return measures.q_entropy_max(len(pv), qv) - measures.q_entropy(pv, qv)
 
 
-def _dpi_correction(t: np.ndarray, qv: float) -> float:
-    """Cross term sum p ln_q[p(x,z)/(p(x)p(z))] ln_q[p(x,y|z)/(p(x|z)p(y|z))]."""
+def _mi_chain_cross(t: np.ndarray, qv: float) -> float:
+    """Cross term of I(X; Y,Z) = I(X; Z) + I(X; Y | Z) on a table (X, Y, Z):
+
+    (1-q) * sum p ln_q[p(x,z)/(p(x)p(z))] ln_q[p(x,y|z)/(p(x|z)p(y|z))].
+    """
     px = t.sum(axis=(1, 2))
     pz = t.sum(axis=(0, 1))
     pxz = t.sum(axis=1)
     pyz = t.sum(axis=0)
     mask = t > 0
-    a_ratio = pxz[:, None, :] / (px[:, None, None] * pz[None, None, :])
-    b_num = t * pz[None, None, :]
-    b_den = pxz[:, None, :] * pyz[None, :, :]
-    a = np.broadcast_to(a_ratio, t.shape)[mask]
-    b = b_num[mask] / b_den[mask]
-    return float((t[mask] * _lnq_pos(a, qv) * _lnq_pos(b, qv)).sum())
+    x, y, z = mask.nonzero()
+    w = t[mask]
+    a = pxz[x, z] / (px[x] * pz[z])
+    b = w * pz[z] / (pxz[x, z] * pyz[y, z])
+    return cross_term(w, a, b, qv)
 
 
 def _slack_dpi(j, qv: float) -> float:
@@ -172,8 +167,7 @@ def _slack_dpi(j, qv: float) -> float:
     t = table.t
     i_xy = measures.mutual_q_information(JointTable(t.sum(axis=2)), qv)
     i_xz = measures.mutual_q_information(JointTable(t.sum(axis=1)), qv)
-    correction = (1.0 - qv) * _dpi_correction(t, qv)
-    return float(i_xy - i_xz - correction)
+    return float(i_xy - i_xz - _mi_chain_cross(t, qv))
 
 
 # ---------------------------------------------------------------------------
@@ -195,19 +189,8 @@ def _residual_info_chain(j, qv: float) -> float:
     i_joint = measures.mutual_q_information(JointTable(t.reshape(m1 * m2, my)), qv)
     i_1 = measures.mutual_q_information(JointTable(t.sum(axis=1)), qv)
     i_2_given_1 = measures.conditional_mutual_q_information(table, qv, given_axis=0)
-
-    p1 = t.sum(axis=(1, 2))
-    py = t.sum(axis=(0, 1))
-    p1y = t.sum(axis=1)
-    p12 = t.sum(axis=2)
-    mask = t > 0
-    r1 = p1y[:, None, :] / (p1[:, None, None] * py[None, None, :])
-    r2_num = t * p1[:, None, None]
-    r2_den = p12[:, :, None] * p1y[:, None, :]
-    a = np.broadcast_to(r1, t.shape)[mask]
-    b = r2_num[mask] / r2_den[mask]
-    cross = float((t[mask] * _lnq_pos(a, qv) * _lnq_pos(b, qv)).sum())
-    return i_joint - i_1 - i_2_given_1 - (1.0 - qv) * cross
+    # (Y, X2, X1) is the (X, Y, Z) layout of the dpi cross term
+    return i_joint - i_1 - i_2_given_1 - _mi_chain_cross(t.transpose(2, 1, 0), qv)
 
 
 def _residual_rel_chain(instance, qv: float) -> float:
@@ -229,15 +212,10 @@ def _residual_rel_chain(instance, qv: float) -> float:
     d_cond = measures.relative_q_entropy_conditional(pt, rt, 0, qv)
     if math.isinf(lhs) or math.isinf(d_marg) or math.isinf(d_cond):
         return math.inf
-    px = pt.t.sum(axis=1)
-    rx = rt.t.sum(axis=1)
-    pc = pt.conditional(0)
-    rc = rt.conditional(0)
     mask = pt.t > 0
-    lx = _lnq_pos(np.broadcast_to((px / rx)[:, None], pt.shape)[mask], qv)
-    lc = _lnq_pos(pc[mask] / rc[mask], qv)
-    cross = float((pt.t[mask] * lx * lc).sum())
-    return lhs - d_marg - d_cond - (1.0 - qv) * cross
+    ratio_x = (pt.t.sum(axis=1) / rt.t.sum(axis=1))[mask.nonzero()[0]]
+    ratio_c = pt.conditional(0)[mask] / rt.conditional(0)[mask]
+    return lhs - d_marg - d_cond - cross_term(pt.t[mask], ratio_x, ratio_c, qv)
 
 
 def identity_residual(identity: str, instance, q) -> float:

@@ -37,7 +37,7 @@ import numpy as np
 from .errors import ConvergenceError, SizeBudgetError
 from .measures import _chain_terms_from_array, _entropy_from_array
 from .prob import NORM_TOL, ProbVec
-from .qcore import SHANNON_TOL, q_value
+from .qcore import cross_term, q_value
 
 #: Cap on exact block-table enumeration (number of cells).
 BLOCK_CELL_BUDGET = 1 << 20
@@ -257,13 +257,6 @@ class SecondLawRow:
         }
 
 
-def _lnq_arr(a: np.ndarray, qv: float) -> np.ndarray:
-    if abs(1.0 - qv) <= SHANNON_TOL:
-        return np.log(a)
-    eps = 1.0 - qv
-    return (np.power(a, eps) - 1.0) / eps
-
-
 def second_law_report(chain: MarkovChain, steps: int, q) -> list[SecondLawRow]:
     """Per-step second-law decomposition along the chain's trajectory.
 
@@ -290,15 +283,10 @@ def second_law_report(chain: MarkovChain, steps: int, q) -> list[SecondLawRow]:
         h_next = _entropy_from_array(nxt, qv)
         delta = h_next - h_prev
         mask = joint > 0
-        nxt_b = np.broadcast_to(nxt[None, :], joint.shape)[mask]
-        lq_scaled = _lnq_arr(nxt_b * m, qv)
-        lq_ratio = _lnq_arr(joint[mask] / (nxt_b * r[mask]), qv)
-        t_q = (1.0 - qv) * float((joint[mask] * lq_scaled * lq_ratio).sum())
-        t_q_stmt = (
-            (1.0 - qv)
-            / bracket
-            * float((joint[mask] * lq_scaled * _lnq_arr(joint[mask] * m, qv)).sum())
-        )
+        w = joint[mask]
+        nxt_b = nxt[mask.nonzero()[1]]
+        t_q, t_q_stmt = cross_term(w, nxt_b * m, np.array([w / (nxt_b * r[mask]), w * m]), qv)
+        t_q_stmt /= bracket
         lhs = delta * bracket
         rows.append(
             SecondLawRow(

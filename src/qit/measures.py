@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .prob import JointTable, ProbVec
-from .qcore import SHANNON_TOL, ln_q, q_value
+from .qcore import SHANNON_TOL, ln_q, ln_q_pos, q_value
 
 
 @dataclass(frozen=True)
@@ -38,33 +38,22 @@ class MeasureValue:
         return {"kind": self.kind, "q": self.q, "value": self.value}
 
 
-def _lnq_pos(a: np.ndarray, qv: float) -> np.ndarray:
-    # ln_q on arrays already known to be strictly positive.
-    if abs(1.0 - qv) <= SHANNON_TOL:
-        return np.log(a)
-    eps = 1.0 - qv
-    return (np.power(a, eps) - 1.0) / eps
-
-
 def tsallis_entropy(p, q) -> float:
     """Power-weighted entropy ``-sum(p**q ln_q p)``."""
     qv = q_value(q)
     arr = ProbVec.coerce(p).p
     pos = arr[arr > 0]
-    return float(-(np.power(pos, qv) * _lnq_pos(pos, qv)).sum())
+    return float(-(np.power(pos, qv) * ln_q_pos(pos, qv)).sum())
 
 
 def q_entropy(p, q) -> float:
     """Plain-weighted entropy ``-sum(p ln_q p)``."""
-    qv = q_value(q)
-    arr = ProbVec.coerce(p).p
-    pos = arr[arr > 0]
-    return float(-(pos * _lnq_pos(pos, qv)).sum())
+    return _entropy_from_array(ProbVec.coerce(p).p, q_value(q))
 
 
 def _entropy_from_array(t: np.ndarray, qv: float) -> float:
     pos = t[t > 0]
-    return float(-(pos * _lnq_pos(pos, qv)).sum())
+    return float(-(pos * ln_q_pos(pos, qv)).sum())
 
 
 def q_entropy_joint(j, q) -> float:
@@ -83,7 +72,7 @@ def q_entropy_conditional(j, given_axes, q) -> float:
     table = JointTable.coerce(j)
     cond = table.conditional(given_axes)
     mask = table.t > 0
-    return float(-(table.t[mask] * _lnq_pos(cond[mask], qv)).sum())
+    return float(-(table.t[mask] * ln_q_pos(cond[mask], qv)).sum())
 
 
 def relative_q_entropy(p, r, q) -> float:
@@ -98,19 +87,20 @@ def relative_q_entropy(p, r, q) -> float:
     ra = ProbVec.coerce(r).p
     if pa.shape != ra.shape:
         raise ValueError("relative_q_entropy requires equal-length distributions")
-    return _relative_from_arrays(pa, ra, qv)
+    return _divergence(pa, pa, ra, qv)
 
 
-def _relative_from_arrays(pa: np.ndarray, ra: np.ndarray, qv: float) -> float:
-    pmask = pa > 0
-    escaped = pmask & (ra == 0)
+def _divergence(w: np.ndarray, num: np.ndarray, den: np.ndarray, qv: float) -> float:
+    """``sum_{w>0} w ln_q(num / den)`` with the escape rule for ``den = 0``."""
+    mask = w > 0
+    escaped = mask & (den == 0)
     total = 0.0
     if escaped.any():
         if qv <= 1.0 + SHANNON_TOL:
             return math.inf
-        total += float(pa[escaped].sum()) / (qv - 1.0)
-    both = pmask & (ra > 0)
-    total += float((pa[both] * _lnq_pos(pa[both] / ra[both], qv)).sum())
+        total += float(w[escaped].sum()) / (qv - 1.0)
+    ok = mask & (den > 0)
+    total += float((w[ok] * ln_q_pos(num[ok] / den[ok], qv)).sum())
     return total
 
 
@@ -125,19 +115,7 @@ def relative_q_entropy_conditional(pj, rj, given_axes, q) -> float:
     rt = JointTable.coerce(rj)
     if pt.shape != rt.shape:
         raise ValueError("conditional divergence requires equal-shape tables")
-    pc = pt.conditional(given_axes)
-    rc = rt.conditional(given_axes)
-    w = pt.t
-    mask = w > 0
-    escaped = mask & (rc == 0)
-    total = 0.0
-    if escaped.any():
-        if qv <= 1.0 + SHANNON_TOL:
-            return math.inf
-        total += float(w[escaped].sum()) / (qv - 1.0)
-    ok = mask & (rc > 0)
-    total += float((w[ok] * _lnq_pos(pc[ok] / rc[ok], qv)).sum())
-    return total
+    return _divergence(pt.t, pt.conditional(given_axes), rt.conditional(given_axes), qv)
 
 
 def mutual_q_information(j, q) -> float:
@@ -151,7 +129,7 @@ def mutual_q_information(j, q) -> float:
     py = t.sum(axis=0)
     mask = t > 0
     ratio = t[mask] / (np.outer(px, py)[mask])
-    return float((t[mask] * _lnq_pos(ratio, qv)).sum())
+    return float((t[mask] * ln_q_pos(ratio, qv)).sum())
 
 
 def conditional_mutual_q_information(j, q, given_axis: int = 2) -> float:
@@ -177,7 +155,7 @@ def conditional_mutual_q_information(j, q, given_axis: int = 2) -> float:
     num = t * pz[None, None, :]
     den = pxz[:, None, :] * pyz[None, :, :]
     ratio = num[mask] / den[mask]
-    return float((t[mask] * _lnq_pos(ratio, qv)).sum())
+    return float((t[mask] * ln_q_pos(ratio, qv)).sum())
 
 
 def q_entropy_max(m: int, q) -> float:
@@ -211,13 +189,12 @@ def _chain_terms_from_array(t: np.ndarray, qv: float) -> list[float]:
     for i in range(n):
         cur = t.sum(axis=tuple(range(i + 1, n)))
         if i == 0:
-            pos = cur[cur > 0]
-            terms.append(float(-(pos * _lnq_pos(pos, qv)).sum()))
+            terms.append(_entropy_from_array(cur, qv))
         else:
             mask = cur > 0
+            w = cur[mask]
             # conditional of the newest axis given the whole prefix
-            denom = np.broadcast_to(prev[..., None], cur.shape)
-            ratio = cur[mask] / denom[mask]
-            terms.append(float(-(cur[mask] * _lnq_pos(ratio, qv)).sum()))
+            ratio = w / prev[mask.nonzero()[:-1]]
+            terms.append(float(-(w * ln_q_pos(ratio, qv)).sum()))
         prev = cur
     return terms

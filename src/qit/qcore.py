@@ -8,9 +8,18 @@ a cross term,
     ln_q(x * y) = ln_q(x) + ln_q(y) + (1 - q) * ln_q(x) * ln_q(y),
 
 and every correction term appearing in the higher-level measures of this
-package is an instance of that expansion.  ``pseudo_additivity_residual``
-evaluates both sides so tests and fuzz campaigns can confirm the identity
-numerically.
+package is an instance of that expansion.  ``cross_term`` is that
+``(1 - q) * ln_q(x) * ln_q(y)`` summed against weights, and
+``pseudo_additivity_residual`` evaluates both sides so tests and fuzz
+campaigns can confirm the identity numerically.
+
+``ln_q`` is the checked public kernel.  ``ln_q_pos`` and ``ln_q_from_log``
+are its unchecked internal forms for positive arrays and for a given
+natural log; every q-log in the package is evaluated by one of the three.
+They compute ``expm1((1 - q) log x) / (1 - q)``, which keeps the digits
+that ``x**(1-q) - 1`` cancels as q approaches the classical branch or x
+approaches 1; ``ln_q_pos`` keeps the power form only where it cancels
+nothing (see there).
 
 Conventions
 -----------
@@ -47,10 +56,7 @@ class QParam:
     q: float
 
     def __post_init__(self):
-        q = float(self.q)
-        if not math.isfinite(q):
-            raise ValueError(f"entropic index must be finite, got {self.q!r}")
-        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "q", _finite_q(self.q))
 
     @property
     def is_shannon(self) -> bool:
@@ -58,11 +64,16 @@ class QParam:
         return abs(self.q - 1.0) <= SHANNON_TOL
 
 
+def _finite_q(q) -> float:
+    qv = float(q)
+    if not math.isfinite(qv):
+        raise ValueError(f"entropic index must be finite, got {qv!r}")
+    return qv
+
+
 def q_value(q) -> float:
     """Return the float index from a ``QParam`` or a bare real."""
-    if isinstance(q, QParam):
-        return q.q
-    return QParam(float(q)).q
+    return q.q if isinstance(q, QParam) else _finite_q(q)
 
 
 def _as_checked_array(x, *, what: str):
@@ -72,8 +83,53 @@ def _as_checked_array(x, *, what: str):
     return arr
 
 
+def ln_q_pos(x, q: float):
+    """Unchecked ``ln_q`` of a positive array x for a float index q.
+
+    expm1 scales the rounding of ``log x`` by ``y = (1 - q) log x``, which
+    costs about y/3 ulps; cells with y above 4 take ``x**(1-q) - 1``
+    instead, which cancels nothing there and keeps within an ulp.
+    """
+    eps = 1.0 - q
+    if abs(eps) <= SHANNON_TOL:
+        return np.log(x)
+    y = eps * np.log(x)
+    out = np.expm1(y)
+    if y.size and y.max() > 4.0:
+        big = y > 4.0
+        out[big] = np.power(x[big], eps) - 1.0
+    return out / eps
+
+
+def ln_q_from_log(log_x, q: float):
+    """Unchecked ``ln_q`` of x given ``log x`` for a float index q.
+
+    The log is all there is, so every cell takes the expm1 form.
+    Overflows to ``-inf`` (q > 1) where ``(1 - q) log x`` exceeds the
+    float range; callers that expect it silence the warning themselves.
+    """
+    eps = 1.0 - q
+    if abs(eps) <= SHANNON_TOL:
+        return log_x
+    return np.expm1(eps * log_x) / eps
+
+
+def cross_term(w, a, b, q: float):
+    """Product-rule cross term ``(1-q) * sum w ln_q(a) ln_q(b)`` (unchecked).
+
+    ``a`` and ``b`` are positive arrays matching the 1-D weights ``w``.
+    Every chain rule of the deformed measures differs from its classical
+    form by one such term.  The sum runs over the last axis: a float for
+    1-D ``b``, and one float per row, as a list, when ``b`` stacks several
+    second factors.
+    """
+    return ((1.0 - q) * (w * ln_q_pos(a, q) * ln_q_pos(b, q)).sum(axis=-1)).tolist()
+
+
 def ln_q(x, q):
-    """Deformed logarithm ``(x**(1-q) - 1) / (1-q)``.
+    """Deformed logarithm ``(x**(1-q) - 1) / (1-q)``, computed via ``expm1``.
+
+    See :func:`ln_q_pos` for the one range where the power form is used.
 
     Parameters
     ----------
@@ -91,16 +147,11 @@ def ln_q(x, q):
     arr = _as_checked_array(x, what="ln_q argument")
     if (arr < 0).any():
         raise QDomainError("ln_q requires nonnegative arguments")
-    scalar = arr.ndim == 0
-    eps = 1.0 - qv
     with np.errstate(divide="ignore"):
-        if abs(eps) <= SHANNON_TOL:
-            out = np.log(arr)
-        else:
-            # 0**eps is 0 for q < 1 and +inf for q > 1, so both zero
-            # conventions fall out of the same expression.
-            out = (np.power(arr, eps) - 1.0) / eps
-    return float(out) if scalar else out
+        # log 0 = -inf sends expm1 to -1 for q < 1, and 0**(1-q) to +inf
+        # for q > 1, so both zero conventions fall out of the kernel.
+        out = ln_q_pos(arr.reshape(-1), qv).reshape(arr.shape)
+    return float(out) if arr.ndim == 0 else out
 
 
 def exp_q(x, q):

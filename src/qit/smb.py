@@ -10,12 +10,13 @@ actually does against that ceiling.
 Everything is computed in log space: ``p`` itself underflows for blocks
 beyond a few thousand symbols, but ``L = log p`` accumulates exactly, and
 
-    ln_q(p) = (exp((1 - q) L) - 1) / (1 - q)
+    ln_q(p) = expm1((1 - q) L) / (1 - q)
 
-is evaluated from ``L`` directly.  When ``(1 - q) L`` underflows the
-exponential, the surprisal lands exactly on the q < 1 ceiling; the
-mathematical bound is strict, the floating-point one is not, and the
-internal guard below is therefore non-strict on purpose.
+is evaluated from ``L`` directly by ``qcore.ln_q_from_log``.  When
+``(1 - q) L`` underflows the exponential, the surprisal lands exactly on
+the q < 1 ceiling; the mathematical bound is strict, the floating-point
+one is not, and the internal guard below is therefore non-strict on
+purpose.
 
 The decomposition reported per block splits ``-ln_q p`` into the sum of
 per-factor surprisals (head term plus conditional terms) and a residual
@@ -38,18 +39,7 @@ from .errors import ConvergenceError, ImpossibleTrajectoryError
 from .markov import MarkovChain, block_table, stationary
 from .measures import _chain_terms_from_array
 from .prob import make_rng
-from .qcore import SHANNON_TOL, q_value
-
-
-def _lnq_from_log(log_p, qv: float):
-    """ln_q of a probability given its natural log (scalar or array)."""
-    arr = np.asarray(log_p, dtype=float)
-    if abs(1.0 - qv) <= SHANNON_TOL:
-        return arr if arr.ndim else float(arr)
-    eps = 1.0 - qv
-    with np.errstate(over="ignore", under="ignore"):
-        out = (np.exp(eps * arr) - 1.0) / eps
-    return out if out.ndim else float(out)
+from .qcore import SHANNON_TOL, ln_q_from_log, ln_q_pos, q_value
 
 
 def _advance(cum_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -112,6 +102,7 @@ def _log_factor(value: float, description: str) -> float:
     return float(np.log(value))
 
 
+@np.errstate(over="ignore")  # q > 1: ln_q of a tiny p overflows to -inf
 def block_log_prob_q(chain: MarkovChain, symbols, q) -> float:
     """``ln_q`` of the probability the chain assigns to the symbol block.
 
@@ -125,9 +116,10 @@ def block_log_prob_q(chain: MarkovChain, symbols, q) -> float:
     r = chain.transition
     for a, b in zip(s[:-1], s[1:]):
         logp += _log_factor(r[a, b], f"transition {a} -> {b}")
-    return float(_lnq_from_log(logp, qv))
+    return float(ln_q_from_log(logp, qv))
 
 
+@np.errstate(over="ignore")
 def markov_k_block_log_prob_q(chain: MarkovChain, symbols, k: int, q, *, empirical: bool = False) -> float:
     """``ln_q`` of the order-``k`` approximation of the block probability.
 
@@ -143,6 +135,10 @@ def markov_k_block_log_prob_q(chain: MarkovChain, symbols, k: int, q, *, empiric
     if k < 0:
         raise ValueError("order k must be >= 0")
     s = _coerce_symbols(symbols, chain.m)
+    if k >= 1 and not empirical:
+        # order-1 truth: the exact head and every k-window conditional
+        # reduce to one-step transition factors
+        return block_log_prob_q(chain, s, qv)
     n = s.size
     m = chain.m
     if empirical:
@@ -165,22 +161,17 @@ def markov_k_block_log_prob_q(chain: MarkovChain, symbols, k: int, q, *, empiric
             for i in range(k, n):
                 seen = nexts[tuple(s[i - k : i])]
                 logp += float(np.log(seen.count(s[i]) / len(seen)))
-    elif k == 0:
+    else:
         d = chain.initial.p.copy()
         logp = _log_factor(d[s[0]], f"symbol {s[0]} at position 0")
         for i in range(1, n):
             d = d @ chain.transition
             d /= d.sum()
             logp += _log_factor(d[s[i]], f"symbol {s[i]} at position {i}")
-    else:
-        # order-1 truth: both the exact head and every k-window
-        # conditional reduce to one-step transition factors
-        logp = _log_factor(chain.initial.p[s[0]], f"initial state {s[0]}")
-        for a, b in zip(s[:-1], s[1:]):
-            logp += _log_factor(chain.transition[a, b], f"transition {a} -> {b}")
-    return float(_lnq_from_log(logp, qv))
+    return float(ln_q_from_log(logp, qv))
 
 
+@np.errstate(over="ignore")
 def t3_residual(factors, q) -> float:
     """``ln_q(prod factors) - sum ln_q(factor)`` for positive factors.
 
@@ -194,13 +185,7 @@ def t3_residual(factors, q) -> float:
         raise ValueError("factors must be a non-empty 1-D sequence")
     if not np.isfinite(f).all() or (f <= 0).any():
         raise ValueError("factors must be finite and strictly positive")
-    logs = np.log(f)
-    total = float(logs.sum())
-    if abs(1.0 - qv) <= SHANNON_TOL:
-        return total - float(logs.sum())
-    eps = 1.0 - qv
-    sum_lnq = float(((np.power(f, eps) - 1.0) / eps).sum())
-    return float(_lnq_from_log(total, qv)) - sum_lnq
+    return float(ln_q_from_log(float(np.log(f).sum()), qv)) - float(ln_q_pos(f, qv).sum())
 
 
 def h_q_k(chain: MarkovChain, k: int, q) -> float:
@@ -395,38 +380,25 @@ def smb_probe(chain: MarkovChain, q, n_max: int, trajectories: int, seed: int = 
     if not np.isfinite(lblock).all():
         raise ImpossibleTrajectoryError("sampled a transition of probability zero")
 
-    shannon = abs(1.0 - qv) <= SHANNON_TOL
-
     if k == 0:
-        lmarg = np.empty((big_t, n_max))
+        # the k = 0 factorization multiplies per-position marginals and
+        # has no conditioning head
+        fcols = np.empty((big_t, n_max))
         d = c.initial.p.copy()
         for j in range(1, n_max + 1):
             d = d @ r
             d /= d.sum()
             with np.errstate(divide="ignore"):
-                lmarg[:, j - 1] = np.log(d)[syms[:, j]]
-        lpk = lmarg.cumsum(axis=1)
-        # interaction residual over the marginal factors (the k = 0
-        # factorization has no conditioning head)
-        flogcum = lpk
-        if shannon:
-            fqlcum = lpk
-        else:
-            eps = 1.0 - qv
-            fqlcum = ((np.exp(eps * lmarg) - 1.0) / eps).cumsum(axis=1)
-        t3_start = 0
+                fcols[:, j - 1] = np.log(d)[syms[:, j]]
     else:
-        lpk = lblock  # order-1 truth: every k >= 1 approximation is exact
-        # interaction residual over the conditional factors of the
-        # order-k factorization, head block (positions 1..k) excluded
+        # conditional factors of the order-k factorization, head block
+        # (positions 1..k) excluded
         fcols = lcond[:, k:]
-        flogcum = fcols.cumsum(axis=1)
-        if shannon:
-            fqlcum = flogcum
-        else:
-            eps = 1.0 - qv
-            fqlcum = ((np.exp(eps * fcols) - 1.0) / eps).cumsum(axis=1)
-        t3_start = k
+    # interaction residual over the factors: q-log of their running
+    # product minus the running sum of their q-logs
+    flogcum = fcols.cumsum(axis=1)
+    fqlcum = flogcum if abs(1.0 - qv) <= SHANNON_TOL else ln_q_from_log(fcols, qv).cumsum(axis=1)
+    lpk = flogcum if k == 0 else lblock  # order-1 truth: every k >= 1 approximation is exact
 
     logr1 = logr[syms[:, 0], syms[:, 1]]
     ratio1 = np.exp(logr1 - head_l)
@@ -436,19 +408,19 @@ def smb_probe(chain: MarkovChain, q, n_max: int, trajectories: int, seed: int = 
     for n in _grid(n_max):
         lb = lblock[:, n - 1]
         lk = lpk[:, n - 1]
-        vb = -np.asarray(_lnq_from_log(lb, qv)) / n
-        vk = -np.asarray(_lnq_from_log(lk, qv)) / n
+        with np.errstate(over="ignore"):  # q > 1: ln_q of a tiny p overflows to -inf
+            vb = -ln_q_from_log(lb, qv) / n
+            vk = -ln_q_from_log(lk, qv) / n
+            if n > k:
+                t3 = ln_q_from_log(flogcum[:, n - k - 1], qv) - fqlcum[:, n - k - 1]
+            else:
+                t3 = np.zeros(big_t)
         if qv < 1.0 - SHANNON_TOL:
             cap = 1.0 / ((1.0 - qv) * n)
             if vb.min() < -1e-12 or vb.max() > cap * (1.0 + 1e-12):
                 raise RuntimeError("per-symbol surprisal escaped its ceiling")
             if n == n_max and vb.max() >= cap * (1.0 - 1e-12):
                 saturated = True
-        if n <= t3_start:
-            t3 = np.zeros(big_t)
-        else:
-            j = n - t3_start - 1
-            t3 = np.asarray(_lnq_from_log(flogcum[:, j], qv)) - fqlcum[:, j]
         points.append(
             SmbPoint(
                 n=n,

@@ -187,6 +187,21 @@ def test_info_chain_identity():
         assert -TOL_IDENTITY <= law_slack("info-chain-rule", j, q) <= 0.0
 
 
+def test_info_chain_fuzz_residual_near_rounding():
+    # the identity holds to a few units of rounding on every instance
+    for seed in (3, 7):
+        assert fuzz("info-chain-rule", 1000, seed=seed).min_slack >= -5e-15
+
+
+def test_rel_chain_fuzz_survives_huge_divergences():
+    # seed 203 draws a reference cell of mass 6e-8 at q = 0.044, so the
+    # divergences reach 1e5 and q-log ratios of 2e6 enter the cross term;
+    # the residual must still stay inside the identity tolerance
+    report = fuzz("rel-chain-rule", 1000, seed=203)
+    assert report.violations == 0
+    assert report.min_slack >= -TOL_IDENTITY
+
+
 def test_rel_chain_identity():
     rng = make_rng(11)
     for _ in range(25):

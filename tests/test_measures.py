@@ -102,6 +102,8 @@ def test_relative_entropy_missing_reference_mass():
     got = relative_q_entropy([0.5, 0.5], [1.0, 0.0], 1.5)
     expected = 0.5 / 0.5 + 0.5 * ln_q(0.5 / 1.0, 1.5)
     assert got == pytest.approx(expected, abs=1e-15)
+    # all of p's mass escapes: only the limit terms remain
+    assert relative_q_entropy([1.0, 0.0], [0.0, 1.0], 1.5) == pytest.approx(2.0, abs=1e-15)
 
 
 def test_mutual_information_is_divergence_from_product():

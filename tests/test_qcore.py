@@ -1,6 +1,7 @@
 """Scalar deformed log/exp kernel."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qit import QDomainError, QParam, SHANNON_TOL, exp_q, ln_q, pseudo_additivity_residual, q_value
+from qit.measures import q_entropy
 from qit.prob import make_rng
 
 U = np.finfo(float).eps
@@ -164,3 +166,28 @@ def test_shannon_branch_is_exact_log():
     for x in xs:
         assert ln_q(x, 1.0) == math.log(x)
         assert ln_q(x, 1.0 - 0.5 * SHANNON_TOL) == math.log(x)
+
+
+def test_continuity_across_the_shannon_switch():
+    # just outside the classical branch the deformed log must still agree
+    # with the exact log to near machine precision, with no jump at the switch
+    for q in (1.0 - 2e-12, 1.0 + 2e-12):
+        assert abs(ln_q(0.3, q) / math.log(0.3) - 1.0) <= 1e-11
+        assert abs(q_entropy([0.3, 0.7], q) - q_entropy([0.3, 0.7], 1.0)) <= 1e-11
+
+
+def test_lnq_matches_high_precision_reference():
+    # a 50-digit Decimal evaluation of (x**(1-q) - 1) / (1-q) as the oracle:
+    # the kernel keeps a few ulps both where x**(1-q) is near 1 (expm1 form)
+    # and where (1-q) log x is large (power form)
+    rng = make_rng(5)
+    xs = np.concatenate(
+        [np.exp(rng.uniform(math.log(1e-8), math.log(1e8), 150)), 1.0 + rng.uniform(-1e-3, 1e-3, 50)]
+    )
+    for q in (0.0, 0.044, 0.3, 0.9, 1.0 - 1e-6, 1.0 + 1e-6, 1.5, 2.0):
+        got = ln_q(xs, q)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            eps = Decimal(1) - Decimal(q)
+            want = np.array([float(((Decimal(x).ln() * eps).exp() - 1) / eps) for x in xs])
+        assert np.abs(got / want - 1.0).max() <= 2e-15, q
