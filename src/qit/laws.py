@@ -27,6 +27,11 @@ info-chain-rule    rank-3 table, target variable on the last axis  [0, 1)
 rel-chain-rule     pair of equal-shape rank-2 tables               [0, 1)
 =================  ==============================================  =========
 
+Instances are checked once, where they come in: ``law_slack`` and
+``identity_residual`` apply the law's registry check (arity, rank, shape)
+through the :mod:`qit.prob` containers.  Samplers and evaluators work on
+bare arrays, so a fuzz campaign validates nothing it built itself.
+
 ``fuzz`` runs a seeded campaign of random instances for one law.  Worker
 partitioning is deterministic: worker ``w`` owns a contiguous chunk of the
 trials and draws from stream ``w`` of the master seed, so a report depends
@@ -40,9 +45,10 @@ from typing import Callable
 
 import numpy as np
 
-from . import measures
-from .prob import JointTable, ProbVec, make_rng, product_dist, random_dist, random_joint, random_markov_triple
-from .qcore import cross_term, ln_q, ln_q_pos, q_value
+from .measures import _chain_terms_from_array, _conditional_entropy, _conditional_mutual_information
+from .measures import _divergence, _entropy_from_array, _mutual_information, q_entropy_max
+from .prob import JointTable, ProbVec, _conditional, _flat_dirichlet, _markov_triple, make_rng
+from .qcore import cross_term, ln_q, ln_q_pos, pseudo_additivity_residual, q_value
 
 #: Violation threshold for inequality laws.
 TOL_INEQUALITY = 1e-9
@@ -67,60 +73,32 @@ class LawId(str, Enum):
 
 
 # ---------------------------------------------------------------------------
-# slack functions (inequalities)
+# slack functions (inequalities), on bare arrays
 
-def _slack_block_chain(j, qv: float) -> float:
-    table = JointTable.coerce(j)
-    terms = measures.q_entropy_chain_terms(table, qv)
-    return float(sum(terms) - measures.q_entropy_joint(table, qv))
-
-
-def _slack_joint_chain(j, qv: float) -> float:
-    table = JointTable.coerce(j)
-    if table.rank != 2:
-        raise ValueError("joint-chain expects a rank-2 table")
-    # the two-variable case of the block chain rule, shared on purpose so
-    # the n = 2 block slack coincides with this one bit for bit
-    return _slack_block_chain(table, qv)
+def _slack_block_chain(t: np.ndarray, qv: float) -> float:
+    return float(sum(_chain_terms_from_array(t, qv)) - _entropy_from_array(t, qv))
 
 
 def _slack_indep_superadd(instance, qv: float) -> float:
     p, r = instance
-    pv = ProbVec.coerce(p)
-    rv = ProbVec.coerce(r)
-    joint = product_dist(pv, rv)
-    return float(
-        measures.q_entropy(pv, qv)
-        + measures.q_entropy(rv, qv)
-        - measures.q_entropy_joint(joint, qv)
-    )
+    return _entropy_from_array(p, qv) + _entropy_from_array(r, qv) - _entropy_from_array(np.outer(p, r), qv)
 
 
-def _slack_cond_chain(j, qv: float) -> float:
-    table = JointTable.coerce(j)
-    if table.rank != 3:
-        raise ValueError("cond-chain expects a rank-3 table (axes X, Y, Z)")
-    pxz = JointTable(table.marginal_array((0, 2)))
-    h_x_given_z = measures.q_entropy_conditional(pxz, 1, qv)
-    h_y_given_xz = measures.q_entropy_conditional(table, (0, 2), qv)
-    h_xy_given_z = measures.q_entropy_conditional(table, 2, qv)
+def _slack_cond_chain(t: np.ndarray, qv: float) -> float:
+    h_x_given_z = _conditional_entropy(t.sum(axis=1), (0,), qv)
+    h_y_given_xz = _conditional_entropy(t, (1,), qv)
+    h_xy_given_z = _conditional_entropy(t, (0, 1), qv)
     return float(h_x_given_z + h_y_given_xz - h_xy_given_z)
 
 
 def _slack_qln_sum(instance, qv: float) -> float:
-    r, s = (np.asarray(v, dtype=float) for v in instance)
-    if r.shape != s.shape or r.ndim != 1 or r.size == 0:
-        raise ValueError("qln-sum expects two equal-length 1-D weight vectors")
-    if (r < 0).any() or (s < 0).any() or not (np.isfinite(r).all() and np.isfinite(s).all()):
-        raise ValueError("qln-sum weights must be finite and nonnegative")
+    r, s = instance
     rs = float(r.sum())
     ss = float(s.sum())
     if rs == 0:
         return 0.0
-    if ss == 0:
-        return math.inf
     mask = r > 0
-    if (s[mask] == 0).any():
+    if (s[mask] == 0).any():  # also when s is all zero
         return math.inf
     lhs = float((r[mask] * ln_q_pos(r[mask] / s[mask], qv)).sum())
     rhs = rs * float(ln_q(rs / ss, qv))
@@ -129,12 +107,11 @@ def _slack_qln_sum(instance, qv: float) -> float:
 
 def _slack_dq_nonneg(instance, qv: float) -> float:
     p, r = instance
-    return measures.relative_q_entropy(p, r, qv)
+    return _divergence(p, p, r, qv)
 
 
-def _slack_max_bound(p, qv: float) -> float:
-    pv = ProbVec.coerce(p)
-    return measures.q_entropy_max(len(pv), qv) - measures.q_entropy(pv, qv)
+def _slack_max_bound(p: np.ndarray, qv: float) -> float:
+    return q_entropy_max(p.size, qv) - _entropy_from_array(p, qv)
 
 
 def _mi_chain_cross(t: np.ndarray, qv: float) -> float:
@@ -154,26 +131,22 @@ def _mi_chain_cross(t: np.ndarray, qv: float) -> float:
     return cross_term(w, a, b, qv)
 
 
-def _slack_dpi(j, qv: float) -> float:
+def _slack_dpi(t: np.ndarray, qv: float) -> float:
     """Deformed data-processing inequality on a rank-3 table (X, Y, Z).
 
     Requires the middle axis to separate the outer two (as produced by
     ``random_markov_triple``); the slack then equals the conditional
     mutual information of X and Y given Z, which is nonnegative.
     """
-    table = JointTable.coerce(j)
-    if table.rank != 3:
-        raise ValueError("dpi expects a rank-3 table (axes X, Y, Z)")
-    t = table.t
-    i_xy = measures.mutual_q_information(JointTable(t.sum(axis=2)), qv)
-    i_xz = measures.mutual_q_information(JointTable(t.sum(axis=1)), qv)
+    i_xy = _mutual_information(t.sum(axis=2), qv)
+    i_xz = _mutual_information(t.sum(axis=1), qv)
     return float(i_xy - i_xz - _mi_chain_cross(t, qv))
 
 
 # ---------------------------------------------------------------------------
-# identity residuals
+# identity residuals, on bare arrays
 
-def _residual_info_chain(j, qv: float) -> float:
+def _residual_info_chain(t: np.ndarray, qv: float) -> float:
     """Mutual-information chain identity for two sources and one target.
 
     I(X1,X2; Y) = I(X1; Y) + I(X2; Y | X1)
@@ -181,14 +154,10 @@ def _residual_info_chain(j, qv: float) -> float:
 
     with R1 = p(x1,y)/(p(x1)p(y)) and R2 = p(x2,y|x1)/(p(x2|x1)p(y|x1)).
     """
-    table = JointTable.coerce(j)
-    if table.rank != 3:
-        raise ValueError("info-chain-rule expects a rank-3 table (axes X1, X2, Y)")
-    t = table.t
     m1, m2, my = t.shape
-    i_joint = measures.mutual_q_information(JointTable(t.reshape(m1 * m2, my)), qv)
-    i_1 = measures.mutual_q_information(JointTable(t.sum(axis=1)), qv)
-    i_2_given_1 = measures.conditional_mutual_q_information(table, qv, given_axis=0)
+    i_joint = _mutual_information(t.reshape(m1 * m2, my), qv)
+    i_1 = _mutual_information(t.sum(axis=1), qv)
+    i_2_given_1 = _conditional_mutual_information(np.moveaxis(t, 0, 2), qv)
     # (Y, X2, X1) is the (X, Y, Z) layout of the dpi cross term
     return i_joint - i_1 - i_2_given_1 - _mi_chain_cross(t.transpose(2, 1, 0), qv)
 
@@ -202,40 +171,19 @@ def _residual_rel_chain(instance, qv: float) -> float:
     Undefined (infinite) components propagate: the residual is +inf when
     absolute continuity fails.
     """
-    pj, rj = instance
-    pt = JointTable.coerce(pj)
-    rt = JointTable.coerce(rj)
-    if pt.rank != 2 or pt.shape != rt.shape:
-        raise ValueError("rel-chain-rule expects two equal-shape rank-2 tables")
-    lhs = measures.relative_q_entropy(ProbVec(pt.t.reshape(-1)), ProbVec(rt.t.reshape(-1)), qv)
-    d_marg = measures.relative_q_entropy(pt.marginal(0), rt.marginal(0), qv)
-    d_cond = measures.relative_q_entropy_conditional(pt, rt, 0, qv)
+    p, r = instance
+    px = p.sum(axis=1)
+    rx = r.sum(axis=1)
+    p_cond = _conditional(p, (1,))
+    r_cond = _conditional(r, (1,))
+    lhs = _divergence(p.reshape(-1), p.reshape(-1), r.reshape(-1), qv)
+    d_marg = _divergence(px, px, rx, qv)
+    d_cond = _divergence(p, p_cond, r_cond, qv)
     if math.isinf(lhs) or math.isinf(d_marg) or math.isinf(d_cond):
         return math.inf
-    mask = pt.t > 0
-    ratio_x = (pt.t.sum(axis=1) / rt.t.sum(axis=1))[mask.nonzero()[0]]
-    ratio_c = pt.conditional(0)[mask] / rt.conditional(0)[mask]
-    return lhs - d_marg - d_cond - cross_term(pt.t[mask], ratio_x, ratio_c, qv)
-
-
-def identity_residual(identity: str, instance, q) -> float:
-    """|LHS - RHS| of an exact identity.
-
-    ``identity`` is one of ``pseudo-add`` (instance: pair of positive
-    reals), ``info-chain-rule-n2`` (rank-3 table), or ``rel-chain-rule``
-    (pair of rank-2 tables).
-    """
-    qv = q_value(q)
-    if identity == "pseudo-add":
-        from .qcore import pseudo_additivity_residual
-
-        x, y = instance
-        return abs(float(pseudo_additivity_residual(x, y, qv)))
-    if identity == "info-chain-rule-n2":
-        return abs(_residual_info_chain(instance, qv))
-    if identity == "rel-chain-rule":
-        return abs(_residual_rel_chain(instance, qv))
-    raise ValueError(f"unknown identity {identity!r}")
+    mask = p > 0
+    ratio_x = (px / rx)[mask.nonzero()[0]]
+    return lhs - d_marg - d_cond - cross_term(p[mask], ratio_x, p_cond[mask] / r_cond[mask], qv)
 
 
 # ---------------------------------------------------------------------------
@@ -265,21 +213,21 @@ def _axis(rng, lo=2, hi=6):
 
 
 def _sample_rank2(rng):
-    return random_joint((_axis(rng), _axis(rng)), rng)
+    return _flat_dirichlet((_axis(rng), _axis(rng)), rng)
 
 
 def _sample_pair_dists(rng):
-    return (random_dist(_axis(rng), rng), random_dist(_axis(rng), rng))
+    return (_flat_dirichlet(_axis(rng), rng), _flat_dirichlet(_axis(rng), rng))
 
 
 def _sample_rank3(rng):
-    return random_joint((_axis(rng, 2, 4), _axis(rng, 2, 4), _axis(rng, 2, 4)), rng)
+    return _flat_dirichlet((_axis(rng, 2, 4), _axis(rng, 2, 4), _axis(rng, 2, 4)), rng)
 
 
 def _sample_block(rng):
     rank = int(rng.integers(2, 5))
     hi = 6 if rank == 2 else 3
-    return random_joint(tuple(_axis(rng, 2, hi) for _ in range(rank)), rng)
+    return _flat_dirichlet(tuple(_axis(rng, 2, hi) for _ in range(rank)), rng)
 
 
 def _sample_weights(rng):
@@ -289,20 +237,20 @@ def _sample_weights(rng):
 
 def _sample_same_length_dists(rng):
     m = _axis(rng)
-    return (random_dist(m, rng), random_dist(m, rng))
+    return (_flat_dirichlet(m, rng), _flat_dirichlet(m, rng))
 
 
 def _sample_dist(rng):
-    return random_dist(_axis(rng, 2, 8), rng)
+    return _flat_dirichlet(_axis(rng, 2, 8), rng)
 
 
 def _sample_markov(rng):
-    return random_markov_triple((_axis(rng, 2, 4), _axis(rng, 2, 4), _axis(rng, 2, 4)), rng)
+    return _markov_triple((_axis(rng, 2, 4), _axis(rng, 2, 4), _axis(rng, 2, 4)), rng)
 
 
 def _sample_rel_pair(rng):
     shape = (_axis(rng, 2, 4), _axis(rng, 2, 4))
-    return (random_joint(shape, rng), random_joint(shape, rng))
+    return (_flat_dirichlet(shape, rng), _flat_dirichlet(shape, rng))
 
 
 @dataclass(frozen=True)
@@ -310,25 +258,67 @@ class LawSpec:
     law: LawId
     q_range: _QRange
     identity: bool
-    sample: Callable
+    arity: int  # an instance is one array, or a pair
+    ranks: tuple  # accepted ranks: 1 is a distribution, 2 to 4 a joint table
+    sample: Callable  # rng -> instance of bare arrays
     evaluate: Callable  # slack for inequalities, signed residual for identities
+    matched: bool = False  # the pair shares one shape
+    normalized: bool = True  # False: rank-1 arrays are free nonnegative weights
 
 
 _REGISTRY: dict[LawId, LawSpec] = {
     spec.law: spec
     for spec in [
-        LawSpec(LawId.JOINT_CHAIN, _SUB1, False, _sample_rank2, _slack_joint_chain),
-        LawSpec(LawId.INDEP_SUPERADD, _SUB1, False, _sample_pair_dists, _slack_indep_superadd),
-        LawSpec(LawId.COND_CHAIN, _SUB1, False, _sample_rank3, _slack_cond_chain),
-        LawSpec(LawId.BLOCK_CHAIN, _SUB1, False, _sample_block, _slack_block_chain),
-        LawSpec(LawId.QLN_SUM, _LE2, False, _sample_weights, _slack_qln_sum),
-        LawSpec(LawId.DQ_NONNEG, _LE2, False, _sample_same_length_dists, _slack_dq_nonneg),
-        LawSpec(LawId.MAX_BOUND, _LE2, False, _sample_dist, _slack_max_bound),
-        LawSpec(LawId.DPI, _SUB1, False, _sample_markov, _slack_dpi),
-        LawSpec(LawId.INFO_CHAIN_RULE, _SUB1, True, _sample_rank3, _residual_info_chain),
-        LawSpec(LawId.REL_CHAIN_RULE, _SUB1, True, _sample_rel_pair, _residual_rel_chain),
+        LawSpec(LawId.JOINT_CHAIN, _SUB1, False, 1, (2,), _sample_rank2, _slack_block_chain),
+        LawSpec(LawId.INDEP_SUPERADD, _SUB1, False, 2, (1,), _sample_pair_dists, _slack_indep_superadd),
+        LawSpec(LawId.COND_CHAIN, _SUB1, False, 1, (3,), _sample_rank3, _slack_cond_chain),
+        LawSpec(LawId.BLOCK_CHAIN, _SUB1, False, 1, (2, 3, 4), _sample_block, _slack_block_chain),
+        LawSpec(LawId.QLN_SUM, _LE2, False, 2, (1,), _sample_weights, _slack_qln_sum, matched=True, normalized=False),
+        LawSpec(LawId.DQ_NONNEG, _LE2, False, 2, (1,), _sample_same_length_dists, _slack_dq_nonneg, matched=True),
+        LawSpec(LawId.MAX_BOUND, _LE2, False, 1, (1,), _sample_dist, _slack_max_bound),
+        LawSpec(LawId.DPI, _SUB1, False, 1, (3,), _sample_markov, _slack_dpi),
+        LawSpec(LawId.INFO_CHAIN_RULE, _SUB1, True, 1, (3,), _sample_rank3, _residual_info_chain),
+        LawSpec(LawId.REL_CHAIN_RULE, _SUB1, True, 2, (2,), _sample_rel_pair, _residual_rel_chain, matched=True),
     ]
 }
+
+
+def _instance_arrays(spec: LawSpec, instance):
+    """Bare arrays of an outside instance, after the law's instance check."""
+    parts = (instance,) if spec.arity == 1 else tuple(instance)
+    if len(parts) != spec.arity:
+        raise ValueError(f"{spec.law} expects a pair of arrays")
+    arrays = []
+    for x in parts:
+        arr = x.p if isinstance(x, ProbVec) else x.t if isinstance(x, JointTable) else np.asarray(x, dtype=float)
+        if arr.ndim not in spec.ranks:
+            raise ValueError(f"{spec.law} expects arrays of rank {spec.ranks}, got rank {arr.ndim}")
+        if spec.normalized:
+            arr = ProbVec.coerce(x).p if arr.ndim == 1 else JointTable.coerce(x).t
+        elif arr.size == 0 or not np.isfinite(arr).all() or (arr < 0).any():
+            raise ValueError(f"{spec.law} weights must be non-empty, finite and nonnegative")
+        arrays.append(arr)
+    if spec.matched and arrays[0].shape != arrays[1].shape:
+        raise ValueError(f"{spec.law} expects two arrays of one shape")
+    return arrays[0] if spec.arity == 1 else tuple(arrays)
+
+
+def identity_residual(identity: str, instance, q) -> float:
+    """|LHS - RHS| of an exact identity.
+
+    ``identity`` is one of ``pseudo-add`` (instance: pair of positive
+    reals), ``info-chain-rule-n2`` (rank-3 table), or ``rel-chain-rule``
+    (pair of rank-2 tables).
+    """
+    qv = q_value(q)
+    if identity == "pseudo-add":
+        x, y = instance
+        return abs(float(pseudo_additivity_residual(x, y, qv)))
+    law = {"info-chain-rule-n2": LawId.INFO_CHAIN_RULE, "rel-chain-rule": LawId.REL_CHAIN_RULE}.get(identity)
+    if law is None:
+        raise ValueError(f"unknown identity {identity!r}")
+    spec = _REGISTRY[law]
+    return abs(spec.evaluate(_instance_arrays(spec, instance), qv))
 
 
 def law_q_range(law) -> tuple[float, float, bool]:
@@ -347,7 +337,8 @@ def law_slack(law, instance, q) -> float:
     For identity laws the slack is ``-|residual|`` so the same
     nonnegativity predicate applies (at the identity tolerance).
     Raises ``ValueError`` when q lies outside the law's documented range
-    or the instance does not match the law's arity.
+    or the instance fails the law's check: arity, rank, shape, and
+    normalized nonnegative mass (nonnegative weights for ``qln-sum``).
     """
     lid = LawId(law)
     spec = _REGISTRY[lid]
@@ -356,7 +347,7 @@ def law_slack(law, instance, q) -> float:
         raise ValueError(
             f"law {lid.value} is only asserted for q in {spec.q_range.describe()}, got {qv:g}"
         )
-    value = spec.evaluate(instance, qv)
+    value = spec.evaluate(_instance_arrays(spec, instance), qv)
     return -abs(value) if spec.identity else value
 
 
@@ -463,8 +454,7 @@ def fuzz(law, trials: int, q_range=None, seed: int = 0, *, tol=None, workers: in
         rng = make_rng(seed, stream=w)
         for _ in range(chunk):
             qv = lo if lo == hi else float(rng.uniform(lo, hi))
-            instance = spec.sample(rng)
-            value = spec.evaluate(instance, qv)
+            value = spec.evaluate(spec.sample(rng), qv)
             slack = -abs(value) if spec.identity else value
             if slack < min_slack:
                 min_slack = slack

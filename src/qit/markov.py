@@ -36,26 +36,11 @@ import numpy as np
 
 from .errors import ConvergenceError, SizeBudgetError
 from .measures import _chain_terms_from_array, _entropy_from_array
-from .prob import NORM_TOL, ProbVec
+from .prob import ProbVec, _validate_mass
 from .qcore import cross_term, q_value
 
 #: Cap on exact block-table enumeration (number of cells).
 BLOCK_CELL_BUDGET = 1 << 20
-
-
-def _validate_transition(r) -> np.ndarray:
-    arr = np.array(r, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
-        raise ValueError("transition matrix must be square and non-empty")
-    if not np.isfinite(arr).all():
-        raise ValueError("transition matrix must be finite")
-    if (arr < 0).any():
-        raise ValueError("transition matrix must be nonnegative")
-    rows = arr.sum(axis=1)
-    if np.abs(rows - 1.0).max() > NORM_TOL:
-        raise ValueError("transition rows must each sum to 1")
-    arr.setflags(write=False)
-    return arr
 
 
 class MarkovChain:
@@ -64,7 +49,12 @@ class MarkovChain:
     __slots__ = ("transition", "initial")
 
     def __init__(self, transition, initial=None):
-        t = _validate_transition(transition)
+        t = np.array(transition, dtype=float)
+        if t.ndim != 2 or t.shape[0] != t.shape[1] or t.shape[0] == 0:
+            raise ValueError("transition matrix must be square and non-empty")
+        for row in t:
+            _validate_mass(row, "transition row")
+        t.setflags(write=False)
         object.__setattr__(self, "transition", t)
         if initial is None:
             initial = ProbVec(np.full(t.shape[0], 1.0 / t.shape[0]))
@@ -146,12 +136,10 @@ def stationary(chain, tol: float = 1e-12, max_iters: int = 1_000_000) -> ProbVec
     result depends on the starting distribution (the chain's own initial
     distribution, or uniform when a bare matrix is given).
     """
-    if isinstance(chain, MarkovChain):
-        r = chain.transition
-        psi = chain.initial.p.copy()
-    else:
-        r = _validate_transition(chain)
-        psi = np.full(r.shape[0], 1.0 / r.shape[0])
+    if not isinstance(chain, MarkovChain):
+        chain = MarkovChain(chain)
+    r = chain.transition
+    psi = chain.initial.p.copy()
     residual = math.inf
     for _ in range(max_iters):
         nxt = psi @ r
@@ -178,7 +166,12 @@ def block_table(chain: MarkovChain, n: int, *, cell_budget: int = BLOCK_CELL_BUD
     """
     if n < 1:
         raise ValueError("block length must be >= 1")
-    m = chain.m
+    return _block_array(chain.initial.p, chain.transition, n, cell_budget)
+
+
+def _block_array(initial: np.ndarray, r: np.ndarray, n: int, cell_budget: int = BLOCK_CELL_BUDGET) -> np.ndarray:
+    """``block_table`` of the chain (r, initial) on bare arrays."""
+    m = r.shape[0]
     if m**n > cell_budget:
         fit = 0
         cells = 1
@@ -190,9 +183,9 @@ def block_table(chain: MarkovChain, n: int, *, cell_budget: int = BLOCK_CELL_BUD
             f"(budget {cell_budget})",
             last_bracket=fit,
         )
-    t = chain.initial.p.copy()
+    t = initial.copy()
     for _ in range(n - 1):
-        t = t[..., :, None] * chain.transition
+        t = t[..., :, None] * r
     return t
 
 

@@ -10,10 +10,10 @@ its support the solution has the closed form
 
 and the multiplier pair ``(lam, mu)`` satisfies, level by level,
 
-    (1 - (2 - q) * p_i**(1 - q)) / (1 - q)  =  (lam - 1) + mu * e_i
+    -1 - (2 - q) * ln_q(p_i)  =  (lam - 1) + mu * e_i
 
-(the ``q -> 1`` limit of the left side is ``-1 - log p_i``, which recovers
-the classical exponential family).  Levels can drop out of the support
+(at q = 1 the left side is ``-1 - log p_i``, which recovers the
+classical exponential family).  Levels can drop out of the support
 when q < 1: a removed level j is consistent exactly when the exponential
 argument at j falls outside the domain of ``exp_q``, i.e. when the domain
 margin ``1 + (1 - q) * arg_j`` is nonpositive.  The solver therefore runs
@@ -27,8 +27,8 @@ competitors: each competitor is a random distribution pushed onto the
 constraint plane by one affine projection and rejected while any
 coordinate is negative.  The entropy gap to the solution must be
 nonnegative; on full-support solutions the gap also equals the stable
-divergence-like form ``sum f (f**(1-q) - p**(1-q)) / (1-q)`` exactly,
-which is asserted as an internal consistency check.
+divergence-like form ``sum f (ln_q f - ln_q p)`` exactly, which is
+asserted as an internal consistency check.
 """
 
 import math
@@ -39,7 +39,7 @@ import numpy as np
 from .errors import ConvergenceError, SamplingError
 from .measures import _entropy_from_array
 from .prob import ProbVec, make_rng
-from .qcore import SHANNON_TOL, ln_q, q_value
+from .qcore import exp_q_inside, ln_q, ln_q_pos, q_value
 
 #: Removed levels must have domain margin at or below this at the solution.
 KKT_MARGIN_TOL = 1e-9
@@ -82,15 +82,12 @@ class MaxEntProblem:
 
 def _p_from_multipliers(lam, mu, eps, qv):
     """Distribution and domain margins at (lam, mu); p is None out of domain."""
-    two_q = 2.0 - qv
-    arg = (-lam - mu * eps) / two_q
-    if abs(1.0 - qv) <= SHANNON_TOL:
-        with np.errstate(over="ignore"):
-            return np.exp(arg), np.ones_like(arg)
+    arg = (-lam - mu * eps) / (2.0 - qv)
     base = 1.0 + (1.0 - qv) * arg
     if base.min() <= 0.0:
         return None, base
-    return np.power(base, 1.0 / (1.0 - qv)), base
+    with np.errstate(over="ignore"):  # the line search rejects overflowed candidates
+        return exp_q_inside(arg, qv), base
 
 
 class _Stuck(Exception):
@@ -206,8 +203,6 @@ class MaxEntSolution:
 
     def domain_margins(self) -> np.ndarray:
         """``1 + (1 - q) * argument`` per level; nonpositive on removed levels."""
-        if abs(1.0 - self.problem.q) <= SHANNON_TOL:
-            return np.ones(self.problem.m)
         return 1.0 + (1.0 - self.problem.q) * self.arguments()
 
     def stationarity_residuals(self) -> np.ndarray:
@@ -217,11 +212,7 @@ class MaxEntSolution:
         eps = self.problem.levels[idx]
         p = self.p.p[idx]
         rhs = (self.lam - 1.0) + self.mu * eps
-        if abs(1.0 - qv) <= SHANNON_TOL:
-            lhs = -1.0 - np.log(p)
-        else:
-            lhs = (1.0 - (2.0 - qv) * np.power(p, 1.0 - qv)) / (1.0 - qv)
-        return np.abs(lhs - rhs)
+        return np.abs(-1.0 - (2.0 - qv) * ln_q_pos(p, qv) - rhs)
 
     def entropy(self) -> float:
         return _entropy_from_array(self.p.p, self.problem.q)
@@ -291,14 +282,7 @@ def solve(problem: MaxEntProblem, *, tol: float = 1e-12, max_iters: int = 200) -
 def _gap_formula(f: np.ndarray, p: np.ndarray, qv: float) -> float:
     """Stable closed form of the entropy gap to a feasible competitor."""
     mask = f > 0
-    if abs(1.0 - qv) <= SHANNON_TOL:
-        if (p[mask] == 0).any():
-            return math.inf
-        return float((f[mask] * (np.log(f[mask]) - np.log(p[mask]))).sum())
-    eps = 1.0 - qv
-    with np.errstate(divide="ignore"):
-        p_pow = np.power(p[mask], eps)
-    return float((f[mask] * (np.power(f[mask], eps) - p_pow)).sum() / eps)
+    return float((f[mask] * (ln_q_pos(f[mask], qv) - ln_q_pos(p[mask], qv))).sum())
 
 
 @dataclass(frozen=True)

@@ -12,30 +12,17 @@ reference distribution misses mass that the first distribution carries
 (for q <= 1); for q > 1 such cells contribute their finite limit
 ``p_i / (q - 1)``.
 
-Numeric results are plain floats.  :class:`MeasureValue` is the record
-shape used at reporting surfaces (CLI output), pairing a value with the
-index q and a measure identifier.
+Numeric results are plain floats.  Each public function coerces its
+arguments to containers, checks their shapes and calls one unchecked
+kernel on the bare arrays; the laws call the kernels directly.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .prob import JointTable, ProbVec
+from .prob import JointTable, ProbVec, _other_axes
 from .qcore import SHANNON_TOL, ln_q, ln_q_pos, q_value
-
-
-@dataclass(frozen=True)
-class MeasureValue:
-    """A computed measure with its index and identifier."""
-
-    value: float
-    q: float
-    kind: str
-
-    def to_json_dict(self) -> dict:
-        return {"kind": self.kind, "q": self.q, "value": self.value}
 
 
 def tsallis_entropy(p, q) -> float:
@@ -70,9 +57,12 @@ def q_entropy_conditional(j, given_axes, q) -> float:
     """
     qv = q_value(q)
     table = JointTable.coerce(j)
-    cond = table.conditional(given_axes)
-    mask = table.t > 0
-    return float(-(table.t[mask] * ln_q_pos(cond[mask], qv)).sum())
+    return _conditional_entropy(table.t, _other_axes(table.rank, given_axes), qv)
+
+
+def _conditional_entropy(t: np.ndarray, other: tuple, qv: float) -> float:
+    """``-sum t ln_q(t / m)`` with ``m`` the sum of t over the ``other`` axes."""
+    return -_divergence(t, t, np.broadcast_to(t.sum(axis=other, keepdims=True), t.shape), qv)
 
 
 def relative_q_entropy(p, r, q) -> float:
@@ -93,13 +83,12 @@ def relative_q_entropy(p, r, q) -> float:
 def _divergence(w: np.ndarray, num: np.ndarray, den: np.ndarray, qv: float) -> float:
     """``sum_{w>0} w ln_q(num / den)`` with the escape rule for ``den = 0``."""
     mask = w > 0
-    escaped = mask & (den == 0)
+    ok = mask & (den > 0)
     total = 0.0
-    if escaped.any():
+    if np.count_nonzero(ok) < np.count_nonzero(mask):  # mass escapes where den = 0
         if qv <= 1.0 + SHANNON_TOL:
             return math.inf
-        total += float(w[escaped].sum()) / (qv - 1.0)
-    ok = mask & (den > 0)
+        total += float(w[mask & ~ok].sum()) / (qv - 1.0)
     total += float((w[ok] * ln_q_pos(num[ok] / den[ok], qv)).sum())
     return total
 
@@ -124,12 +113,12 @@ def mutual_q_information(j, q) -> float:
     table = JointTable.coerce(j)
     if table.rank != 2:
         raise ValueError("mutual_q_information expects a rank-2 table")
-    t = table.t
-    px = t.sum(axis=1)
-    py = t.sum(axis=0)
-    mask = t > 0
-    ratio = t[mask] / (np.outer(px, py)[mask])
-    return float((t[mask] * ln_q_pos(ratio, qv)).sum())
+    return _mutual_information(table.t, qv)
+
+
+def _mutual_information(t: np.ndarray, qv: float) -> float:
+    """``sum t ln_q[t / (row sums x column sums)]`` of a rank-2 array."""
+    return _divergence(t, t, np.outer(t.sum(axis=1), t.sum(axis=0)), qv)
 
 
 def conditional_mutual_q_information(j, q, given_axis: int = 2) -> float:
@@ -146,16 +135,16 @@ def conditional_mutual_q_information(j, q, given_axis: int = 2) -> float:
         raise ValueError("conditional_mutual_q_information expects a rank-3 table")
     if not 0 <= given_axis < 3:
         raise ValueError("given_axis must be 0, 1, or 2")
-    t = np.moveaxis(table.t, given_axis, 2)
+    return _conditional_mutual_information(np.moveaxis(table.t, given_axis, 2), qv)
+
+
+def _conditional_mutual_information(t: np.ndarray, qv: float) -> float:
+    """Mutual information of the first two axes of a rank-3 array given the last."""
     pz = t.sum(axis=(0, 1))
     pxz = t.sum(axis=1)
     pyz = t.sum(axis=0)
-    mask = t > 0
     # p(x,y|z) / (p(x|z) p(y|z)) = p(x,y,z) p(z) / (p(x,z) p(y,z))
-    num = t * pz[None, None, :]
-    den = pxz[:, None, :] * pyz[None, :, :]
-    ratio = num[mask] / den[mask]
-    return float((t[mask] * ln_q_pos(ratio, qv)).sum())
+    return _divergence(t, t * pz[None, None, :], pxz[:, None, :] * pyz[None, :, :], qv)
 
 
 def q_entropy_max(m: int, q) -> float:

@@ -6,6 +6,11 @@ renormalization is intended.  Conditionals on zero-probability slices are
 left as all-zero rows, and all downstream sums in this package weight by
 the joint mass, so those undefined slices never contribute.
 
+The containers are the package's one validation point: they are built
+where data comes in from outside (public functions, the CLI) and for
+public return values, and code behind that boundary passes bare arrays,
+such as the masses that ``_flat_dirichlet`` draws.
+
 Randomness flows through :func:`make_rng`: identical ``(seed, stream)``
 pairs reproduce identical draws across runs and platforms, because the
 generator is pinned to PCG64 seeded via ``SeedSequence(seed, spawn_key=(stream,))``.
@@ -146,16 +151,7 @@ class JointTable:
         sums (every measure in this package weights by the joint mass, so
         that exclusion is automatic).
         """
-        given = (given_axes,) if isinstance(given_axes, int) else tuple(given_axes)
-        if not given or not all(0 <= a < self.rank for a in given):
-            raise ValueError(f"given_axes {given!r} invalid for rank {self.rank}")
-        other = tuple(a for a in range(self.rank) if a not in given)
-        if not other:
-            raise ValueError("conditioning on every axis leaves nothing to condition")
-        marg = self.t.sum(axis=other, keepdims=True)
-        out = np.zeros_like(self.t)
-        np.divide(self.t, marg, out=out, where=marg > 0)
-        return out
+        return _conditional(self.t, _other_axes(self.rank, given_axes))
 
     def __repr__(self) -> str:
         return f"JointTable(shape={self.shape})"
@@ -174,6 +170,25 @@ class JointTable:
         return cls.from_json_dict(json.loads(text))
 
 
+def _other_axes(rank: int, given_axes) -> tuple:
+    """Axes left after conditioning a rank-``rank`` table on ``given_axes``."""
+    given = (given_axes,) if isinstance(given_axes, int) else tuple(given_axes)
+    if not given or not all(0 <= a < rank for a in given):
+        raise ValueError(f"given_axes {given!r} invalid for rank {rank}")
+    other = tuple(a for a in range(rank) if a not in given)
+    if not other:
+        raise ValueError("conditioning on every axis leaves nothing to condition")
+    return other
+
+
+def _conditional(t: np.ndarray, other: tuple) -> np.ndarray:
+    """``t`` divided by its sum over ``other``; zero where that sum is zero."""
+    marg = t.sum(axis=other, keepdims=True)
+    out = np.zeros_like(t)
+    np.divide(t, marg, out=out, where=marg > 0)
+    return out
+
+
 def marginal(j, axis: int) -> ProbVec:
     return JointTable.coerce(j).marginal(axis)
 
@@ -189,18 +204,31 @@ def product_dist(p, r) -> JointTable:
     return JointTable(np.outer(pv.p, rv.p))
 
 
+def _flat_dirichlet(shape, rng: np.random.Generator) -> np.ndarray:
+    """Flat-Dirichlet draw over all cells: normalized unit exponentials."""
+    e = rng.standard_exponential(shape)
+    return e / e.sum()
+
+
+def _markov_triple(shapes, rng: np.random.Generator) -> np.ndarray:
+    """Rank-3 array p(x) p(y|x) p(z|y) of flat-Dirichlet factors."""
+    mx, my, mz = (int(s) for s in shapes)
+    px = _flat_dirichlet(mx, rng)
+    py_rows = np.stack([_flat_dirichlet(my, rng) for _ in range(mx)])
+    pz_rows = np.stack([_flat_dirichlet(mz, rng) for _ in range(my)])
+    return px[:, None, None] * py_rows[:, :, None] * pz_rows[None, :, :]
+
+
 def random_dist(m: int, rng: np.random.Generator) -> ProbVec:
     """Flat-Dirichlet draw: normalized independent unit exponentials."""
     if m < 1:
         raise ValueError("need at least one outcome")
-    e = rng.standard_exponential(m)
-    return ProbVec(e / e.sum())
+    return ProbVec(_flat_dirichlet(m, rng))
 
 
 def random_joint(shape, rng: np.random.Generator) -> JointTable:
     """Flat-Dirichlet draw over all cells of the given shape."""
-    e = rng.standard_exponential(shape)
-    return JointTable(e / e.sum())
+    return JointTable(_flat_dirichlet(shape, rng))
 
 
 def random_markov_triple(shapes, rng: np.random.Generator) -> JointTable:
@@ -209,9 +237,4 @@ def random_markov_triple(shapes, rng: np.random.Generator) -> JointTable:
     The middle variable separates the outer two by construction, i.e.
     p(x,y,z) p(y) = p(x,y) p(y,z) holds cellwise up to roundoff.
     """
-    mx, my, mz = (int(s) for s in shapes)
-    px = random_dist(mx, rng).p
-    py_rows = np.stack([random_dist(my, rng).p for _ in range(mx)])
-    pz_rows = np.stack([random_dist(mz, rng).p for _ in range(my)])
-    t = px[:, None, None] * py_rows[:, :, None] * pz_rows[None, :, :]
-    return JointTable(t)
+    return JointTable(_markov_triple(shapes, rng))

@@ -19,7 +19,7 @@ natural log; every q-log in the package is evaluated by one of the three.
 They compute ``expm1((1 - q) log x) / (1 - q)``, which keeps the digits
 that ``x**(1-q) - 1`` cancels as q approaches the classical branch or x
 approaches 1; ``ln_q_pos`` keeps the power form only where it cancels
-nothing (see there).
+nothing (see there).  ``exp_q_inside`` is the unchecked ``exp_q``.
 
 Conventions
 -----------
@@ -154,6 +154,18 @@ def ln_q(x, q):
     return float(out) if arr.ndim == 0 else out
 
 
+def exp_q_inside(x, q: float):
+    """Unchecked ``exp_q`` of an array x inside ``1 + (1 - q) x > 0``.
+
+    ``log1p`` leaves that sum unrounded; the power form would amplify its
+    rounding by ``1 / |1 - q|``.
+    """
+    eps = 1.0 - q
+    if abs(eps) <= SHANNON_TOL:
+        return np.exp(x)
+    return np.exp(np.log1p(eps * x) / eps)
+
+
 def exp_q(x, q):
     """Deformed exponential ``(1 + (1-q) x) ** (1/(1-q))``, inverse of ln_q.
 
@@ -165,19 +177,16 @@ def exp_q(x, q):
     """
     qv = q_value(q)
     arr = _as_checked_array(x, what="exp_q argument")
-    scalar = arr.ndim == 0
     eps = 1.0 - qv
-    if abs(eps) <= SHANNON_TOL:
-        out = np.exp(arr)
-    else:
+    if abs(eps) > SHANNON_TOL:
         base = 1.0 + eps * arr
         if (base <= 0).any():
             raise QDomainError(
                 f"exp_q argument outside domain: 1 + (1-q)x reached {base.min():.6g}",
                 boundary=float(base.min()),
             )
-        out = np.power(base, 1.0 / eps)
-    return float(out) if scalar else out
+    out = exp_q_inside(arr, qv)
+    return float(out) if arr.ndim == 0 else out
 
 
 def pseudo_additivity_residual(x, y, q):

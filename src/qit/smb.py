@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, ImpossibleTrajectoryError
-from .markov import MarkovChain, block_table, stationary
+from .markov import MarkovChain, _block_array, stationary
 from .measures import _chain_terms_from_array
 from .prob import make_rng
 from .qcore import SHANNON_TOL, ln_q_from_log, ln_q_pos, q_value
@@ -134,11 +134,11 @@ def markov_k_block_log_prob_q(chain: MarkovChain, symbols, k: int, q, *, empiric
     qv = q_value(q)
     if k < 0:
         raise ValueError("order k must be >= 0")
-    s = _coerce_symbols(symbols, chain.m)
     if k >= 1 and not empirical:
         # order-1 truth: the exact head and every k-window conditional
         # reduce to one-step transition factors
-        return block_log_prob_q(chain, s, qv)
+        return block_log_prob_q(chain, symbols, qv)
+    s = _coerce_symbols(symbols, chain.m)
     n = s.size
     m = chain.m
     if empirical:
@@ -197,10 +197,12 @@ def h_q_k(chain: MarkovChain, k: int, q) -> float:
     """
     if k < 0:
         raise ValueError("order k must be >= 0")
-    qv = q_value(q)
-    st = stationary(chain)
-    t = block_table(MarkovChain(chain.transition, st), k + 1)
-    return _chain_terms_from_array(np.asarray(t), qv)[-1]
+    return _h_q_k(chain.transition, stationary(chain).p, k, q_value(q))
+
+
+def _h_q_k(r: np.ndarray, st: np.ndarray, k: int, qv: float) -> float:
+    """``h_q_k`` of the transition ``r`` with stationary law ``st``."""
+    return _chain_terms_from_array(_block_array(st, r, k + 1), qv)[-1]
 
 
 def h_q_inf(chain: MarkovChain, q, tol: float = 1e-10, k_max: int = 12) -> float:
@@ -209,10 +211,14 @@ def h_q_inf(chain: MarkovChain, q, tol: float = 1e-10, k_max: int = 12) -> float
     Returns ``h(k*)`` for the smallest ``k*`` with
     ``|h(k*) - h(k* + 1)| <= tol``, scanning from ``k* = 0``.
     """
-    qv = q_value(q)
-    h_prev = h_q_k(chain, 0, qv)
+    return _h_q_inf(chain.transition, stationary(chain).p, q_value(q), tol, k_max)
+
+
+def _h_q_inf(r: np.ndarray, st: np.ndarray, qv: float, tol: float = 1e-10, k_max: int = 12) -> float:
+    """``h_q_inf`` of the transition ``r`` with stationary law ``st``."""
+    h_prev = _h_q_k(r, st, 0, qv)
     for k in range(1, k_max + 2):
-        h_cur = h_q_k(chain, k, qv)
+        h_cur = _h_q_k(r, st, k, qv)
         if abs(h_prev - h_cur) <= tol:
             return h_prev
         h_prev = h_cur
@@ -355,13 +361,13 @@ def smb_probe(chain: MarkovChain, q, n_max: int, trajectories: int, seed: int = 
     if k < 0:
         raise ValueError("order k must be >= 0")
 
-    c = MarkovChain(chain.transition, stationary(chain))
-    r = c.transition
-    m = c.m
+    st = stationary(chain).p
+    r = chain.transition
+    m = chain.m
     big_t = trajectories
 
     u = np.stack([make_rng(seed, stream=t).random(n_max + 1) for t in range(big_t)])
-    icum = np.cumsum(c.initial.p)
+    icum = np.cumsum(st)
     icum[-1] = 1.0
     rcum = np.cumsum(r, axis=1)
     rcum[:, -1] = 1.0
@@ -370,7 +376,8 @@ def smb_probe(chain: MarkovChain, q, n_max: int, trajectories: int, seed: int = 
     for i in range(1, n_max + 1):
         syms[:, i] = _advance(rcum[syms[:, i - 1]], u[:, i])
 
-    d1 = c.evolve(1).p
+    d1 = st @ r
+    d1 /= d1.sum()
     with np.errstate(divide="ignore"):
         logr = np.log(r)
         logd1 = np.log(d1)
@@ -384,7 +391,7 @@ def smb_probe(chain: MarkovChain, q, n_max: int, trajectories: int, seed: int = 
         # the k = 0 factorization multiplies per-position marginals and
         # has no conditioning head
         fcols = np.empty((big_t, n_max))
-        d = c.initial.p.copy()
+        d = st
         for j in range(1, n_max + 1):
             d = d @ r
             d /= d.sum()
@@ -450,8 +457,8 @@ def smb_probe(chain: MarkovChain, q, n_max: int, trajectories: int, seed: int = 
         trajectories=big_t,
         seed=int(seed),
         points=tuple(points),
-        h_q_k=h_q_k(chain, k, qv),
-        h_q_inf=h_q_inf(chain, qv),
+        h_q_k=_h_q_k(r, st, k, qv),
+        h_q_inf=_h_q_inf(r, st, qv),
         surprisal_sup=(1.0 / (1.0 - qv) if qv < 1.0 - SHANNON_TOL else math.inf),
         flags=flags,
     )

@@ -78,6 +78,22 @@ def test_fuzz_csv_report_is_frozen_by_seed(capsys):
     assert lines[1] == "qln-sum,50,0.05706370022,4.057089236,0,3"
 
 
+def test_fuzz_csv_pins_every_law(capsys):
+    assert run(["fuzz", "--law", "all", "--trials", "200", "--seed", "3", "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "joint-chain,200,0.007325724585,0.281455517,0,3",
+        "indep-superadd,200,0.000388924461,0.2445351911,0,3",
+        "cond-chain,200,0.00318857289,0.1886390605,0,3",
+        "block-chain,200,0.004510643942,0.5135149451,0,3",
+        "qln-sum,200,0.001124143081,5.505410186,0,3",
+        "dq-nonneg,200,7.741511539e-05,0.9115889989,0,3",
+        "max-bound,200,0.0005970077635,0.2864714452,0,3",
+        "dpi,200,1.288624738e-05,0.1651208857,0,3",
+        "info-chain-rule,200,-3.191891196e-16,-9.424842113e-17,0,3",
+        "rel-chain-rule,200,-1.705302566e-13,-1.36123453e-15,0,3",
+    ]
+
+
 def test_fuzz_all_covers_every_law(capsys):
     rc = run(["fuzz", "--law", "all", "--trials", "5", "--seed", "0"])
     assert rc == 0

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qit import LawId, all_laws, fuzz, identity_residual, law_slack
+from qit import LawId, all_laws, fuzz, identity_residual, law_slack, prob
 from qit.laws import SlackReport, TOL_IDENTITY, TOL_INEQUALITY, law_is_identity, law_q_range
 from qit.measures import (
     conditional_mutual_q_information,
@@ -222,6 +222,65 @@ def test_pseudo_add_identity_residual():
     )
     with pytest.raises(ValueError):
         identity_residual("no-such-identity", (0.5, 0.5), 0.75)
+
+
+def test_fuzz_builds_no_container(monkeypatch):
+    # every instance is drawn by the program itself, so nothing behind
+    # the public boundary validates it again
+    calls = []
+    validate = prob._validate_mass
+    monkeypatch.setattr(prob, "_validate_mass", lambda *a: calls.append(a) or validate(*a))
+    for law in all_laws():
+        fuzz(law, trials=50, seed=201)
+    assert len(calls) == 0
+    law_slack("joint-chain", [[0.25, 0.25], [0.25, 0.25]], 0.5)
+    assert len(calls) == 1  # the boundary itself still validates
+
+
+# one valid outside instance per law; pairs are tuples
+_VALID = {
+    "joint-chain": [[0.1, 0.2], [0.3, 0.4]],
+    "indep-superadd": ([0.2, 0.8], [0.1, 0.3, 0.6]),
+    "cond-chain": np.full((2, 2, 2), 0.125),
+    "block-chain": np.full((2, 2, 2, 2), 0.0625),
+    "qln-sum": ([1.0, 2.0], [3.0, 0.5]),
+    "dq-nonneg": ([0.2, 0.8], [0.5, 0.5]),
+    "max-bound": [0.2, 0.3, 0.5],
+    "dpi": random_markov_triple((2, 2, 2), make_rng(1)).t,
+    "info-chain-rule": np.full((2, 2, 2), 0.125),
+    "rel-chain-rule": ([[0.1, 0.2], [0.3, 0.4]], [[0.25, 0.25], [0.25, 0.25]]),
+}
+
+
+def _map_first(instance, f):
+    """``instance`` with ``f`` applied to its (first) array."""
+    if isinstance(instance, tuple):
+        return (f(np.asarray(instance[0], dtype=float)),) + instance[1:]
+    return f(np.asarray(instance, dtype=float))
+
+
+def _negative_cell(a):
+    out = a.copy()
+    out.flat[0] = -a.flat[0]
+    out.flat[1] += 2.0 * a.flat[0]  # the mass still sums to one
+    return out
+
+
+@pytest.mark.parametrize("law", [law.value for law in all_laws()])
+def test_law_slack_rejects_bad_instances(law):
+    q = 0.5
+    assert math.isfinite(law_slack(law, _VALID[law], q))
+    rank5 = _map_first(_VALID[law], lambda a: a.reshape(a.shape + (1,) * (5 - a.ndim)))
+    with pytest.raises(ValueError):
+        law_slack(law, rank5, q)
+    with pytest.raises(ValueError):
+        law_slack(law, _map_first(_VALID[law], _negative_cell), q)
+    doubled = _map_first(_VALID[law], lambda a: 2.0 * a)
+    if law == "qln-sum":
+        law_slack(law, doubled, q)  # free weights need no normalization
+    else:
+        with pytest.raises(ValueError, match="sum to 1"):
+            law_slack(law, doubled, q)
 
 
 def test_fuzz_all_laws_clean():

@@ -140,6 +140,15 @@ def test_near_shannon_deformation_is_continuous():
     assert np.abs(near.p.p - ref.p.p).max() <= 1e-4
 
 
+@pytest.mark.parametrize("q", [1.0 + sign * 2.0 * 10.0**-k for k in range(3, 13) for sign in (1, -1)])
+def test_solve_converges_next_to_the_shannon_point(q):
+    # base**(1/(1-q)) would amplify the rounding of base by 1/|1-q| and
+    # stall the Newton iteration; the log1p form of exp_q does not
+    sol = solve(MaxEntProblem([0.0, 1.0, 2.0], 0.7, q))
+    assert max(sol.residuals) <= 1e-12
+    assert sol.stationarity_residuals().max() <= 1e-14
+
+
 def test_multiplier_decreases_with_target_mean():
     targets = [0.25, 0.5, 0.75, 1.0, 1.25, 1.5]
     mus = [solve(MaxEntProblem([0.0, 1.0, 2.0], t, 0.5)).mu for t in targets]

@@ -16,7 +16,7 @@ from qit import (
     relative_q_entropy,
     tsallis_entropy,
 )
-from qit.measures import MeasureValue, relative_q_entropy_conditional
+from qit.measures import relative_q_entropy_conditional
 from qit.prob import JointTable, make_rng, random_dist, random_joint, random_markov_triple
 from qit.qcore import ln_q
 
@@ -199,8 +199,3 @@ def test_relative_conditional_divergence():
     # reference with an empty conditional cell where p has mass
     rz = JointTable([[0.5, 0.0, 0.0], [0.1, 0.2, 0.2]])
     assert relative_q_entropy_conditional(pj, rz, 0, 0.5) == math.inf
-
-
-def test_measure_value_record():
-    mv = MeasureValue(0.25, 0.5, "entropy")
-    assert mv.to_json_dict() == {"kind": "entropy", "q": 0.5, "value": 0.25}

@@ -261,6 +261,15 @@ def test_probe_deterministic_output():
     assert first[1] == f"{a.points[0].block_mean:.10g}"
 
 
+def test_probe_computes_the_stationary_law_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr("qit.smb.stationary", lambda c: calls.append(c) or stationary(c))
+    curve = smb_probe(STICKY, 0.75, 16, 5, seed=1)
+    assert len(calls) == 1
+    assert curve.h_q_k == h_q_k(STICKY, 1, 0.75)
+    assert curve.h_q_inf == h_q_inf(STICKY, 0.75)
+
+
 def test_probe_validation_and_serialization():
     with pytest.raises(ValueError):
         smb_probe(STICKY, -0.1, 8, 5)
