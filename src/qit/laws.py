@@ -48,7 +48,7 @@ import numpy as np
 from .measures import _chain_terms_from_array, _conditional_entropy, _conditional_mutual_information
 from .measures import _divergence, _entropy_from_array, _mutual_information, q_entropy_max
 from .prob import JointTable, ProbVec, _conditional, _flat_dirichlet, _markov_triple, make_rng
-from .qcore import cross_term, ln_q, ln_q_pos, pseudo_additivity_residual, q_value
+from .qcore import cross_term, ln_q, pseudo_additivity_residual, q_value
 
 #: Violation threshold for inequality laws.
 TOL_INEQUALITY = 1e-9
@@ -97,11 +97,11 @@ def _slack_qln_sum(instance, qv: float) -> float:
     ss = float(s.sum())
     if rs == 0:
         return 0.0
-    mask = r > 0
-    if (s[mask] == 0).any():  # also when s is all zero
+    lhs = _divergence(r, r, s, qv)  # +inf for q <= 1 where a positive r meets s = 0
+    if lhs == math.inf:
         return math.inf
-    lhs = float((r[mask] * ln_q_pos(r[mask] / s[mask], qv)).sum())
-    rhs = rs * float(ln_q(rs / ss, qv))
+    # past the escape above, ss = 0 means q > 1, where ln_q(rs / 0) = 1 / (q - 1)
+    rhs = rs / (qv - 1.0) if ss == 0 else rs * float(ln_q(rs / ss, qv))
     return lhs - rhs
 
 

@@ -25,9 +25,12 @@ q < 1 because deformed logs are superadditive over products of
 probabilities.
 
 Sampling discipline: trajectory ``t`` of a probe draws its uniforms from
-stream ``t`` of the master seed in one block, and the batch sampler and
-``sample_trajectory`` share the same state-advance helper, so a probe
-trajectory can be reproduced symbol for symbol in isolation.
+stream ``t`` of the master seed, chunk by chunk as the probe scans time.
+A generator yields the same stream however its draws are split, and the
+probe and ``sample_trajectory`` share the same state-advance helper, so a
+probe trajectory can be reproduced symbol for symbol in isolation.  The
+probe keeps only per-trajectory running sums and the values at its grid
+lengths, so its memory is O(trajectories * chunk), whatever the length.
 """
 
 import math
@@ -40,6 +43,10 @@ from .markov import MarkovChain, _block_array, stationary
 from .measures import _chain_terms_from_array
 from .prob import make_rng
 from .qcore import SHANNON_TOL, ln_q_from_log, ln_q_pos, q_value
+
+
+#: Positions per chunk of the probe's time scan; its memory is O(T * _CHUNK).
+_CHUNK = 256
 
 
 def _advance(cum_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -112,10 +119,14 @@ def block_log_prob_q(chain: MarkovChain, symbols, q) -> float:
     """
     qv = q_value(q)
     s = _coerce_symbols(symbols, chain.m)
-    logp = _log_factor(chain.initial.p[s[0]], f"initial state {s[0]}")
-    r = chain.transition
-    for a, b in zip(s[:-1], s[1:]):
-        logp += _log_factor(r[a, b], f"transition {a} -> {b}")
+    head = _log_factor(chain.initial.p[s[0]], f"initial state {s[0]}")
+    f = chain.transition[s[:-1], s[1:]]
+    zero = np.flatnonzero(f <= 0.0)
+    if zero.size:
+        i = zero[0]
+        raise ImpossibleTrajectoryError(f"the chain assigns probability zero to transition {s[i]} -> {s[i + 1]}")
+    # cumsum adds the logs one at a time in block order, as a loop would
+    logp = np.cumsum(np.concatenate([[head], np.log(f)]))[-1]
     return float(ln_q_from_log(logp, qv))
 
 
@@ -321,6 +332,17 @@ def _grid(n_max: int) -> list:
     return ns
 
 
+def _running_sums(carry: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Running sums down the rows (c, T), continued from ``carry`` (T,).
+
+    Row 0 of the result is the carry, row i the sum through ``rows[i - 1]``.
+    Each row adds one term to the row before, so chunk after chunk this
+    rounds as one cumsum over the whole sequence would; adding the carry
+    to the chunk's own cumsum would not.
+    """
+    return np.concatenate([carry[None], rows]).cumsum(axis=0)
+
+
 def smb_probe(chain: MarkovChain, q, n_max: int, trajectories: int, seed: int = 0, k: int = 1) -> SmbCurve:
     """Sample trajectories under the stationary start and track the
     per-symbol deformed surprisal across a power-of-two grid of lengths.
@@ -366,60 +388,84 @@ def smb_probe(chain: MarkovChain, q, n_max: int, trajectories: int, seed: int = 
     m = chain.m
     big_t = trajectories
 
-    u = np.stack([make_rng(seed, stream=t).random(n_max + 1) for t in range(big_t)])
     icum = np.cumsum(st)
     icum[-1] = 1.0
     rcum = np.cumsum(r, axis=1)
     rcum[:, -1] = 1.0
-    syms = np.empty((big_t, n_max + 1), dtype=np.int64)
-    syms[:, 0] = _advance(np.broadcast_to(icum, (big_t, m)), u[:, 0])
-    for i in range(1, n_max + 1):
-        syms[:, i] = _advance(rcum[syms[:, i - 1]], u[:, i])
-
     d1 = st @ r
     d1 /= d1.sum()
     with np.errstate(divide="ignore"):
         logr = np.log(r)
         logd1 = np.log(d1)
-    head_l = logd1[syms[:, 1]]
-    lcond = logr[syms[:, :-1], syms[:, 1:]]  # column j: log r[x_{j-1} -> x_j]
-    lblock = np.concatenate([head_l[:, None], lcond[:, 1:]], axis=1).cumsum(axis=1)
-    if not np.isfinite(lblock).all():
-        raise ImpossibleTrajectoryError("sampled a transition of probability zero")
 
-    if k == 0:
-        # the k = 0 factorization multiplies per-position marginals and
-        # has no conditioning head
-        fcols = np.empty((big_t, n_max))
-        d = st
-        for j in range(1, n_max + 1):
-            d = d @ r
-            d /= d.sum()
+    # One scan over time in chunks of _CHUNK positions, laid out time-major
+    # as (position, trajectory).  Per trajectory it carries the state, the
+    # running block log-probability and the running log and q-log sums of
+    # the factors, and keeps those sums only at the grid lengths.
+    grid = _grid(n_max)
+    at = {}  # n -> (block, order-k, factor log, factor q-log) sums at length n
+    rngs = [make_rng(seed, stream=t) for t in range(big_t)]
+    state = _advance(np.broadcast_to(icum, (big_t, m)), np.concatenate([g.random(1) for g in rngs]))
+    lblock = flog = fql = np.full(big_t, -0.0)  # -0.0 + x == x: an empty sum that changes no bits
+    d = st
+    for a in range(1, n_max + 1, _CHUNK):
+        b = min(a + _CHUNK, n_max + 1)  # this chunk holds positions a .. b - 1
+        u = np.stack([g.random(b - a) for g in rngs], axis=1)
+        syms = np.empty((b - a + 1, big_t), dtype=np.int64)  # positions a - 1 .. b - 1
+        syms[0] = state
+        for i in range(1, b - a + 1):
+            syms[i] = _advance(rcum[syms[i - 1]], u[i - 1])
+        state = syms[-1]
+        lcond = logr[syms[:-1], syms[1:]]  # row i: log r[x_{a+i-1} -> x_{a+i}]
+        if a == 1:  # the block's first factor is the marginal of position 1
+            head_l = logd1[syms[1]]
+            logr1 = lcond[0].copy()
+            blk = _running_sums(lblock, np.concatenate([head_l[None], lcond[1:]]))
+        else:
+            blk = _running_sums(lblock, lcond)
+        if not np.isfinite(blk).all():
+            raise ImpossibleTrajectoryError("sampled a transition of probability zero")
+
+        if k == 0:
+            # the k = 0 factorization multiplies per-position marginals and
+            # has no conditioning head
+            f0 = a
+            fcols = np.empty((b - a, big_t))
             with np.errstate(divide="ignore"):
-                fcols[:, j - 1] = np.log(d)[syms[:, j]]
-    else:
-        # conditional factors of the order-k factorization, head block
-        # (positions 1..k) excluded
-        fcols = lcond[:, k:]
-    # interaction residual over the factors: q-log of their running
-    # product minus the running sum of their q-logs
-    flogcum = fcols.cumsum(axis=1)
-    fqlcum = flogcum if abs(1.0 - qv) <= SHANNON_TOL else ln_q_from_log(fcols, qv).cumsum(axis=1)
-    lpk = flogcum if k == 0 else lblock  # order-1 truth: every k >= 1 approximation is exact
+                for i in range(b - a):
+                    d = d @ r
+                    d /= d.sum()
+                    fcols[i] = np.log(d)[syms[i + 1]]
+        else:
+            # conditional factors of the order-k factorization, head block
+            # (positions 1..k) excluded
+            f0 = max(a, k + 1)
+            fcols = lcond[f0 - a :]
+        # interaction residual over the factors: q-log of their running
+        # product minus the running sum of their q-logs
+        fcum = _running_sums(flog, fcols)
+        fqcum = _running_sums(fql, ln_q_from_log(fcols, qv))
 
-    logr1 = logr[syms[:, 0], syms[:, 1]]
+        for n in grid:
+            if a <= n < b:
+                lb = blk[n - a + 1].copy()
+                fl = fcum[n - f0 + 1].copy() if n > k else None
+                fq = fqcum[n - f0 + 1].copy() if n > k else None
+                # order-1 truth: every k >= 1 approximation is exact
+                at[n] = (lb, fl if k == 0 else lb, fl, fq)
+        lblock, flog, fql = blk[-1], fcum[-1], fqcum[-1]
+
     ratio1 = np.exp(logr1 - head_l)
 
     points = []
     saturated = False
-    for n in _grid(n_max):
-        lb = lblock[:, n - 1]
-        lk = lpk[:, n - 1]
+    for n in grid:
+        lb, lk, fl, fq = at[n]
         with np.errstate(over="ignore"):  # q > 1: ln_q of a tiny p overflows to -inf
             vb = -ln_q_from_log(lb, qv) / n
             vk = -ln_q_from_log(lk, qv) / n
             if n > k:
-                t3 = ln_q_from_log(flogcum[:, n - k - 1], qv) - fqlcum[:, n - k - 1]
+                t3 = ln_q_from_log(fl, qv) - fq
             else:
                 t3 = np.zeros(big_t)
         if qv < 1.0 - SHANNON_TOL:

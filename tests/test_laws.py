@@ -123,6 +123,20 @@ def test_qln_sum_conventions():
     assert law_slack("qln-sum", ([1.0, 1.0], [1.0, 0.0]), 0.5) == math.inf
 
 
+def test_qln_sum_zero_reference_weight_is_continuous_above_one():
+    # for q > 1 a term r ln_q(r / s) tends to r / (q - 1) as s -> 0, the
+    # escape rule of the divergences; q <= 1 keeps the infinite slack
+    near = law_slack("qln-sum", ([1.0, 1.0], [1.0, 1e-12]), 1.5)
+    at_zero = law_slack("qln-sum", ([1.0, 1.0], [1.0, 0.0]), 1.5)
+    assert at_zero == pytest.approx(2.0 * math.sqrt(2.0) - 2.0, rel=1e-14)
+    assert abs(near - at_zero) < 1e-5
+    all_near = law_slack("qln-sum", ([1.0, 1.0], [1e-12, 1e-12]), 1.5)
+    all_zero = law_slack("qln-sum", ([1.0, 1.0], [0.0, 0.0]), 1.5)
+    assert abs(all_zero) <= 1e-15 and abs(all_near - all_zero) < 1e-12
+    assert law_slack("qln-sum", ([1.0, 1.0], [1.0, 0.0]), 1.0) == math.inf
+    assert law_slack("qln-sum", ([1.0, 1.0], [0.0, 0.0]), 0.5) == math.inf
+
+
 def test_dq_nonneg_and_equality():
     rng = make_rng(7)
     for _ in range(20):

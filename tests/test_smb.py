@@ -1,6 +1,8 @@
 """Trajectory surprisal probe: block q-logs, order-k approximants, flags."""
 
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,10 +23,11 @@ from qit import (
 )
 from qit.markov import stationary
 from qit.prob import make_rng
-from qit.qcore import ln_q
+from qit.qcore import ln_q, ln_q_from_log
 
 STICKY = MarkovChain([[0.9, 0.1], [0.1, 0.9]])
 IID = MarkovChain([[0.5, 0.5], [0.5, 0.5]])
+THREE = MarkovChain([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.25, 0.25, 0.5]])
 
 
 def test_trajectory_container_validation():
@@ -75,6 +78,30 @@ def test_block_log_prob_hand_values():
     )
 
 
+def _loop_block_log_prob_q(chain, symbols, q):
+    """Reference: one factor at a time, in block order."""
+    s = np.asarray(symbols)
+    logp = float(np.log(chain.initial.p[s[0]]))
+    for a, b in zip(s[:-1], s[1:]):
+        logp += float(np.log(chain.transition[a, b]))
+    with np.errstate(over="ignore"):  # q > 1: ln_q of a tiny p overflows to -inf
+        return float(ln_q_from_log(logp, q))
+
+
+def test_block_log_prob_matches_the_factor_loop_bit_for_bit():
+    rng = make_rng(21)
+    chains = [
+        MarkovChain(STICKY.transition, stationary(STICKY)),
+        MarkovChain(rng.dirichlet(np.ones(4), size=4), rng.dirichlet(np.ones(4))),
+    ]
+    for chain in chains:
+        for length in (1, 2, 257, 5000):
+            traj = sample_trajectory(chain, length, rng)
+            for q in (0.3, 0.75, 1.0, 1.4):
+                got = block_log_prob_q(chain, traj, q)
+                assert got.hex() == _loop_block_log_prob_q(chain, traj.symbols, q).hex()
+
+
 def test_block_log_prob_rejects_impossible_blocks():
     sure = MarkovChain(np.eye(2), [1.0, 0.0])
     with pytest.raises(ImpossibleTrajectoryError):
@@ -83,6 +110,10 @@ def test_block_log_prob_rejects_impossible_blocks():
         block_log_prob_q(sure, [1, 1], 0.5)  # zero initial weight
     with pytest.raises(ValueError):
         block_log_prob_q(STICKY, [0, 2], 0.5)  # alphabet mismatch
+    # the error names the first zero factor of the block
+    no_repeats = MarkovChain([[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]])
+    with pytest.raises(ImpossibleTrajectoryError, match="transition 1 -> 1"):
+        block_log_prob_q(no_repeats, [0, 1, 1, 2, 2], 0.5)
 
 
 def test_order_k_reproduces_exact_law_for_order_one_chain():
@@ -296,3 +327,94 @@ def test_probe_validation_and_serialization():
     assert len(d["points"]) == len(curve.points)
     d["flags"]["c1_failed"] = "mutated"
     assert curve.flags["c1_failed"] != "mutated"  # dict was copied
+
+
+@pytest.mark.parametrize("seed,stream", [(0, 0), (7, 3), (201, 0), (201, 199)])
+def test_generator_draws_split_into_chunks_give_one_stream(seed, stream):
+    # the probe draws each trajectory's uniforms chunk by chunk; that is
+    # the same stream as one draw of the whole length
+    whole = make_rng(seed, stream).random(1512)
+    g = make_rng(seed, stream)
+    parts = np.concatenate([g.random(size) for size in (1, 255, 256, 1000)])
+    assert parts.tobytes() == whole.tobytes()
+
+
+# sha256 of the CSVs of smb_probe(chain, q, n_max, 7, seed=13, k=k) for chain
+# in (STICKY, THREE) and n_max in (255, 256, 257, 515), concatenated in that
+# order; the lengths straddle the probe's 256-position time chunks.  The
+# values were printed by the probe that held whole (T, n_max) arrays.
+PROBE_CSV_SHA256 = {
+    (0.6, 0): "2498dcec7432ad8839e4e5fff34fbc5fac77acdcb40b705003bea10b533d376a",
+    (0.6, 1): "d95b5d44d886a9f30737c71b7fffcee1cfd48a27726eecf86769cedf1c82edbe",
+    (0.6, 2): "3115114f8c77906cdb2c8a089460f459284380475e1e44a31b8c3d41f12459ef",
+    (0.75, 0): "1c5e7ecd169bcdde9fec77aa07c40ff28c31109dc8d3414427ace6f944592b12",
+    (0.75, 1): "9efd2279f7268d159edd6c0df02725826a2d9f75ccd9a26a48363d24ef1c45a4",
+    (0.75, 2): "6791c32cf346e01d0a12c0ee2a049f8a253b798bfe893a4502500c6d28a5c44f",
+    (1.0, 0): "caad63b180a1752163ae0d09572a284f3e38ac5def00c5df2fb31673d70eddb5",
+    (1.0, 1): "bee80593504e3786cbe93f1bccfa058c6e99dc421dabf2ba7f73e2045e894383",
+    (1.0, 2): "bee80593504e3786cbe93f1bccfa058c6e99dc421dabf2ba7f73e2045e894383",
+    (1.2, 0): "c37476388a17784ef4d9dc8745ae17cd5efcbe770b6a2bffcc8a8d3895446d97",
+    (1.2, 1): "9310aa4b4ce2b6ed785ebc469aa409f21c567373a02c07d87f8e9a78f17fec24",
+    (1.2, 2): "9fc8265de9c87a237e107b6c3d717890bf1d55dafb7d989561062697c5356842",
+}
+
+
+@pytest.mark.parametrize("q,k", sorted(PROBE_CSV_SHA256))
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # k = 0, q > 1: exp and square overflow
+def test_probe_csv_pins(q, k):
+    h = hashlib.sha256()
+    for chain in (STICKY, THREE):
+        for n_max in (255, 256, 257, 515):
+            h.update(smb_probe(chain, q, n_max, 7, seed=13, k=k).to_csv().encode())
+    assert h.hexdigest() == PROBE_CSV_SHA256[(q, k)]
+
+
+def test_probe_csv_pin_long_run():
+    csv = smb_probe(STICKY, 0.75, 10_000, 100, seed=201).to_csv()
+    assert hashlib.sha256(csv.encode()).hexdigest() == (
+        "16dc38b7c5183938331e4552b7e9003d5367be0bca3739454231eb6d40c213c4"
+    )
+
+
+class _RecordedDraws:
+    """A generator stand-in that records the size of every draw."""
+
+    def __init__(self, sizes, draw):
+        self.sizes = sizes
+        self.draw = draw
+
+    def random(self, size):
+        self.sizes.append(size)
+        return self.draw(size)
+
+
+def test_probe_error_order(monkeypatch):
+    sizes = []
+    # every q-log lands above zero, so every surprisal escapes its ceiling
+    monkeypatch.setattr("qit.smb.ln_q_from_log", lambda log_x, q: np.ones_like(log_x))
+    # all-zero uniforms walk the flip chain into its zero transition 0 -> 0
+    monkeypatch.setattr("qit.smb.make_rng", lambda seed, stream=0: _RecordedDraws(sizes, np.zeros))
+    flip = MarkovChain([[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(ImpossibleTrajectoryError):
+        smb_probe(flip, 0.75, 600, 3)
+    # a possible walk reaches the ceiling check only after all its draws
+    sizes.clear()
+    monkeypatch.setattr(
+        "qit.smb.make_rng", lambda seed, stream=0: _RecordedDraws(sizes, make_rng(seed, stream).random)
+    )
+    with pytest.raises(RuntimeError, match="ceiling"):
+        smb_probe(STICKY, 0.75, 600, 3)
+    assert sum(sizes) == 3 * 601
+
+
+def test_probe_memory_does_not_grow_with_length():
+    peaks = []
+    for n_max in (20_000, 80_000):
+        tracemalloc.start()
+        try:
+            smb_probe(STICKY, 0.75, n_max, 50, seed=3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0]
+    assert peaks[1] < 4 * 2**20
