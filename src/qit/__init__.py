@@ -14,7 +14,6 @@ from .errors import (
     ConvergenceError,
     ImpossibleTrajectoryError,
     QDomainError,
-    SamplingError,
     SizeBudgetError,
 )
 from .laws import LawId, SlackReport, all_laws, fuzz, identity_residual, law_slack
@@ -69,7 +68,6 @@ __all__ = [
     "QDomainError",
     "ConvergenceError",
     "SizeBudgetError",
-    "SamplingError",
     "ImpossibleTrajectoryError",
     "ProbVec",
     "JointTable",

@@ -30,7 +30,7 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .errors import ConvergenceError, SamplingError
+from .errors import ConvergenceError
 from .laws import LawId, SlackReport, all_laws, fuzz
 from .markov import MarkovChain, SecondLawRow, second_law_report
 from .maxent import MaxEntProblem, solve, verify_optimality
@@ -213,7 +213,11 @@ _SWEEP_HEADER = "target,lambda,mu,entropy,support_size"
 
 def _cmd_maxent(args) -> int:
     levels = _load_json(args.levels, "--levels")
+    if args.verify is not None and args.verify < 1:
+        raise _CliError(2, "--verify must be >= 1")
     if args.sweep is not None:
+        if args.target_mean is not None or args.verify is not None:
+            raise _CliError(2, "pass either --sweep or --target-mean (with --verify), not both")
         if args.sweep < 1:
             raise _CliError(2, "--sweep must be >= 1")
         import numpy as np
@@ -241,7 +245,7 @@ def _cmd_maxent(args) -> int:
         raise _CliError(2, "maxent needs --target-mean (or --sweep)")
     sol = solve(MaxEntProblem(levels, args.target_mean, args.q))
     payload = {"meta": _meta(args), "solution": sol.to_json_dict()}
-    if args.verify:
+    if args.verify is not None:
         check = verify_optimality(sol, trials=args.verify, seed=_resolve_seed(args))
         payload["optimality"] = check.to_json_dict()
     _emit(args, json.dumps(payload, indent=2) + "\n")
@@ -352,7 +356,6 @@ def run(argv=None) -> int:
     except (
         ValueError,  # covers QDomainError, SizeBudgetError, ImpossibleTrajectoryError
         ConvergenceError,
-        SamplingError,
         OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -39,9 +39,5 @@ class SizeBudgetError(ValueError):
         self.last_bracket = last_bracket
 
 
-class SamplingError(RuntimeError):
-    """Rejection sampling exhausted its retry budget."""
-
-
 class ImpossibleTrajectoryError(ValueError):
     """A trajectory contains a transition the chain assigns probability zero."""

@@ -23,9 +23,8 @@ domain wall it removes the offending level and re-solves on the rest,
 then checks the removed levels' margins at the final multipliers.
 
 ``verify_optimality`` spot-checks a solution against random feasible
-competitors: each competitor is a random distribution pushed onto the
-constraint plane by one affine projection and rejected while any
-coordinate is negative.  The entropy gap to the solution must be
+competitors, mixtures of the vertices of the feasible polytope, so no
+draw is ever rejected.  The entropy gap to the solution must be
 nonnegative; on full-support solutions the gap also equals the stable
 divergence-like form ``sum f (ln_q f - ln_q p)`` exactly, which is
 asserted as an internal consistency check.
@@ -36,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, SamplingError
+from .errors import ConvergenceError
 from .measures import _entropy_from_array
 from .prob import ProbVec, make_rng
 from .qcore import exp_q_inside, ln_q, ln_q_pos, q_value
@@ -311,41 +310,40 @@ class OptimalityCheck:
 def verify_optimality(solution: MaxEntSolution, trials: int = 100, seed: int = 0) -> OptimalityCheck:
     """Entropy gap from the solution to random feasible competitors.
 
-    Each competitor is drawn as a random distribution, projected onto the
-    affine constraint set, and rejected while any coordinate is negative
-    (at most 1000 draws per competitor, then SamplingError).  The minimum
-    gap over trials is the reported optimality margin.
+    Each competitor mixes m vertices of the feasible polytope with
+    flat-Dirichlet weights.  A vertex is the two-point law on levels
+    ``e_i <= t < e_j`` with mass ``(e_j - t) / (e_j - e_i)`` at i, a point
+    mass when ``e_i = t``.  With identical levels there is no such pair and
+    the competitor is a flat-Dirichlet draw.  Memory is O(m) per
+    competitor.  The minimum gap over trials is the optimality margin.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     prob = solution.problem
     qv = prob.q
     m = prob.m
+    e = prob.levels
+    t = prob.target_mean
     p_star = solution.p.p
     h_star = _entropy_from_array(p_star, qv)
     full_support = bool((p_star > 0).all())
-    degenerate = np.ptp(prob.levels) == 0.0
-    if not degenerate:
-        scale = max(1.0, float(np.abs(prob.levels).max()))
-        a = np.vstack([np.ones(m), prob.levels / scale])
-        gram = a @ a.T
-        b = np.array([1.0, prob.target_mean / scale])
+    lo = np.flatnonzero(e <= t)
+    hi = np.flatnonzero(e > t)
     rng = make_rng(seed)
     min_gap = math.inf
     total = 0.0
     mismatch = 0.0 if full_support else None
     for _ in range(trials):
-        for _ in range(1000):
-            f = rng.standard_exponential(m)
-            f /= f.sum()
-            if not degenerate:
-                f = f - a.T @ np.linalg.solve(gram, a @ f - b)
-            if f.min() >= 0.0:
-                break
+        w = rng.standard_exponential(m)
+        w /= w.sum()
+        if lo.size and hi.size:
+            i, j = np.divmod(rng.integers(lo.size * hi.size, size=m), hi.size)
+            i, j = lo[i], hi[j]
+            # the share at i is <= 1 and exactly 1 at e_i = t, so w - at_i >= 0
+            at_i = w * ((e[j] - t) / (e[j] - e[i]))
+            f = np.bincount(i, at_i, minlength=m) + np.bincount(j, w - at_i, minlength=m)
         else:
-            raise SamplingError(
-                "could not draw a nonnegative feasible competitor in 1000 attempts"
-            )
+            f = w
         gap = h_star - _entropy_from_array(f, qv)
         if full_support:
             mm = abs(gap - _gap_formula(f, p_star, qv))

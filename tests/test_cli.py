@@ -167,6 +167,22 @@ def test_maxent_solution_and_verification(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--sweep", "3", "--verify", "100"], "not both"),
+        (["--sweep", "3", "--target-mean", "1.9"], "not both"),
+        (["--sweep", "3", "--verify", "100", "--target-mean", "1.9"], "not both"),
+        (["--target-mean", "0.5", "--verify", "0"], "--verify must be >= 1"),
+    ],
+)
+def test_maxent_rejects_flags_it_would_drop(capsys, extra, message):
+    assert run(["maxent", "--levels", "[0,1,2]", "--q", "0.5"] + extra) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_maxent_sweep_csv(capsys):
     rc = run(["maxent", "--levels", "[0,1,2]", "--q", "0.5", "--sweep", "6"])
     assert rc == 0

@@ -2,10 +2,12 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from qit import maxent
 from qit.maxent import (
     KKT_MARGIN_TOL,
     MaxEntProblem,
@@ -13,6 +15,15 @@ from qit.maxent import (
     verify_optimality,
 )
 from qit.measures import q_entropy
+from qit.prob import make_rng
+
+
+def _jittered_levels(m):
+    # distinct sorted levels shaped like the benchmark's maxent sweep
+    return np.arange(m) + make_rng(m).uniform(-0.25, 0.25, m)
+
+
+_EDGE_LEVELS = _jittered_levels(16)
 
 
 def test_problem_validation():
@@ -110,6 +121,61 @@ def test_verify_optimality_cutoff_case():
     assert check.max_formula_mismatch is None  # zeros block the closed form
     with pytest.raises(ValueError):
         verify_optimality(sol, trials=0)
+
+
+@pytest.mark.parametrize("m", [8, 16])
+@pytest.mark.parametrize("fraction", [0.02, 0.1, 0.9, 0.98])
+@pytest.mark.parametrize("q", [0.3, 0.6, 0.9, 1.0, 1.4])
+def test_verify_optimality_at_edge_targets(m, fraction, q):
+    # a rejection sampler of projected draws runs out of attempts here
+    levels = _jittered_levels(m)
+    target = levels[0] + (levels[-1] - levels[0]) * fraction
+    sol = solve(MaxEntProblem(levels, target, q))
+    check = verify_optimality(sol, trials=100, seed=5)
+    assert check.min_gap >= -1e-9
+
+
+@pytest.mark.parametrize(
+    "levels, target, q",
+    [
+        (_EDGE_LEVELS, _EDGE_LEVELS[0] + 0.02 * np.ptp(_EDGE_LEVELS), 0.6),
+        ([0.0, 1.0, 2.0], 1.0, 0.5),  # a level equal to the target
+        ([0.0, 1.0, 2.0], 0.05, 0.5),  # the solution drops a level
+        ([1.0, 1.0, 1.0], 1.0, 0.5),  # identical levels: the whole simplex
+    ],
+)
+def test_every_competitor_is_feasible(monkeypatch, levels, target, q):
+    sol = solve(MaxEntProblem(levels, target, q))
+    seen = []
+    entropy = maxent._entropy_from_array
+
+    def spy(f, qv):
+        seen.append(np.array(f))
+        return entropy(f, qv)
+
+    monkeypatch.setattr(maxent, "_entropy_from_array", spy)
+    verify_optimality(sol, trials=200, seed=11)
+    competitors = seen[1:]  # the first call scores the solution itself
+    assert len(competitors) == 200
+    for f in competitors:
+        assert f.min() >= 0.0
+        assert abs(f.sum() - 1.0) <= 1e-12
+        assert abs(float(f @ sol.problem.levels) - sol.problem.target_mean) <= 1e-12
+
+
+def test_verify_optimality_memory_is_linear_in_levels():
+    peaks = []
+    for m in (500, 2000):
+        sol = solve(MaxEntProblem(np.arange(m, dtype=float), 0.3 * (m - 1), 0.5))
+        tracemalloc.start()
+        try:
+            verify_optimality(sol, trials=20, seed=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # one float per vertex of the 600 x 1400 pairs at m = 2000 would take 6.7 MB
+    assert peaks[1] < 1 << 20
+    assert peaks[1] < 8 * peaks[0]
 
 
 def test_shannon_point_matches_bisected_gibbs():

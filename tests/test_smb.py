@@ -18,6 +18,7 @@ from qit import (
     h_q_k,
     markov_k_block_log_prob_q,
     sample_trajectory,
+    smb,
     smb_probe,
     t3_residual,
 )
@@ -374,6 +375,23 @@ def test_probe_csv_pin_long_run():
     assert hashlib.sha256(csv.encode()).hexdigest() == (
         "16dc38b7c5183938331e4552b7e9003d5367be0bca3739454231eb6d40c213c4"
     )
+
+
+def test_block_sd_is_finite_where_block_mean_is():
+    # at q = 1.2 the per-symbol surprisals reach 1e293, so squaring them
+    # overflows; the spread must not
+    curve = smb_probe(STICKY, 1.2, 10_000, 100, seed=201)
+    long = [pt for pt in curve.points if pt.n >= 8192]
+    assert [pt.n for pt in long] == [8192, 10_000]
+    for pt in long:
+        assert 1e200 < pt.block_mean < math.inf
+        assert 0.0 < pt.block_sd < math.inf
+    # scaling by a power of two commutes with the spread exactly
+    v = make_rng(0).random(50)
+    with np.errstate(over="ignore"):
+        assert (v * 2.0**1000).std() == math.inf
+    assert smb._std(v * 2.0**1000) == v.std() * 2.0**1000
+    assert smb._std(v) == v.std()
 
 
 class _RecordedDraws:
