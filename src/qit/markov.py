@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConvergenceError, SizeBudgetError
-from .measures import _chain_terms_from_array, _entropy_from_array
+from .measures import _conditional_entropy, _entropy_from_array
 from .prob import ProbVec, _validate_mass
 from .qcore import cross_term, q_value
 
@@ -75,14 +75,36 @@ class MarkovChain:
         """State distribution after ``steps`` transitions."""
         if steps < 0:
             raise ValueError("steps must be >= 0")
-        psi = (self.initial if start is None else ProbVec.coerce(start)).p.copy()
-        for _ in range(steps):
-            psi = psi @ self.transition
-            psi /= psi.sum()  # floating-point hygiene over long horizons
-        return ProbVec(psi)
+        psi = (self.initial if start is None else ProbVec.coerce(start)).p
+        return ProbVec(_laws(psi, self.transition, steps)[-1])
 
     def __repr__(self) -> str:
         return f"MarkovChain(m={self.m})"
+
+
+def _laws(psi: np.ndarray, r: np.ndarray, steps: int) -> np.ndarray:
+    """State laws ``psi_0 .. psi_steps`` as rows, ``psi_k = psi_{k-1} @ r``.
+
+    Each law is renormalised to unit mass (floating-point hygiene over
+    long horizons).
+    """
+    out = np.empty((steps + 1, psi.size))
+    out[0] = psi
+    for k in range(steps):
+        out[k + 1] = out[k] @ r
+        out[k + 1] /= out[k + 1].sum()
+    return out
+
+
+def _chain_terms(psi: np.ndarray, r: np.ndarray, n: int, qv: float) -> list[float]:
+    """Chain-rule terms ``[H_q(X_1), H_q(X_2 | X_1), ..]`` of the first ``n`` symbols.
+
+    The chain is order 1, so the term of ``X_{k+1}`` conditions on ``X_k``
+    alone: it is the conditional entropy of the pair law
+    ``psi_{k-1}[:, None] * r``, whatever the length of the prefix.
+    """
+    laws = _laws(psi, r, n - 1)[:-1]
+    return [_entropy_from_array(psi, qv)] + [_conditional_entropy(p[:, None] * r, (1,), qv) for p in laws]
 
 
 def is_doubly_stochastic(r, tol: float = 1e-9) -> bool:
@@ -166,12 +188,7 @@ def block_table(chain: MarkovChain, n: int, *, cell_budget: int = BLOCK_CELL_BUD
     """
     if n < 1:
         raise ValueError("block length must be >= 1")
-    return _block_array(chain.initial.p, chain.transition, n, cell_budget)
-
-
-def _block_array(initial: np.ndarray, r: np.ndarray, n: int, cell_budget: int = BLOCK_CELL_BUDGET) -> np.ndarray:
-    """``block_table`` of the chain (r, initial) on bare arrays."""
-    m = r.shape[0]
+    m = chain.m
     if m**n > cell_budget:
         fit = 0
         cells = 1
@@ -183,9 +200,9 @@ def _block_array(initial: np.ndarray, r: np.ndarray, n: int, cell_budget: int = 
             f"(budget {cell_budget})",
             last_bracket=fit,
         )
-    t = initial.copy()
+    t = chain.initial.p.copy()
     for _ in range(n - 1):
-        t = t[..., :, None] * r
+        t = t[..., :, None] * chain.transition
     return t
 
 
@@ -203,9 +220,8 @@ def entropy_rate_approximants(chain: MarkovChain, n: int, q) -> RateApproximants
     For 0 <= q < 1, ``cond_rate >= block_rate``.
     """
     qv = q_value(q)
-    t = block_table(chain, n)
-    block = _entropy_from_array(t, qv)
-    terms = _chain_terms_from_array(t, qv)
+    block = _entropy_from_array(block_table(chain, n), qv)
+    terms = _chain_terms(chain.initial.p, chain.transition, n, qv)
     return RateApproximants(block_rate=block / n, cond_rate=float(sum(terms)) / n)
 
 

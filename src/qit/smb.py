@@ -27,20 +27,22 @@ probabilities.
 Sampling discipline: trajectory ``t`` of a probe draws its uniforms from
 stream ``t`` of the master seed, chunk by chunk as the probe scans time.
 A generator yields the same stream however its draws are split, and the
-probe and ``sample_trajectory`` share the same state-advance helper, so a
-probe trajectory can be reproduced symbol for symbol in isolation.  The
-probe keeps only per-trajectory running sums and the values at its grid
-lengths, so its memory is O(trajectories * chunk), whatever the length.
+probe and ``sample_trajectory`` drive the same walk (``_walk``), so probe
+trajectory ``t`` is ``sample_trajectory`` of the chain started at its
+stationary law, with ``n_max + 1`` symbols and the generator
+``make_rng(seed, t)``.  The probe keeps only per-trajectory running sums
+and the values at its grid lengths, so its memory is
+O(trajectories * chunk), whatever the length.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConvergenceError, ImpossibleTrajectoryError
-from .markov import MarkovChain, _block_array, stationary
-from .measures import _chain_terms_from_array
+from .markov import MarkovChain, _chain_terms, _laws, stationary
 from .prob import make_rng
 from .qcore import SHANNON_TOL, ln_q_from_log, ln_q_pos, q_value
 
@@ -53,6 +55,19 @@ def _advance(cum_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Next states from cumulative rows (k, m) and uniform draws (k,)."""
     nxt = (cum_rows < u[:, None]).sum(axis=1)
     return np.minimum(nxt, cum_rows.shape[1] - 1).astype(np.int64)
+
+
+def _walk(rcum: np.ndarray, state: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """States (c + 1, T) of T walks from ``state`` (T,) driven by uniforms ``u`` (c, T).
+
+    ``rcum`` holds the cumulative transition rows; row 0 of the result is
+    ``state`` and row i the state after the i-th step.
+    """
+    syms = np.empty((u.shape[0] + 1, state.size), dtype=np.int64)
+    syms[0] = state
+    for i in range(u.shape[0]):
+        syms[i + 1] = _advance(rcum[syms[i]], u[i])
+    return syms
 
 
 @dataclass(frozen=True)
@@ -88,11 +103,8 @@ def sample_trajectory(chain: MarkovChain, length: int, rng: np.random.Generator)
     icum[-1] = 1.0
     rcum = np.cumsum(chain.transition, axis=1)
     rcum[:, -1] = 1.0
-    syms = np.empty(length, dtype=np.int64)
-    syms[0] = _advance(icum[None, :], u[0:1])[0]
-    for i in range(1, length):
-        syms[i] = _advance(rcum[syms[i - 1]][None, :], u[i : i + 1])[0]
-    return Trajectory(syms, chain.m)
+    syms = _walk(rcum, _advance(icum[None, :], u[0:1]), u[1:, None])
+    return Trajectory(syms[:, 0], chain.m)
 
 
 def _coerce_symbols(symbols, m: int) -> np.ndarray:
@@ -103,10 +115,17 @@ def _coerce_symbols(symbols, m: int) -> np.ndarray:
     return Trajectory(symbols, m).symbols
 
 
-def _log_factor(value: float, description: str) -> float:
-    if value <= 0.0:
-        raise ImpossibleTrajectoryError(f"the chain assigns probability zero to {description}")
-    return float(np.log(value))
+def _ln_q_of_product(f: np.ndarray, qv: float, describe) -> float:
+    """``ln_q`` of the product of the factors ``f``, from the sum of their logs.
+
+    A zero factor raises ImpossibleTrajectoryError with ``describe(i)`` of
+    the first one, ``i`` its index.
+    """
+    zero = np.flatnonzero(f <= 0.0)
+    if zero.size:
+        raise ImpossibleTrajectoryError(f"the chain assigns probability zero to {describe(zero[0])}")
+    # cumsum adds the logs one at a time in block order, as a loop would
+    return float(ln_q_from_log(np.cumsum(np.log(f))[-1], qv))
 
 
 @np.errstate(over="ignore")  # q > 1: ln_q of a tiny p overflows to -inf
@@ -119,15 +138,8 @@ def block_log_prob_q(chain: MarkovChain, symbols, q) -> float:
     """
     qv = q_value(q)
     s = _coerce_symbols(symbols, chain.m)
-    head = _log_factor(chain.initial.p[s[0]], f"initial state {s[0]}")
-    f = chain.transition[s[:-1], s[1:]]
-    zero = np.flatnonzero(f <= 0.0)
-    if zero.size:
-        i = zero[0]
-        raise ImpossibleTrajectoryError(f"the chain assigns probability zero to transition {s[i]} -> {s[i + 1]}")
-    # cumsum adds the logs one at a time in block order, as a loop would
-    logp = np.cumsum(np.concatenate([[head], np.log(f)]))[-1]
-    return float(ln_q_from_log(logp, qv))
+    f = np.concatenate([chain.initial.p[s[:1]], chain.transition[s[:-1], s[1:]]])
+    return _ln_q_of_product(f, qv, lambda i: f"transition {s[i - 1]} -> {s[i]}" if i else f"initial state {s[0]}")
 
 
 @np.errstate(over="ignore")
@@ -151,35 +163,20 @@ def markov_k_block_log_prob_q(chain: MarkovChain, symbols, k: int, q, *, empiric
         return block_log_prob_q(chain, symbols, qv)
     s = _coerce_symbols(symbols, chain.m)
     n = s.size
-    m = chain.m
     if empirical:
         if n < k + 1:
             raise ValueError("empirical estimation needs a block longer than the order")
-        if k == 0:
-            freq = np.bincount(s, minlength=m) / n
-            logp = 0.0
-            for sym in s:
-                logp += float(np.log(freq[sym]))
-        else:
-            nexts: dict = {}
-            for i in range(n - k):
-                key = tuple(s[i : i + k])
-                nexts.setdefault(key, []).append(s[i + k])
-            grams = n - k + 1
-            head = tuple(s[:k])
-            head_count = sum(1 for i in range(grams) if tuple(s[i : i + k]) == head)
-            logp = float(np.log(head_count / grams))
-            for i in range(k, n):
-                seen = nexts[tuple(s[i - k : i])]
-                logp += float(np.log(seen.count(s[i]) / len(seen)))
+        # g: ids of the k-grams at positions 0 .. n - k; pair: ids of the
+        # (k + 1)-grams at 0 .. n - k - 1, a k-gram id and its successor
+        g = np.unique(sliding_window_view(s, k), axis=0, return_inverse=True)[1] if k else np.zeros(n + 1, np.int64)
+        pair = g[:-1] * chain.m + s[k:]
+        # head: share of the k-grams equal to the first; then each symbol's
+        # count after its context over the context's successor count
+        head = np.bincount(g)[g[0]] / g.size
+        f = np.concatenate([[head], np.bincount(pair)[pair] / np.bincount(g[:-1])[g[:-1]]])
     else:
-        d = chain.initial.p.copy()
-        logp = _log_factor(d[s[0]], f"symbol {s[0]} at position 0")
-        for i in range(1, n):
-            d = d @ chain.transition
-            d /= d.sum()
-            logp += _log_factor(d[s[i]], f"symbol {s[i]} at position {i}")
-    return float(ln_q_from_log(logp, qv))
+        f = _laws(chain.initial.p, chain.transition, n - 1)[np.arange(n), s]
+    return _ln_q_of_product(f, qv, lambda i: f"symbol {s[i]} at position {i}")
 
 
 @np.errstate(over="ignore")
@@ -204,16 +201,12 @@ def h_q_k(chain: MarkovChain, k: int, q) -> float:
 
     The entropy of one more symbol given ``k`` predecessors, under the
     stationary law of the chain.  For an order-1 chain this is constant
-    for all k >= 1.
+    for all k >= 1; it is the chain-rule term of the pair law of the
+    stationary start evolved ``k - 1`` steps, so any k is cheap.
     """
     if k < 0:
         raise ValueError("order k must be >= 0")
-    return _h_q_k(chain.transition, stationary(chain).p, k, q_value(q))
-
-
-def _h_q_k(r: np.ndarray, st: np.ndarray, k: int, qv: float) -> float:
-    """``h_q_k`` of the transition ``r`` with stationary law ``st``."""
-    return _chain_terms_from_array(_block_array(st, r, k + 1), qv)[-1]
+    return _chain_terms(stationary(chain).p, chain.transition, k + 1, q_value(q))[k]
 
 
 def h_q_inf(chain: MarkovChain, q, tol: float = 1e-10, k_max: int = 12) -> float:
@@ -227,16 +220,14 @@ def h_q_inf(chain: MarkovChain, q, tol: float = 1e-10, k_max: int = 12) -> float
 
 def _h_q_inf(r: np.ndarray, st: np.ndarray, qv: float, tol: float = 1e-10, k_max: int = 12) -> float:
     """``h_q_inf`` of the transition ``r`` with stationary law ``st``."""
-    h_prev = _h_q_k(r, st, 0, qv)
-    for k in range(1, k_max + 2):
-        h_cur = _h_q_k(r, st, k, qv)
-        if abs(h_prev - h_cur) <= tol:
-            return h_prev
-        h_prev = h_cur
+    h = _chain_terms(st, r, k_max + 2, qv)  # h[k] = h_q_k(k) for k <= k_max + 1
+    for k in range(k_max + 1):
+        if abs(h[k] - h[k + 1]) <= tol:
+            return h[k]
     raise ConvergenceError(
         f"conditional-rate sequence did not plateau within k <= {k_max}",
-        last=h_prev,
-        residuals=[abs(h_prev - h_cur)],
+        last=h[-1],
+        residuals=[abs(h[-2] - h[-1])],
     )
 
 
@@ -402,11 +393,9 @@ def smb_probe(chain: MarkovChain, q, n_max: int, trajectories: int, seed: int = 
     icum[-1] = 1.0
     rcum = np.cumsum(r, axis=1)
     rcum[:, -1] = 1.0
-    d1 = st @ r
-    d1 /= d1.sum()
     with np.errstate(divide="ignore"):
         logr = np.log(r)
-        logd1 = np.log(d1)
+        logd1 = np.log(_laws(st, r, 1)[1])
 
     # One scan over time in chunks of _CHUNK positions, laid out time-major
     # as (position, trajectory).  Per trajectory it carries the state, the
@@ -420,11 +409,7 @@ def smb_probe(chain: MarkovChain, q, n_max: int, trajectories: int, seed: int = 
     d = st
     for a in range(1, n_max + 1, _CHUNK):
         b = min(a + _CHUNK, n_max + 1)  # this chunk holds positions a .. b - 1
-        u = np.stack([g.random(b - a) for g in rngs], axis=1)
-        syms = np.empty((b - a + 1, big_t), dtype=np.int64)  # positions a - 1 .. b - 1
-        syms[0] = state
-        for i in range(1, b - a + 1):
-            syms[i] = _advance(rcum[syms[i - 1]], u[i - 1])
+        syms = _walk(rcum, state, np.stack([g.random(b - a) for g in rngs], axis=1))  # positions a - 1 .. b - 1
         state = syms[-1]
         lcond = logr[syms[:-1], syms[1:]]  # row i: log r[x_{a+i-1} -> x_{a+i}]
         if a == 1:  # the block's first factor is the marginal of position 1
@@ -440,12 +425,10 @@ def smb_probe(chain: MarkovChain, q, n_max: int, trajectories: int, seed: int = 
             # the k = 0 factorization multiplies per-position marginals and
             # has no conditioning head
             f0 = a
-            fcols = np.empty((b - a, big_t))
+            laws = _laws(d, r, b - a)  # laws of positions a - 1 .. b - 1
+            d = laws[-1]
             with np.errstate(divide="ignore"):
-                for i in range(b - a):
-                    d = d @ r
-                    d /= d.sum()
-                    fcols[i] = np.log(d)[syms[i + 1]]
+                fcols = np.take_along_axis(np.log(laws[1:]), syms[1:], axis=1)
         else:
             # conditional factors of the order-k factorization, head block
             # (positions 1..k) excluded
@@ -513,7 +496,7 @@ def smb_probe(chain: MarkovChain, q, n_max: int, trajectories: int, seed: int = 
         trajectories=big_t,
         seed=int(seed),
         points=tuple(points),
-        h_q_k=_h_q_k(r, st, k, qv),
+        h_q_k=_chain_terms(st, r, k + 1, qv)[k],
         h_q_inf=_h_q_inf(r, st, qv),
         surprisal_sup=(1.0 / (1.0 - qv) if qv < 1.0 - SHANNON_TOL else math.inf),
         flags=flags,

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -152,6 +153,52 @@ def test_empirical_plug_in_frequencies():
         markov_k_block_log_prob_q(STICKY, s, -1, 0.5)
 
 
+def _loop_empirical_log_prob_q(m, s, k, q):
+    """Reference: plug-in k-gram frequencies from a dict of successor lists."""
+    n = s.size
+    if k == 0:
+        freq = np.bincount(s, minlength=m) / n
+        logp = 0.0
+        for sym in s:
+            logp += float(np.log(freq[sym]))
+    else:
+        nexts: dict = {}
+        for i in range(n - k):
+            nexts.setdefault(tuple(s[i : i + k]), []).append(s[i + k])
+        grams = n - k + 1
+        head = tuple(s[:k])
+        head_count = sum(1 for i in range(grams) if tuple(s[i : i + k]) == head)
+        logp = float(np.log(head_count / grams))
+        for i in range(k, n):
+            seen = nexts[tuple(s[i - k : i])]
+            logp += float(np.log(seen.count(s[i]) / len(seen)))
+    with np.errstate(over="ignore"):
+        return float(ln_q_from_log(logp, q))
+
+
+def test_empirical_matches_the_count_loop_bit_for_bit():
+    rng = make_rng(31)
+    for _ in range(300):
+        m = int(rng.integers(2, 5))
+        k = int(rng.integers(0, 4))
+        n = int(rng.integers(k + 1, 401))
+        q = float(rng.uniform(0.0, 1.5))
+        chain = MarkovChain(rng.dirichlet(np.ones(m), size=m))
+        # half the blocks are sampled walks, half arbitrary symbol strings
+        s = sample_trajectory(chain, n, rng).symbols if rng.random() < 0.5 else rng.integers(0, m, n)
+        got = markov_k_block_log_prob_q(chain, s, k, q, empirical=True)
+        assert got.hex() == _loop_empirical_log_prob_q(m, s, k, q).hex()
+
+
+def test_empirical_counts_long_blocks():
+    s = sample_trajectory(THREE, 100_000, make_rng(5))
+    start = time.perf_counter()
+    got = markov_k_block_log_prob_q(THREE, s, 2, 1.0, empirical=True)
+    assert time.perf_counter() - start < 10.0
+    # the plug-in log-likelihood per symbol estimates minus the entropy rate
+    assert got / 100_000 == pytest.approx(-h_q_k(THREE, 2, 1.0), rel=0.02)
+
+
 def test_t3_residual_values_and_sign():
     got = t3_residual([0.5, 0.5], 0.75)
     assert got == pytest.approx(0.10125580271647427, rel=1e-12)
@@ -192,6 +239,18 @@ def test_conditional_rate_sequence():
         h_q_k(STICKY, -1, 0.5)
     with pytest.raises(ConvergenceError):
         h_q_inf(STICKY, 0.5, tol=1e-15, k_max=0)
+    # the error reports the last gap |h(k_max) - h(k_max + 1)|
+    with pytest.raises(ConvergenceError) as exc:
+        h_q_inf(STICKY, 0.5, tol=1e-30, k_max=0)
+    assert exc.value.residuals == [abs(h0 - h1)]
+    assert exc.value.residuals[0] == pytest.approx(0.357, abs=1e-3)
+
+
+def test_h_q_k_past_the_block_cell_budget():
+    # m ** (k + 1) cells would exceed BLOCK_CELL_BUDGET; the order-1 chain
+    # needs only its state laws
+    assert h_q_k(STICKY, 25, 0.5) == pytest.approx(h_q_k(STICKY, 1, 0.5), abs=1e-12)
+    assert h_q_k(THREE, 14, 0.7) == pytest.approx(h_q_k(THREE, 1, 0.7), abs=1e-12)
 
 
 @pytest.mark.parametrize("q,n", [(0.6, 64), (0.75, 128), (0.9, 256)])
@@ -300,6 +359,25 @@ def test_probe_computes_the_stationary_law_once(monkeypatch):
     assert len(calls) == 1
     assert curve.h_q_k == h_q_k(STICKY, 1, 0.75)
     assert curve.h_q_inf == h_q_inf(STICKY, 0.75)
+
+
+def test_probe_trajectories_replay_in_isolation(monkeypatch):
+    walks = []
+
+    def spy(rcum, state, u):
+        walks.append(smb_walk(rcum, state, u))
+        return walks[-1]
+
+    smb_walk = smb._walk
+    monkeypatch.setattr(smb, "_walk", spy)
+    smb_probe(THREE, 0.7, 600, 5, seed=201)
+    # each chunk's row 0 repeats the last state of the chunk before
+    probe = np.concatenate([walks[0]] + [w[1:] for w in walks[1:]])
+    assert probe.shape == (601, 5)
+    start = MarkovChain(THREE.transition, stationary(THREE))
+    for t in range(5):
+        alone = sample_trajectory(start, 601, make_rng(201, t)).symbols
+        assert np.array_equal(probe[:, t], alone)
 
 
 def test_probe_validation_and_serialization():
