@@ -169,7 +169,6 @@ def _cmd_fuzz(args) -> int:
             q_range=q_range,
             seed=seed,
             tol=args.tol,
-            workers=args.workers,
         )
         for law in chosen
     ]
@@ -304,7 +303,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--q-range", type=float, nargs=2, metavar=("LO", "HI"))
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
+    # accepted only as 1, a no-op, because the benchmark's fuzz argv (bench/workloads.py) passes it
+    p.add_argument("--workers", type=int, choices=[1], default=1, help=argparse.SUPPRESS)
     p.add_argument("--tol", type=float, default=None, help="violation threshold (defaults per law kind)")
     _add_common(p, fmt="csv")
     p.set_defaults(func=_cmd_fuzz)

@@ -32,10 +32,10 @@ Instances are checked once, where they come in: ``law_slack`` and
 through the :mod:`qit.prob` containers.  Samplers and evaluators work on
 bare arrays, so a fuzz campaign validates nothing it built itself.
 
-``fuzz`` runs a seeded campaign of random instances for one law.  Worker
-partitioning is deterministic: worker ``w`` owns a contiguous chunk of the
-trials and draws from stream ``w`` of the master seed, so a report depends
-only on (law, trials, q-range, seed, tol, workers), never on scheduling.
+``fuzz`` runs a seeded campaign of random instances for one law.  Every
+trial draws from stream 0 of the master seed, in trial order (q first,
+then the instance), so a report depends only on (law, trials, q-range,
+seed, tol), and trial ``i`` is the ``i``-th draw from that stream.
 """
 
 import math
@@ -369,7 +369,6 @@ class SlackReport:
     q_lo: float
     q_hi: float
     q_mean: float
-    workers: int
 
     CSV_HEADER = "law,trials,min_slack,mean_slack,violations,seed"
 
@@ -400,11 +399,10 @@ class SlackReport:
             "identity": self.identity,
             "q_range": [self.q_lo, self.q_hi],
             "q_mean": self.q_mean,
-            "workers": self.workers,
         }
 
 
-def fuzz(law, trials: int, q_range=None, seed: int = 0, *, tol=None, workers: int = 1) -> SlackReport:
+def fuzz(law, trials: int, q_range=None, seed: int = 0, *, tol=None) -> SlackReport:
     """Run a seeded random campaign for one law.
 
     Parameters
@@ -417,21 +415,17 @@ def fuzz(law, trials: int, q_range=None, seed: int = 0, *, tol=None, workers: in
         range and must leave a non-empty interval.  Defaults to the law's
         full range.  q is drawn uniformly from [lo, hi).
     seed : int
-        Master seed; worker ``w`` draws from stream ``w``.
+        Master seed.  All trials draw from ``make_rng(seed)`` (stream 0) in
+        trial order: each trial draws its q (unless the range is a single
+        point), then its instance through the law's sampler.
     tol : float, optional
         Violation threshold; defaults to 1e-9 for inequalities and 1e-10
         for identities.
-    workers : int
-        Number of deterministic trial partitions.  The report for a given
-        worker count is bit-reproducible; changing the count changes which
-        instances are drawn.
     """
     lid = LawId(law)
     spec = _REGISTRY[lid]
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     if tol is None:
         tol = TOL_IDENTITY if spec.identity else TOL_INEQUALITY
 
@@ -443,25 +437,21 @@ def fuzz(law, trials: int, q_range=None, seed: int = 0, *, tol=None, workers: in
             f"q-range empty after intersecting with {spec.q_range.describe()} for {lid.value}"
         )
 
-    workers = min(workers, trials)
-    base, extra = divmod(trials, workers)
+    rng = make_rng(seed)
     min_slack = math.inf
     total = 0.0
     violations = 0
     q_total = 0.0
-    for w in range(workers):
-        chunk = base + (1 if w < extra else 0)
-        rng = make_rng(seed, stream=w)
-        for _ in range(chunk):
-            qv = lo if lo == hi else float(rng.uniform(lo, hi))
-            value = spec.evaluate(spec.sample(rng), qv)
-            slack = -abs(value) if spec.identity else value
-            if slack < min_slack:
-                min_slack = slack
-            total += slack
-            if slack < -tol:
-                violations += 1
-            q_total += qv
+    for _ in range(trials):
+        qv = lo if lo == hi else float(rng.uniform(lo, hi))
+        value = spec.evaluate(spec.sample(rng), qv)
+        slack = -abs(value) if spec.identity else value
+        if slack < min_slack:
+            min_slack = slack
+        total += slack
+        if slack < -tol:
+            violations += 1
+        q_total += qv
     return SlackReport(
         law=lid.value,
         trials=trials,
@@ -474,7 +464,6 @@ def fuzz(law, trials: int, q_range=None, seed: int = 0, *, tol=None, workers: in
         q_lo=lo,
         q_hi=hi,
         q_mean=q_total / trials,
-        workers=workers,
     )
 
 

@@ -36,11 +36,15 @@ import numpy as np
 
 from .errors import ConvergenceError, SizeBudgetError
 from .measures import _conditional_entropy, _entropy_from_array
-from .prob import ProbVec, _validate_mass
+from .prob import NORM_TOL, ProbVec, _validate_mass
 from .qcore import cross_term, q_value
 
 #: Cap on exact block-table enumeration (number of cells).
 BLOCK_CELL_BUDGET = 1 << 20
+#: Sinkhorn scaling in ``random_doubly_stochastic``: row and column deviation bound, round cap.
+SINKHORN_TOL, SINKHORN_ROUNDS = 1e-13, 100_000
+#: Power iteration in ``stationary``: L1 residual bound, iteration cap.
+STATIONARY_TOL, STATIONARY_ITERS = 1e-12, 1_000_000
 
 
 class MarkovChain:
@@ -107,41 +111,41 @@ def _chain_terms(psi: np.ndarray, r: np.ndarray, n: int, qv: float) -> list[floa
     return [_entropy_from_array(psi, qv)] + [_conditional_entropy(p[:, None] * r, (1,), qv) for p in laws]
 
 
-def is_doubly_stochastic(r, tol: float = 1e-9) -> bool:
-    """True when both the rows and the columns of ``r`` sum to 1."""
+def is_doubly_stochastic(r) -> bool:
+    """True when both the rows and the columns of ``r`` sum to 1 within ``NORM_TOL``."""
     arr = r.transition if isinstance(r, MarkovChain) else np.asarray(r, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.size == 0:
         return False
     if not np.isfinite(arr).all() or (arr < 0).any():
         return False
     return (
-        float(np.abs(arr.sum(axis=1) - 1.0).max()) <= tol
-        and float(np.abs(arr.sum(axis=0) - 1.0).max()) <= tol
+        float(np.abs(arr.sum(axis=1) - 1.0).max()) <= NORM_TOL
+        and float(np.abs(arr.sum(axis=0) - 1.0).max()) <= NORM_TOL
     )
 
 
-def random_doubly_stochastic(m: int, rng: np.random.Generator, *, tol: float = 1e-13, max_rounds: int = 100_000) -> np.ndarray:
+def random_doubly_stochastic(m: int, rng: np.random.Generator) -> np.ndarray:
     """Random doubly stochastic matrix: symmetrized Dirichlet rows, then
     alternating row/column normalization until both deviations fall
-    below ``tol`` (entries are strictly positive, so the scaling always
+    below ``SINKHORN_TOL`` (entries are strictly positive, so the scaling always
     converges)."""
     if m < 1:
         raise ValueError("m must be >= 1")
     a = rng.standard_exponential((m, m))
     a /= a.sum(axis=1, keepdims=True)
     s = (a + a.T) / 2.0
-    for _ in range(max_rounds):
+    for _ in range(SINKHORN_ROUNDS):
         s /= s.sum(axis=1, keepdims=True)
         s /= s.sum(axis=0, keepdims=True)
         dev = max(
             float(np.abs(s.sum(axis=1) - 1.0).max()),
             float(np.abs(s.sum(axis=0) - 1.0).max()),
         )
-        if dev <= tol:
+        if dev <= SINKHORN_TOL:
             break
     else:
         raise ConvergenceError(
-            f"doubly stochastic scaling did not reach {tol:g} in {max_rounds} rounds",
+            f"doubly stochastic scaling did not reach {SINKHORN_TOL:g} in {SINKHORN_ROUNDS} rounds",
             last=s,
             residuals=[dev],
         )
@@ -149,12 +153,12 @@ def random_doubly_stochastic(m: int, rng: np.random.Generator, *, tol: float = 1
     return s
 
 
-def stationary(chain, tol: float = 1e-12, max_iters: int = 1_000_000) -> ProbVec:
+def stationary(chain) -> ProbVec:
     """Stationary distribution by damped power iteration.
 
     Iterates ``psi <- (psi + psi @ r) / 2`` (the half-lazy chain, which
     shares stationary distributions with ``r`` but is never periodic)
-    until ``||psi @ r - psi||_1 <= tol``.  For reducible chains the
+    until ``||psi @ r - psi||_1 <= STATIONARY_TOL``.  For reducible chains the
     result depends on the starting distribution (the chain's own initial
     distribution, or uniform when a bare matrix is given).
     """
@@ -163,16 +167,16 @@ def stationary(chain, tol: float = 1e-12, max_iters: int = 1_000_000) -> ProbVec
     r = chain.transition
     psi = chain.initial.p.copy()
     residual = math.inf
-    for _ in range(max_iters):
+    for _ in range(STATIONARY_ITERS):
         nxt = psi @ r
         residual = float(np.abs(nxt - psi).sum())
-        if residual <= tol:
+        if residual <= STATIONARY_TOL:
             psi /= psi.sum()
             return ProbVec(psi)
         psi = (psi + nxt) / 2.0
         psi /= psi.sum()
     raise ConvergenceError(
-        f"power iteration residual {residual:.3e} above {tol:g} after {max_iters} iterations",
+        f"power iteration residual {residual:.3e} above {STATIONARY_TOL:g} after {STATIONARY_ITERS} iterations",
         last=psi,
         residuals=[residual],
     )

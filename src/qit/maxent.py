@@ -42,6 +42,8 @@ from .qcore import exp_q_inside, ln_q, ln_q_pos, q_value
 
 #: Removed levels must have domain margin at or below this at the solution.
 KKT_MARGIN_TOL = 1e-9
+#: Newton on one active set: constraint residual bound (level-scaled units), iteration cap.
+NEWTON_TOL, NEWTON_ITERS = 1e-12, 200
 
 
 @dataclass(frozen=True)
@@ -102,7 +104,7 @@ class _Stuck(Exception):
         self.step = step
 
 
-def _newton(eps, target, qv, tol, max_iters):
+def _newton(eps, target, qv):
     two_q = 2.0 - qv
     m = eps.size
     lam = -two_q * float(ln_q(1.0 / m, qv))
@@ -112,8 +114,8 @@ def _newton(eps, target, qv, tol, max_iters):
     f2 = float(p @ eps) - target
     norm = max(abs(f1), abs(f2))
     iters = 0
-    while norm > tol:
-        if iters >= max_iters:
+    while norm > NEWTON_TOL:
+        if iters >= NEWTON_ITERS:
             raise _Stuck(lam, mu, p, norm, iters)
         w = np.power(p, qv)
         j12 = float(w @ eps)
@@ -155,13 +157,13 @@ def _drop_candidate(stuck: _Stuck, eps, qv) -> int:
     return int(np.argmin(stuck.p))
 
 
-def _solve_with_cutoff(eps_all, target, qv, tol, max_iters):
+def _solve_with_cutoff(eps_all, target, qv):
     active = np.arange(eps_all.size)
     spent = 0
     while True:
         eps = eps_all[active]
         try:
-            lam, mu, p, iters, resid = _newton(eps, target, qv, tol, max_iters)
+            lam, mu, p, iters, resid = _newton(eps, target, qv)
             return lam, mu, p, active, spent + iters, resid
         except _Stuck as s:
             spent += s.iters
@@ -231,10 +233,10 @@ class MaxEntSolution:
         }
 
 
-def solve(problem: MaxEntProblem, *, tol: float = 1e-12, max_iters: int = 200) -> MaxEntSolution:
+def solve(problem: MaxEntProblem) -> MaxEntSolution:
     """Solve the mean-constrained entropy maximization.
 
-    ``tol`` bounds the constraint residuals in level-scaled units.  Raises
+    ``NEWTON_TOL`` bounds the constraint residuals in level-scaled units.  Raises
     ConvergenceError when the damped iteration cannot finish, and never
     returns a solution whose removed levels fail their margin condition.
     """
@@ -252,7 +254,7 @@ def solve(problem: MaxEntProblem, *, tol: float = 1e-12, max_iters: int = 200) -
     else:
         scale = max(1.0, float(np.abs(eps_raw).max()))
         lam, mu_s, p_act, active, iters, resid_s = _solve_with_cutoff(
-            eps_raw / scale, problem.target_mean / scale, qv, tol, max_iters
+            eps_raw / scale, problem.target_mean / scale, qv
         )
         mu = mu_s / scale
         p_full = np.zeros(m)

@@ -215,6 +215,8 @@ def h_q_inf(chain: MarkovChain, q, tol: float = 1e-10, k_max: int = 12) -> float
     Returns ``h(k*)`` for the smallest ``k*`` with
     ``|h(k*) - h(k* + 1)| <= tol``, scanning from ``k* = 0``.
     """
+    if k_max < 0:
+        raise ValueError("k_max must be >= 0")
     return _h_q_inf(chain.transition, stationary(chain).p, q_value(q), tol, k_max)
 
 

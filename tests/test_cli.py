@@ -121,6 +121,16 @@ def test_fuzz_json_format(capsys):
     assert report["q_range"] == [0.0, 2.0]
 
 
+def test_fuzz_workers_flag_is_a_no_op(capsys):
+    argv = ["fuzz", "--law", "all", "--trials", "30", "--seed", "7"]
+    assert run(argv) == 0
+    plain = capsys.readouterr().out
+    assert run(argv + ["--workers", "1"]) == 0
+    assert capsys.readouterr().out == plain
+    assert run(argv + ["--workers", "4"]) == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
 def test_env_seed_takes_precedence(capsys, monkeypatch):
     monkeypatch.setenv("QIT_SEED", "3")
     rc = run(["fuzz", "--law", "qln-sum", "--trials", "50", "--seed", "99"])

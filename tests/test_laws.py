@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qit import LawId, all_laws, fuzz, identity_residual, law_slack, prob
-from qit.laws import SlackReport, TOL_IDENTITY, TOL_INEQUALITY, law_is_identity, law_q_range
+from qit.laws import _REGISTRY, SlackReport, TOL_IDENTITY, TOL_INEQUALITY, law_is_identity, law_q_range
 from qit.measures import (
     conditional_mutual_q_information,
     mutual_q_information,
@@ -312,11 +312,25 @@ def test_fuzz_is_deterministic():
     assert a == b
     c = fuzz("dpi", trials=120, seed=6)
     assert c.min_slack != a.min_slack
-    # worker partitioning is deterministic per worker count
-    w4a = fuzz("joint-chain", trials=101, seed=3, workers=4)
-    w4b = fuzz("joint-chain", trials=101, seed=3, workers=4)
-    assert w4a == w4b
-    assert w4a.workers == 4 and w4a.trials == 101
+
+
+@pytest.mark.parametrize("law", ["dpi", "rel-chain-rule"])
+def test_fuzz_replays_as_one_stream(law):
+    # trial i is the i-th (q, instance) draw from stream 0 of the seed
+    spec = _REGISTRY[LawId(law)]
+    rng = make_rng(11)
+    slacks, qs = [], []
+    for _ in range(40):
+        qv = float(rng.uniform(spec.q_range.lo, spec.q_range.hi))
+        value = spec.evaluate(spec.sample(rng), qv)
+        slacks.append(-abs(value) if spec.identity else value)
+        qs.append(qv)
+    r = fuzz(law, trials=40, seed=11)
+    assert r.identity is spec.identity
+    assert r.min_slack == min(slacks)
+    assert r.mean_slack == sum(slacks) / 40
+    assert r.q_mean == sum(qs) / 40
+    assert r.violations == sum(s < -r.tol for s in slacks)
 
 
 def test_fuzz_q_range_intersection():
@@ -331,8 +345,6 @@ def test_fuzz_q_range_intersection():
         fuzz("joint-chain", trials=10, q_range=(0.9, 0.5))
     with pytest.raises(ValueError):
         fuzz("joint-chain", trials=0)
-    with pytest.raises(ValueError):
-        fuzz("joint-chain", trials=10, workers=0)
 
 
 def test_fuzz_tol_override_flags_violations():

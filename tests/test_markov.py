@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qit import (
+    ConvergenceError,
     MarkovChain,
     SecondLawRow,
     SizeBudgetError,
@@ -17,8 +18,9 @@ from qit import (
     second_law_report,
     stationary,
 )
+from qit import markov
 from qit.measures import q_entropy_chain_terms, q_entropy_joint
-from qit.prob import make_rng
+from qit.prob import NORM_TOL, make_rng
 
 R_STICKY = [[0.9, 0.1], [0.1, 0.9]]
 
@@ -64,10 +66,26 @@ def test_stationary_hand_values():
     assert got.p == pytest.approx([1 / 3, 2 / 3], abs=1e-10)
 
 
+def test_iteration_caps_raise_convergence_error(monkeypatch):
+    monkeypatch.setattr(markov, "STATIONARY_ITERS", 3)
+    with pytest.raises(ConvergenceError, match="after 3 iterations"):
+        stationary(sticky_chain([1.0, 0.0]))
+    monkeypatch.setattr(markov, "SINKHORN_ROUNDS", 1)
+    with pytest.raises(ConvergenceError, match="in 1 rounds"):
+        random_doubly_stochastic(4, make_rng(8))
+
+
 def test_doubly_stochastic_detector_and_sampler():
     assert is_doubly_stochastic(np.array(R_STICKY))
     assert is_doubly_stochastic(sticky_chain())
     assert not is_doubly_stochastic(np.array([[0.5, 0.5], [0.25, 0.75]]))
+    assert not is_doubly_stochastic(np.zeros((0, 0)))
+    # "sums to 1" is the NORM_TOL that MarkovChain applies to every row
+    nudged = np.array(R_STICKY)
+    nudged[0, 0] += NORM_TOL / 2
+    assert is_doubly_stochastic(nudged)
+    nudged[0, 0] += NORM_TOL
+    assert not is_doubly_stochastic(nudged)
     rng = make_rng(5)
     for m in (2, 3, 6):
         r = random_doubly_stochastic(m, rng)

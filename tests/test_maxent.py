@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qit import maxent
+from qit import ConvergenceError, maxent
 from qit.maxent import (
     KKT_MARGIN_TOL,
     MaxEntProblem,
@@ -213,6 +213,12 @@ def test_solve_converges_next_to_the_shannon_point(q):
     sol = solve(MaxEntProblem([0.0, 1.0, 2.0], 0.7, q))
     assert max(sol.residuals) <= 1e-12
     assert sol.stationarity_residuals().max() <= 1e-14
+
+
+def test_newton_iteration_cap_raises_convergence_error(monkeypatch):
+    monkeypatch.setattr(maxent, "NEWTON_ITERS", 1)
+    with pytest.raises(ConvergenceError, match="stalled"):
+        solve(MaxEntProblem([0.0, 1.0, 2.0], 0.7, 1.0))
 
 
 def test_multiplier_decreases_with_target_mean():

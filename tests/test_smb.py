@@ -237,6 +237,8 @@ def test_conditional_rate_sequence():
     assert h_q_inf(STICKY, 1.0) == pytest.approx(0.3250829733914482, abs=1e-12)
     with pytest.raises(ValueError):
         h_q_k(STICKY, -1, 0.5)
+    with pytest.raises(ValueError, match="k_max must be >= 0"):
+        h_q_inf(STICKY, 0.5, k_max=-1)
     with pytest.raises(ConvergenceError):
         h_q_inf(STICKY, 0.5, tol=1e-15, k_max=0)
     # the error reports the last gap |h(k_max) - h(k_max + 1)|
