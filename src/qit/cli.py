@@ -43,7 +43,7 @@ from .measures import (
     relative_q_entropy,
     tsallis_entropy,
 )
-from .prob import JointTable, ProbVec
+from .prob import JointTable, ProbVec, _float_array
 from .smb import smb_probe
 
 
@@ -70,18 +70,10 @@ def _load_json(text: str, what: str):
         ) from None
 
 
-def _dist_arg(text: str, what: str) -> ProbVec:
+def _container_arg(cls, text: str, what: str):
+    """A ``ProbVec`` or ``JointTable`` from a JSON array or its JSON object form."""
     data = _load_json(text, what)
-    if isinstance(data, dict):
-        return ProbVec.from_json_dict(data)
-    return ProbVec(data)
-
-
-def _table_arg(text: str, what: str) -> JointTable:
-    data = _load_json(text, what)
-    if isinstance(data, dict):
-        return JointTable.from_json_dict(data)
-    return JointTable(data)
+    return cls.from_json_dict(data) if isinstance(data, dict) else cls(data)
 
 
 def _resolve_seed(args) -> int:
@@ -118,7 +110,7 @@ def _fmt(v: float) -> str:
 # subcommand handlers
 
 def _cmd_entropy(args) -> int:
-    p = _dist_arg(args.dist, "--dist")
+    p = _container_arg(ProbVec, args.dist, "--dist")
     value = tsallis_entropy(p, args.q) if args.family == "tsallis" else q_entropy(p, args.q)
     _emit(args, _fmt(value) + "\n")
     return 0
@@ -128,7 +120,7 @@ def _cmd_measures(args) -> int:
     if args.joint is not None:
         if args.p is not None or args.r is not None:
             raise _CliError(2, "pass either --joint or the --p/--r pair, not both")
-        table = _table_arg(args.joint, "--joint")
+        table = _container_arg(JointTable, args.joint, "--joint")
         out = {
             "q": args.q,
             "shape": list(table.shape),
@@ -148,7 +140,7 @@ def _cmd_measures(args) -> int:
         out = {
             "q": args.q,
             "relative_entropy": relative_q_entropy(
-                _dist_arg(args.p, "--p"), _dist_arg(args.r, "--r"), args.q
+                _container_arg(ProbVec, args.p, "--p"), _container_arg(ProbVec, args.r, "--r"), args.q
             ),
         }
     else:
@@ -186,7 +178,7 @@ def _cmd_fuzz(args) -> int:
 
 def _make_chain(args) -> MarkovChain:
     data = _load_json(args.transition, "--transition")
-    initial = _dist_arg(args.initial, "--initial") if args.initial else None
+    initial = _container_arg(ProbVec, args.initial, "--initial") if args.initial else None
     return MarkovChain(data, initial)
 
 
@@ -219,9 +211,7 @@ def _cmd_maxent(args) -> int:
             raise _CliError(2, "pass either --sweep or --target-mean (with --verify), not both")
         if args.sweep < 1:
             raise _CliError(2, "--sweep must be >= 1")
-        import numpy as np
-
-        arr = np.asarray(levels, dtype=float)
+        arr = _float_array(levels, "levels")
         lo, hi = float(arr.min()), float(arr.max())
         lines = [_SWEEP_HEADER]
         for i in range(args.sweep):

@@ -22,7 +22,9 @@ distribution.  Two families of results live here:
   doubly stochastic, ``J~`` is itself a probability table, so the
   divergence — the slack ``delta_H * bracket - T_q`` — is nonnegative and
   the deformed entropy cannot decrease faster than the correction term
-  allows.  The report evaluates every piece per step, flags whether the
+  allows.  The report takes the state laws from the one recursion
+  ``_laws`` in blocks of steps and evaluates every piece on the block's
+  ``(steps, m, m)`` stack of joints at once.  It flags whether the
   doubly-stochastic premise holds, and also carries an alternative
   correction term ``T_q_statement`` (same weights, second factor
   ``ln_q(J m)``), reported for comparison only: no law is asserted on it.
@@ -36,8 +38,8 @@ import numpy as np
 
 from .errors import ConvergenceError, SizeBudgetError
 from .measures import _conditional_entropy, _entropy_from_array
-from .prob import NORM_TOL, ProbVec, _validate_mass
-from .qcore import cross_term, q_value
+from .prob import NORM_TOL, ProbVec, _float_array, _validate_mass
+from .qcore import cross_term, ln_q_pos, q_value
 
 #: Cap on exact block-table enumeration (number of cells).
 BLOCK_CELL_BUDGET = 1 << 20
@@ -45,6 +47,8 @@ BLOCK_CELL_BUDGET = 1 << 20
 SINKHORN_TOL, SINKHORN_ROUNDS = 1e-13, 100_000
 #: Power iteration in ``stationary``: L1 residual bound, iteration cap.
 STATIONARY_TOL, STATIONARY_ITERS = 1e-12, 1_000_000
+#: Joint cells per block of ``second_law_report``; its memory is O(_STEP_CELLS).
+_STEP_CELLS = 1 << 16
 
 
 class MarkovChain:
@@ -53,7 +57,7 @@ class MarkovChain:
     __slots__ = ("transition", "initial")
 
     def __init__(self, transition, initial=None):
-        t = np.array(transition, dtype=float)
+        t = _float_array(transition, "transition matrix")
         if t.ndim != 2 or t.shape[0] != t.shape[1] or t.shape[0] == 0:
             raise ValueError("transition matrix must be square and non-empty")
         for row in t:
@@ -87,15 +91,16 @@ class MarkovChain:
 
 
 def _laws(psi: np.ndarray, r: np.ndarray, steps: int) -> np.ndarray:
-    """State laws ``psi_0 .. psi_steps`` as rows, ``psi_k = psi_{k-1} @ r``.
+    """State laws ``psi_0 .. psi_steps`` as rows.
 
-    Each law is renormalised to unit mass (floating-point hygiene over
-    long horizons).
+    ``psi_k`` is the column sums of the joint ``psi_{k-1}[:, None] * r``
+    (the sums the second-law report weighs), renormalised to unit mass
+    (floating-point hygiene over long horizons).
     """
     out = np.empty((steps + 1, psi.size))
     out[0] = psi
     for k in range(steps):
-        out[k + 1] = out[k] @ r
+        out[k + 1] = (out[k][:, None] * r).sum(axis=0)
         out[k + 1] /= out[k + 1].sum()
     return out
 
@@ -113,7 +118,7 @@ def _chain_terms(psi: np.ndarray, r: np.ndarray, n: int, qv: float) -> list[floa
 
 def is_doubly_stochastic(r) -> bool:
     """True when both the rows and the columns of ``r`` sum to 1 within ``NORM_TOL``."""
-    arr = r.transition if isinstance(r, MarkovChain) else np.asarray(r, dtype=float)
+    arr = r.transition if isinstance(r, MarkovChain) else _float_array(r, "transition matrix")
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.size == 0:
         return False
     if not np.isfinite(arr).all() or (arr < 0).any():
@@ -182,26 +187,26 @@ def stationary(chain) -> ProbVec:
     )
 
 
-def block_table(chain: MarkovChain, n: int, *, cell_budget: int = BLOCK_CELL_BUDGET) -> np.ndarray:
+def block_table(chain: MarkovChain, n: int) -> np.ndarray:
     """Exact joint distribution of the first ``n`` symbols.
 
     Returned as a bare rank-``n`` array (block length routinely exceeds
     the rank cap of the JointTable container).  Raises SizeBudgetError
-    when ``m ** n`` exceeds ``cell_budget``; the exception carries the
-    largest block length that would have fit.
+    when ``m ** n`` exceeds ``BLOCK_CELL_BUDGET``; the exception carries
+    the largest block length that would have fit.
     """
     if n < 1:
         raise ValueError("block length must be >= 1")
     m = chain.m
-    if m**n > cell_budget:
+    if m**n > BLOCK_CELL_BUDGET:
         fit = 0
         cells = 1
-        while cells * m <= cell_budget:
+        while cells * m <= BLOCK_CELL_BUDGET:
             cells *= m
             fit += 1
         raise SizeBudgetError(
             f"block of length {n} over {m} states needs {m**n} cells "
-            f"(budget {cell_budget})",
+            f"(budget {BLOCK_CELL_BUDGET})",
             last_bracket=fit,
         )
     t = chain.initial.p.copy()
@@ -284,35 +289,29 @@ def second_law_report(chain: MarkovChain, steps: int, q) -> list[SecondLawRow]:
         raise ValueError("steps must be >= 1")
     r = chain.transition
     m = chain.m
-    applicable = is_doubly_stochastic(r)
+    applicable = is_doubly_stochastic(chain)
     bracket = float(m) ** (1.0 - qv)
+    block = max(1, _STEP_CELLS // m**2)
     rows = []
-    psi = chain.initial.p.copy()
-    h_prev = _entropy_from_array(psi, qv)
-    for step in range(1, steps + 1):
-        joint = psi[:, None] * r
-        nxt = joint.sum(axis=0)
-        nxt /= nxt.sum()
-        h_next = _entropy_from_array(nxt, qv)
-        delta = h_next - h_prev
-        mask = joint > 0
-        w = joint[mask]
-        nxt_b = nxt[mask.nonzero()[1]]
-        t_q, t_q_stmt = cross_term(w, nxt_b * m, np.array([w / (nxt_b * r[mask]), w * m]), qv)
-        t_q_stmt /= bracket
-        lhs = delta * bracket
-        rows.append(
-            SecondLawRow(
-                step=step,
-                h_q=h_next,
-                delta_h=delta,
-                t_q=t_q,
-                lhs=lhs,
-                slack=lhs - t_q,
-                t_q_statement=t_q_stmt,
-                applicable=applicable,
-            )
+    psi = chain.initial.p
+    for start in range(0, steps, block):
+        laws = _laws(psi, r, min(block, steps - start))
+        psi, nxt = laws[-1], laws[1:, None, :]
+        # Zero cells get weight 0 and q-log arguments 1, so they add exact zeros;
+        # from 8 cells on they regroup numpy's pairwise sums (last bits only).
+        h = -(laws * ln_q_pos(np.where(laws > 0, laws, 1.0), qv)).sum(axis=-1)
+        joint = laws[:-1, :, None] * r
+        on = joint > 0
+        w = joint.reshape(len(nxt), -1)
+        ratio = np.where(on, joint, 1.0) / np.where(on, nxt * r, 1.0)
+        t_q, t_q_stmt = cross_term(
+            w,
+            np.where(on, nxt * m, 1.0).reshape(w.shape),
+            np.stack([ratio, np.where(on, joint * m, 1.0)]).reshape(2, *w.shape),
+            qv,
         )
-        psi = nxt
-        h_prev = h_next
+        rows += [
+            SecondLawRow(start + i + 1, h_q, d, t, d * bracket, d * bracket - t, s / bracket, applicable)
+            for i, (h_q, d, t, s) in enumerate(zip(h[1:].tolist(), np.diff(h).tolist(), t_q, t_q_stmt))
+        ]
     return rows

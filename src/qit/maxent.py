@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .measures import _entropy_from_array
-from .prob import ProbVec, make_rng
+from .prob import ProbVec, _float_array, make_rng
 from .qcore import exp_q_inside, ln_q, ln_q_pos, q_value
 
 #: Removed levels must have domain margin at or below this at the solution.
@@ -55,7 +55,7 @@ class MaxEntProblem:
     q: float
 
     def __init__(self, levels, target_mean, q):
-        arr = np.array(levels, dtype=float)
+        arr = _float_array(levels, "levels")
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("levels must be a non-empty 1-D array")
         if not np.isfinite(arr).all():

@@ -30,6 +30,14 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
+def _float_array(x, what: str) -> np.ndarray:
+    """``np.array(x, dtype=float)``; non-numeric input raises ValueError naming ``what``."""
+    try:
+        return np.array(x, dtype=float)
+    except TypeError as exc:
+        raise ValueError(f"{what} must be numeric: {exc}") from None
+
+
 def _validate_mass(arr: np.ndarray, what: str) -> None:
     if not np.isfinite(arr).all():
         raise ValueError(f"{what} entries must be finite")
@@ -49,7 +57,7 @@ class ProbVec:
     __slots__ = ("p", "labels")
 
     def __init__(self, p, labels=None):
-        arr = np.array(p, dtype=float)
+        arr = _float_array(p, "ProbVec")
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("ProbVec expects a non-empty 1-D array")
         _validate_mass(arr, "ProbVec")
@@ -67,7 +75,7 @@ class ProbVec:
     @classmethod
     def normalized(cls, values, labels=None) -> "ProbVec":
         """Explicitly rescale nonnegative weights to total mass one."""
-        arr = np.asarray(values, dtype=float)
+        arr = _float_array(values, "ProbVec")
         total = arr.sum()
         if not np.isfinite(total) or total <= 0:
             raise ValueError("cannot normalize: total mass must be positive and finite")
@@ -106,7 +114,7 @@ class JointTable:
     __slots__ = ("t",)
 
     def __init__(self, t):
-        arr = np.array(t, dtype=float)
+        arr = _float_array(t, "JointTable")
         if arr.ndim < 2 or arr.ndim > 4:
             raise ValueError(f"JointTable supports rank 2..4, got rank {arr.ndim}")
         if min(arr.shape) == 0:

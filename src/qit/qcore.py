@@ -117,11 +117,12 @@ def ln_q_from_log(log_x, q: float):
 def cross_term(w, a, b, q: float):
     """Product-rule cross term ``(1-q) * sum w ln_q(a) ln_q(b)`` (unchecked).
 
-    ``a`` and ``b`` are positive arrays matching the 1-D weights ``w``.
-    Every chain rule of the deformed measures differs from its classical
-    form by one such term.  The sum runs over the last axis: a float for
-    1-D ``b``, and one float per row, as a list, when ``b`` stacks several
-    second factors.
+    ``a`` and ``b`` are positive arrays that broadcast against the weights
+    ``w``.  Every chain rule of the deformed measures differs from its
+    classical form by one such term.  The sum runs over the last axis: a
+    float for 1-D operands, else (nested) lists with one float per row,
+    as when ``w`` stacks several weight rows or ``b`` several second
+    factors.
     """
     return ((1.0 - q) * (w * ln_q_pos(a, q) * ln_q_pos(b, q)).sum(axis=-1)).tolist()
 

@@ -51,6 +51,13 @@ from .qcore import SHANNON_TOL, ln_q_from_log, ln_q_pos, q_value
 _CHUNK = 256
 
 
+def _cum_rows(p: np.ndarray) -> np.ndarray:
+    """Cumulative sums along the last axis, the last one pinned to 1 so every draw lands."""
+    c = np.cumsum(p, axis=-1)
+    c[..., -1] = 1.0
+    return c
+
+
 def _advance(cum_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Next states from cumulative rows (k, m) and uniform draws (k,)."""
     nxt = (cum_rows < u[:, None]).sum(axis=1)
@@ -99,11 +106,8 @@ def sample_trajectory(chain: MarkovChain, length: int, rng: np.random.Generator)
     if length < 1:
         raise ValueError("length must be >= 1")
     u = rng.random(length)
-    icum = np.cumsum(chain.initial.p)
-    icum[-1] = 1.0
-    rcum = np.cumsum(chain.transition, axis=1)
-    rcum[:, -1] = 1.0
-    syms = _walk(rcum, _advance(icum[None, :], u[0:1]), u[1:, None])
+    icum = _cum_rows(chain.initial.p)
+    syms = _walk(_cum_rows(chain.transition), _advance(icum[None, :], u[0:1]), u[1:, None])
     return Trajectory(syms[:, 0], chain.m)
 
 
@@ -391,10 +395,7 @@ def smb_probe(chain: MarkovChain, q, n_max: int, trajectories: int, seed: int = 
     m = chain.m
     big_t = trajectories
 
-    icum = np.cumsum(st)
-    icum[-1] = 1.0
-    rcum = np.cumsum(r, axis=1)
-    rcum[:, -1] = 1.0
+    rcum = _cum_rows(r)
     with np.errstate(divide="ignore"):
         logr = np.log(r)
         logd1 = np.log(_laws(st, r, 1)[1])
@@ -406,7 +407,7 @@ def smb_probe(chain: MarkovChain, q, n_max: int, trajectories: int, seed: int = 
     grid = _grid(n_max)
     at = {}  # n -> (block, order-k, factor log, factor q-log) sums at length n
     rngs = [make_rng(seed, stream=t) for t in range(big_t)]
-    state = _advance(np.broadcast_to(icum, (big_t, m)), np.concatenate([g.random(1) for g in rngs]))
+    state = _advance(np.broadcast_to(_cum_rows(st), (big_t, m)), np.concatenate([g.random(1) for g in rngs]))
     lblock = flog = fql = np.full(big_t, -0.0)  # -0.0 + x == x: an empty sum that changes no bits
     d = st
     for a in range(1, n_max + 1, _CHUNK):

@@ -193,6 +193,23 @@ def test_maxent_rejects_flags_it_would_drop(capsys, extra, message):
     assert message in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["markov", "--transition", '{"a":1}', "--steps", "2", "--q", "0.5"],
+        ["entropy", "--dist", '{"p":{"a":1}}', "--q", "0.5"],
+        ["measures", "--joint", "[[0.5,{}],[0.25,0.25]]", "--q", "0.5"],
+        ["smb", "--transition", '{"a":1}', "--q", "0.5", "--n-max", "4", "--trajectories", "2"],
+        ["maxent", "--levels", '{"a":1}', "--q", "0.5", "--sweep", "3"],
+    ],
+)
+def test_non_numeric_json_exits_2(capsys, argv):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "must be numeric" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_maxent_sweep_csv(capsys):
     rc = run(["maxent", "--levels", "[0,1,2]", "--q", "0.5", "--sweep", "6"])
     assert rc == 0

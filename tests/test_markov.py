@@ -1,6 +1,7 @@
 """Markov chains: stationary solving, rate approximants, stepwise second law."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,8 +20,9 @@ from qit import (
     stationary,
 )
 from qit import markov
-from qit.measures import q_entropy_chain_terms, q_entropy_joint
+from qit.measures import _entropy_from_array, q_entropy_chain_terms, q_entropy_joint
 from qit.prob import NORM_TOL, make_rng
+from qit.qcore import cross_term
 
 R_STICKY = [[0.9, 0.1], [0.1, 0.9]]
 
@@ -80,6 +82,8 @@ def test_doubly_stochastic_detector_and_sampler():
     assert is_doubly_stochastic(sticky_chain())
     assert not is_doubly_stochastic(np.array([[0.5, 0.5], [0.25, 0.75]]))
     assert not is_doubly_stochastic(np.zeros((0, 0)))
+    with pytest.raises(ValueError, match="must be numeric"):
+        is_doubly_stochastic({"a": 1})
     # "sums to 1" is the NORM_TOL that MarkovChain applies to every row
     nudged = np.array(R_STICKY)
     nudged[0, 0] += NORM_TOL / 2
@@ -98,7 +102,7 @@ def test_doubly_stochastic_detector_and_sampler():
     assert np.array_equal(a, b)
 
 
-def test_block_table_shapes_and_budget():
+def test_block_table_shapes_and_budget(monkeypatch):
     c = sticky_chain()
     t1 = block_table(c, 1)
     assert t1.shape == (2,)
@@ -109,8 +113,9 @@ def test_block_table_shapes_and_budget():
     # p(0,0,0) = 0.5 * 0.9 * 0.9 under the uniform start
     assert t3[0, 0, 0] == pytest.approx(0.405, abs=1e-15)
     c4 = MarkovChain(np.full((4, 4), 0.25))
+    monkeypatch.setattr(markov, "BLOCK_CELL_BUDGET", 100)
     with pytest.raises(SizeBudgetError) as exc:
-        block_table(c4, 5, cell_budget=100)
+        block_table(c4, 5)
     assert exc.value.last_bracket == 3  # 4^3 = 64 fits, 4^4 = 256 does not
 
 
@@ -215,3 +220,69 @@ def test_second_law_row_serialization():
         "t_q",
         "t_q_statement",
     ]
+
+
+def _loop_second_law_report(chain, steps, q):
+    """The report one step at a time, each sum over the joint's positive cells only."""
+    r, m = chain.transition, chain.m
+    applicable = is_doubly_stochastic(r)
+    bracket = float(m) ** (1.0 - q)
+    rows = []
+    psi = chain.initial.p.copy()
+    h_prev = _entropy_from_array(psi, q)
+    for step in range(1, steps + 1):
+        joint = psi[:, None] * r
+        nxt = joint.sum(axis=0)
+        nxt /= nxt.sum()
+        h_next = _entropy_from_array(nxt, q)
+        delta = h_next - h_prev
+        mask = joint > 0
+        w = joint[mask]
+        nxt_b = nxt[mask.nonzero()[1]]
+        t_q, t_q_stmt = cross_term(w, nxt_b * m, np.array([w / (nxt_b * r[mask]), w * m]), q)
+        lhs = delta * bracket
+        rows.append(SecondLawRow(step, h_next, delta, t_q, lhs, lhs - t_q, t_q_stmt / bracket, applicable))
+        psi, h_prev = nxt, h_next
+    return rows
+
+
+def test_second_law_matches_the_step_loop_bit_for_bit():
+    rng = make_rng(9)
+    cases = [(int(rng.integers(2, 7)), 50) for _ in range(20)] + [(64, 300)]  # m = 64 spans 19 blocks
+    for m, steps in cases:
+        r = random_doubly_stochastic(m, rng)
+        for start in (rng.dirichlet(np.ones(m)), None):
+            chain = MarkovChain(r, start)
+            for q in (0.2, 0.5, 0.8):
+                assert second_law_report(chain, steps, q) == _loop_second_law_report(chain, steps, q)
+
+
+def test_second_law_with_zero_transitions_matches_the_step_loop():
+    # zero cells pad the block's sums, which regroups them from 8 cells on
+    rng = make_rng(10)
+    fields = ("h_q", "delta_h", "t_q", "lhs", "slack", "t_q_statement")
+    for _ in range(60):
+        m = int(rng.integers(2, 9))
+        r = rng.dirichlet(np.ones(m), size=m) * (rng.random((m, m)) < 0.5)
+        r[np.arange(m), rng.integers(0, m, m)] += 0.1  # every row keeps some mass
+        r /= r.sum(axis=1, keepdims=True)
+        chain = MarkovChain(r, np.eye(m)[rng.integers(m)])
+        q = float(rng.uniform(0.0, 1.0))
+        got = second_law_report(chain, 30, q)
+        want = _loop_second_law_report(chain, 30, q)
+        assert [(g.step, g.applicable) for g in got] == [(w.step, w.applicable) for w in want]
+        for g, w in zip(got, want):
+            for f in fields:
+                assert getattr(g, f) == pytest.approx(getattr(w, f), rel=0, abs=1e-13)
+
+
+def test_second_law_memory_is_bounded_by_the_block():
+    rng = make_rng(12)
+    chain = MarkovChain(random_doubly_stochastic(64, rng), rng.dirichlet(np.ones(64)))
+    tracemalloc.start()
+    try:
+        second_law_report(chain, 2000, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20  # the whole (2000, 64, 64) stack would be 62 MB per array

@@ -54,6 +54,8 @@ def test_probvec_normalized_and_coerce():
     assert v.p.tolist() == [0.25, 0.75]
     with pytest.raises(ValueError):
         ProbVec.normalized([0.0, 0.0])
+    with pytest.raises(ValueError, match="must be numeric"):
+        ProbVec.normalized({"a": 1})
     u = ProbVec([0.1, 0.9])
     assert ProbVec.coerce(u) is u
     assert ProbVec.coerce([0.3, 0.7]).p.tolist() == [0.3, 0.7]
