@@ -60,8 +60,11 @@ class MarkovChain:
         t = _float_array(transition, "transition matrix")
         if t.ndim != 2 or t.shape[0] != t.shape[1] or t.shape[0] == 0:
             raise ValueError("transition matrix must be square and non-empty")
-        for row in t:
-            _validate_mass(row, "transition row")
+        # one pass over every row; only a bad matrix walks its rows, so the
+        # error names the first bad row as a per-row check would
+        if not ((t >= 0).all() and (np.abs(t.sum(axis=1) - 1.0) <= NORM_TOL).all()):
+            for row in t:
+                _validate_mass(row, "transition row")
         t.setflags(write=False)
         object.__setattr__(self, "transition", t)
         if initial is None:

@@ -33,6 +33,10 @@ stationary law, with ``n_max + 1`` symbols and the generator
 ``make_rng(seed, t)``.  The probe keeps only per-trajectory running sums
 and the values at its grid lengths, so its memory is
 O(trajectories * chunk), whatever the length.
+
+The walk steps every trajectory at once, one position after another, by
+inverse-CDF lookup; each step is one gather from a table of next states
+(``_walk``).
 """
 
 import math
@@ -59,21 +63,44 @@ def _cum_rows(p: np.ndarray) -> np.ndarray:
 
 
 def _advance(cum_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Next states from cumulative rows (k, m) and uniform draws (k,)."""
-    nxt = (cum_rows < u[:, None]).sum(axis=1)
-    return np.minimum(nxt, cum_rows.shape[1] - 1).astype(np.int64)
+    """Next states from cumulative rows (k, m) and uniform draws (k,).
+
+    The next state is the number of columns strictly below the draw; the
+    last column is pinned to 1, never below a draw, so it is at most m - 1.
+    """
+    return (cum_rows < u[:, None]).sum(axis=1)
 
 
 def _walk(rcum: np.ndarray, state: np.ndarray, u: np.ndarray) -> np.ndarray:
     """States (c + 1, T) of T walks from ``state`` (T,) driven by uniforms ``u`` (c, T).
 
     ``rcum`` holds the cumulative transition rows; row 0 of the result is
-    ``state`` and row i the state after the i-th step.
+    ``state`` and row i the state after the i-th step, as ``_advance``
+    takes it.  The next state from s counts the inner columns of
+    ``rcum[s]`` strictly below the draw, so it depends on the draw only
+    through k, the number of all m (m - 1) inner columns below it
+    (``searchsorted``: tied columns sort together, and a draw passes all
+    of them or none).  The table ``nxt[k, s]`` of m (m - 1) + 1 rows is
+    built once, every draw's k is looked up at once, and each step is
+    one gather from the table.  The positions cannot run in parallel,
+    so a step costs numpy's per-call overhead; the table keeps it at two
+    calls whatever m is.
     """
-    syms = np.empty((u.shape[0] + 1, state.size), dtype=np.int64)
+    m = rcum.shape[0]
+    inner = rcum[:, :-1].ravel()
+    order = np.argsort(inner)
+    cols = inner[order]
+    # nxt[k, s]: how many of the k smallest inner columns lie in row s
+    nxt = np.zeros((cols.size + 1, m), dtype=np.int64)
+    nxt[np.arange(1, cols.size + 1), np.repeat(np.arange(m), m - 1)[order]] = 1
+    flat = nxt.cumsum(axis=0).ravel()
+    kb = cols.searchsorted(u)
+    kb *= m  # offset of row k in ``flat``
+    syms = np.empty((u.shape[0] + 1, u.shape[1]), dtype=np.int64)
     syms[0] = state
     for i in range(u.shape[0]):
-        syms[i + 1] = _advance(rcum[syms[i]], u[i])
+        # indices always lie in the table; "clip" writes ``out`` unbuffered
+        flat.take(kb[i] + syms[i], out=syms[i + 1], mode="clip")
     return syms
 
 
@@ -250,6 +277,7 @@ class SmbPoint:
     cond_c2_rate: float
     ratio1_mean: float
     ratio2_mean: float
+    at_ceiling: float  # fraction of trajectories on the 1/((1-q)n) ceiling; 0 for q >= 1
 
     def to_json_dict(self) -> dict:
         return {
@@ -262,6 +290,7 @@ class SmbPoint:
             "cond_c2_rate": self.cond_c2_rate,
             "ratio1_mean": self.ratio1_mean,
             "ratio2_mean": self.ratio2_mean,
+            "at_ceiling": self.at_ceiling,
         }
 
 
@@ -368,13 +397,15 @@ def smb_probe(chain: MarkovChain, q, n_max: int, trajectories: int, seed: int = 
     factorization in use — the q-log of the product of its non-head
     factors minus the sum of their q-logs, same convention as
     :func:`t3_residual` — divided by the block length.  It is
-    nonnegative for q < 1 and identically zero at q = 1.  Flags:
-    ``c1_failed`` / ``c2_failed`` report whether the corresponding
+    nonnegative for q < 1 and identically zero at q = 1.
+    ``at_ceiling`` is the fraction of trajectories whose per-symbol value
+    lies within 1e-12 relative of the 1/((1-q)n) ceiling (0 for q >= 1).
+    Flags: ``c1_failed`` / ``c2_failed`` report whether the corresponding
     condition failed on any trajectory at any recorded length;
     ``t3_failed`` reports whether |t3/n| still exceeds 1e-3 at the
     largest length (the vanishing-interaction hypothesis looks false);
-    ``bound_saturated`` reports a per-symbol value within float
-    resolution of the 1/((1-q)n) ceiling at the largest length;
+    ``bound_saturated`` reports that ``at_ceiling`` is positive at the
+    largest length;
     ``pk_equals_block`` reports that the order-k approximation agreed
     with the exact block probability at every length;
     ``q_outside_theorem_range`` warns that q is outside (1/2, 1), where
@@ -454,7 +485,6 @@ def smb_probe(chain: MarkovChain, q, n_max: int, trajectories: int, seed: int = 
     ratio1 = np.exp(logr1 - head_l)
 
     points = []
-    saturated = False
     for n in grid:
         lb, lk, fl, fq = at[n]
         with np.errstate(over="ignore"):  # q > 1: ln_q of a tiny p overflows to -inf
@@ -464,12 +494,12 @@ def smb_probe(chain: MarkovChain, q, n_max: int, trajectories: int, seed: int = 
                 t3 = ln_q_from_log(fl, qv) - fq
             else:
                 t3 = np.zeros(big_t)
+        at_ceiling = 0.0
         if qv < 1.0 - SHANNON_TOL:
             cap = 1.0 / ((1.0 - qv) * n)
             if vb.min() < -1e-12 or vb.max() > cap * (1.0 + 1e-12):
                 raise RuntimeError("per-symbol surprisal escaped its ceiling")
-            if n == n_max and vb.max() >= cap * (1.0 - 1e-12):
-                saturated = True
+            at_ceiling = float((vb >= cap * (1.0 - 1e-12)).mean())
         points.append(
             SmbPoint(
                 n=n,
@@ -481,6 +511,7 @@ def smb_probe(chain: MarkovChain, q, n_max: int, trajectories: int, seed: int = 
                 cond_c2_rate=float((lb >= lk).mean()),
                 ratio1_mean=float(ratio1.mean()),
                 ratio2_mean=float(np.exp(lb - lk).mean()),
+                at_ceiling=at_ceiling,
             )
         )
 
@@ -488,7 +519,7 @@ def smb_probe(chain: MarkovChain, q, n_max: int, trajectories: int, seed: int = 
         "c1_failed": bool(any(pt.cond_c1_rate < 1.0 for pt in points)),
         "c2_failed": bool(any(pt.cond_c2_rate < 1.0 for pt in points)),
         "t3_failed": bool(abs(points[-1].t3_over_n_mean) > 1e-3),
-        "bound_saturated": bool(saturated),
+        "bound_saturated": points[-1].at_ceiling > 0.0,
         "pk_equals_block": bool(all(abs(pt.ratio2_mean - 1.0) <= 1e-12 for pt in points)),
         "q_outside_theorem_range": bool(not (0.5 < qv < 1.0 - SHANNON_TOL)),
     }

@@ -47,6 +47,29 @@ def test_chain_validation():
         c.transition[0, 0] = 0.2  # write-protected
 
 
+@pytest.mark.parametrize(
+    "rows,message",
+    [
+        (
+            [[0.5, 0.5], [math.nan, 1.0], [1.1, -0.1]],
+            "transition row entries must be finite",
+        ),
+        (
+            [[0.5, 0.5], [1.1, -0.1], [math.inf, 0.0]],
+            "transition row entries must be nonnegative, min was -0.1",
+        ),
+        (
+            [[0.5, 0.5], [0.9, 0.2], [2.0, -1.0]],
+            "transition row must sum to 1 within 1e-09; got 1.1 (off by 0.1)",
+        ),
+    ],
+)
+def test_chain_validation_names_the_first_bad_row(rows, message):
+    with pytest.raises(ValueError) as exc:
+        MarkovChain([row + [0.0] for row in rows])
+    assert str(exc.value) == message
+
+
 def test_evolve():
     c = sticky_chain([1.0, 0.0])
     assert c.evolve(1).p == pytest.approx([0.9, 0.1], abs=1e-15)

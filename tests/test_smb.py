@@ -62,6 +62,48 @@ def test_sample_trajectory_reproducible_and_lawful():
         sample_trajectory(STICKY, 0, make_rng(0))
 
 
+def test_advance_top_draw_lands_on_the_last_state():
+    rng = make_rng(41)
+    top = np.nextafter(1.0, 0.0)
+    for m in range(1, 9):
+        rcum = smb._cum_rows(rng.dirichlet(np.ones(m), size=m))
+        nxt = smb._advance(rcum, np.full(m, top))
+        assert nxt.dtype == np.int64
+        assert nxt.tolist() == [m - 1] * m
+
+
+def _step_walk(rcum, state, u):
+    """Reference: one inverse-CDF step per position, every column compared."""
+    syms = np.empty((u.shape[0] + 1, state.size), dtype=np.int64)
+    syms[0] = state
+    for i in range(u.shape[0]):
+        syms[i + 1] = (rcum[syms[i]] < u[i][:, None]).sum(axis=1)
+    return syms
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_walk_matches_the_step_loop_bit_for_bit(m):
+    rng = make_rng(43, m)
+    dense = rng.dirichlet(np.ones(m), size=m)
+    sparse = dense * (rng.random((m, m)) < 0.5)
+    sparse[np.arange(m), rng.integers(0, m, m)] += 0.5  # every row keeps some mass
+    sparse /= sparse.sum(axis=1, keepdims=True)
+    for r in (dense, sparse):
+        rcum = smb._cum_rows(MarkovChain(r).transition)
+        # the inner columns a uniform draw in [0, 1) can equal
+        cols = rcum[:, :-1][rcum[:, :-1] < 1.0]
+        for c in (1, smb._CHUNK):
+            for big_t in (1, 7, 200):
+                u = rng.random((c, big_t))
+                # ties: draws exactly on a cumulative column must not pass it
+                tie = rng.random((c, big_t)) < 0.3
+                if cols.size:
+                    u[tie] = rng.choice(cols, size=int(tie.sum()))
+                u[rng.random((c, big_t)) < 0.05] = np.nextafter(1.0, 0.0)
+                state = rng.integers(0, m, big_t)
+                assert np.array_equal(smb._walk(rcum, state, u), _step_walk(rcum, state, u))
+
+
 def test_block_log_prob_hand_values():
     # one symbol from the stationary binary chain: ln_q(1/2) at q = 3/4
     got = block_log_prob_q(STICKY, [0], 0.75)
@@ -281,6 +323,21 @@ def test_long_blocks_collapse_onto_the_ceiling_in_floats():
         for a, b in zip(traj.symbols[:-1], traj.symbols[1:])
     )
     assert math.isfinite(logp)
+
+
+def test_probe_reports_the_share_at_the_ceiling():
+    # gate 6's case: every per-symbol value stays below the ceiling
+    far = smb_probe(STICKY, 0.999, 10_000, 50, seed=7)
+    assert [pt.at_ceiling for pt in far.points] == [0.0] * len(far.points)
+    assert not far.flags["bound_saturated"]
+    # long blocks at q = 0.6 round onto it
+    near = smb_probe(STICKY, 0.6, 4096, 50, seed=11)
+    assert 0.0 < near.points[-1].at_ceiling <= 1.0
+    assert near.points[0].at_ceiling == 0.0
+    assert near.flags["bound_saturated"]
+    assert near.points[-1].to_json_dict()["at_ceiling"] == near.points[-1].at_ceiling
+    # no ceiling from q = 1 on
+    assert all(pt.at_ceiling == 0.0 for pt in smb_probe(STICKY, 1.2, 4096, 5, seed=11).points)
 
 
 def test_probe_points_and_flags():
