@@ -35,7 +35,14 @@ bare arrays, so a fuzz campaign validates nothing it built itself.
 ``fuzz`` runs a seeded campaign of random instances for one law.  Every
 trial draws from stream 0 of the master seed, in trial order (q first,
 then the instance), so a report depends only on (law, trials, q-range,
-seed, tol), and trial ``i`` is the ``i``-th draw from that stream.
+seed, tol), and trial ``i`` is the ``i``-th draw from that stream.  The
+draws stay in that order; the evaluation is grouped by instance shape,
+one ``evaluate_batch`` call per ``(B, *shape)`` stack of a chunk of
+draws, and the slacks are folded back in trial order.  Each batch row
+equals the scalar ``evaluate`` bit for bit, so the report has the same
+bits as a trial-by-trial loop.  The scalar evaluators serve
+``law_slack``, ``identity_residual`` and stacks with a cell that is not
+positive.
 """
 
 import math
@@ -48,12 +55,14 @@ import numpy as np
 from .measures import _chain_terms_from_array, _conditional_entropy, _conditional_mutual_information
 from .measures import _divergence, _entropy_from_array, _mutual_information, q_entropy_max
 from .prob import JointTable, ProbVec, _conditional, _flat_dirichlet, _markov_triple, make_rng
-from .qcore import cross_term, ln_q, pseudo_additivity_residual, q_value
+from .qcore import cross_term, ln_q, ln_q_pos, pseudo_additivity_residual, q_value
 
 #: Violation threshold for inequality laws.
 TOL_INEQUALITY = 1e-9
 #: Violation threshold for exact identities.
 TOL_IDENTITY = 1e-10
+#: Cells a fuzz campaign draws before it evaluates them; bounds its peak memory.
+_FUZZ_CELLS = 1 << 15
 
 
 class LawId(str, Enum):
@@ -187,6 +196,123 @@ def _residual_rel_chain(instance, qv: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# batch evaluators, on (B, *shape) stacks of strictly positive cells
+#
+# Each mirrors its scalar evaluator with a leading batch axis and a (B,) q
+# array.  With every cell positive a row holds the cells of the scalar
+# ``t[t > 0]`` compaction in the same C order, and every sum runs over
+# the same axes in the same memory order, so each row equals the scalar
+# value bit for bit.  Zero cells and the ``den = 0`` escape stay with the
+# scalar evaluators.
+
+def _rows(a: np.ndarray) -> np.ndarray:
+    """(B, n) C-order copy or view of the cells of each row of ``a``."""
+    return a.reshape(len(a), -1)
+
+
+def _entropy_rows(t: np.ndarray, qc: np.ndarray) -> np.ndarray:
+    x = _rows(t)
+    return -(x * ln_q_pos(x, qc)).sum(axis=-1)
+
+
+def _divergence_rows(w: np.ndarray, num: np.ndarray, den: np.ndarray, qc: np.ndarray) -> np.ndarray:
+    return 0.0 + (_rows(w) * ln_q_pos(_rows(num / den), qc)).sum(axis=-1)
+
+
+def _mi_rows(t: np.ndarray, qc: np.ndarray) -> np.ndarray:
+    return _divergence_rows(t, t, t.sum(axis=2)[:, :, None] * t.sum(axis=1)[:, None, :], qc)
+
+
+def _batch_block_chain(t: np.ndarray, q: np.ndarray) -> np.ndarray:
+    qc = q[:, None]
+    n = t.ndim - 1
+    terms = []
+    prev = None
+    for i in range(n):
+        cur = t.sum(axis=tuple(range(i + 2, n + 1)))
+        if i == 0:
+            terms.append(_entropy_rows(cur, qc))
+        else:
+            terms.append(-(_rows(cur) * ln_q_pos(_rows(cur / prev[..., None]), qc)).sum(axis=-1))
+        prev = cur
+    return sum(terms) - _entropy_rows(t, qc)
+
+
+def _batch_indep_superadd(pair, q: np.ndarray) -> np.ndarray:
+    p, r = pair
+    qc = q[:, None]
+    return _entropy_rows(p, qc) + _entropy_rows(r, qc) - _entropy_rows(p[:, :, None] * r[:, None, :], qc)
+
+
+def _batch_cond_chain(t: np.ndarray, q: np.ndarray) -> np.ndarray:
+    qc = q[:, None]
+
+    def cond_entropy(a, other):
+        return -_divergence_rows(a, a, a.sum(axis=other, keepdims=True), qc)
+
+    return cond_entropy(t.sum(axis=2), (1,)) + cond_entropy(t, (2,)) - cond_entropy(t, (1, 2))
+
+
+def _batch_qln_sum(pair, q: np.ndarray) -> np.ndarray:
+    r, s = pair
+    rs = r.sum(axis=1)
+    return _divergence_rows(r, r, s, q[:, None]) - rs * ln_q_pos(rs / s.sum(axis=1), q)
+
+
+def _batch_dq_nonneg(pair, q: np.ndarray) -> np.ndarray:
+    p, r = pair
+    return _divergence_rows(p, p, r, q[:, None])
+
+
+def _batch_max_bound(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    return -ln_q_pos(np.full(len(p), 1.0 / p.shape[1]), q) - _entropy_rows(p, q[:, None])
+
+
+def _mi_chain_cross_rows(t: np.ndarray, qc: np.ndarray) -> np.ndarray:
+    px = t.sum(axis=(2, 3))
+    pz = t.sum(axis=(1, 2))
+    pxz = t.sum(axis=2)
+    pyz = t.sum(axis=1)
+    a = np.broadcast_to(pxz[:, :, None, :] / (px[:, :, None, None] * pz[:, None, None, :]), t.shape)
+    b = t * pz[:, None, None, :] / (pxz[:, :, None, :] * pyz[:, None, :, :])
+    return np.array(cross_term(_rows(t), _rows(a), _rows(b), qc))
+
+
+def _batch_dpi(t: np.ndarray, q: np.ndarray) -> np.ndarray:
+    qc = q[:, None]
+    return _mi_rows(t.sum(axis=3), qc) - _mi_rows(t.sum(axis=2), qc) - _mi_chain_cross_rows(t, qc)
+
+
+def _batch_info_chain(t: np.ndarray, q: np.ndarray) -> np.ndarray:
+    qc = q[:, None]
+    b, m1, m2, my = t.shape
+    # I(X2; Y | X1) on the (X2, Y, X1) view, as the scalar evaluator takes it
+    c = np.moveaxis(t, 1, 3)
+    pz = c.sum(axis=(1, 2))
+    pxz = c.sum(axis=2)
+    pyz = c.sum(axis=1)
+    i_2_given_1 = _divergence_rows(c, c * pz[:, None, None, :], pxz[:, :, None, :] * pyz[:, None, :, :], qc)
+    i_joint = _mi_rows(t.reshape(b, m1 * m2, my), qc)
+    return i_joint - _mi_rows(t.sum(axis=2), qc) - i_2_given_1 - _mi_chain_cross_rows(t.transpose(0, 3, 2, 1), qc)
+
+
+def _batch_rel_chain(pair, q: np.ndarray) -> np.ndarray:
+    p, r = pair
+    qc = q[:, None]
+    px = p.sum(axis=2)
+    rx = r.sum(axis=2)
+    p_cond = p / p.sum(axis=2, keepdims=True)
+    r_cond = r / r.sum(axis=2, keepdims=True)
+    lhs = _divergence_rows(p, p, r, qc)
+    d_marg = _divergence_rows(px, px, rx, qc)
+    d_cond = _divergence_rows(p, p_cond, r_cond, qc)
+    ratio_x = np.broadcast_to((px / rx)[:, :, None], p.shape)
+    cross = np.array(cross_term(_rows(p), _rows(ratio_x), _rows(p_cond / r_cond), qc))
+    undefined = np.isinf(lhs) | np.isinf(d_marg) | np.isinf(d_cond)
+    return np.where(undefined, math.inf, lhs - d_marg - d_cond - cross)
+
+
+# ---------------------------------------------------------------------------
 # law registry
 
 @dataclass(frozen=True)
@@ -262,6 +388,7 @@ class LawSpec:
     ranks: tuple  # accepted ranks: 1 is a distribution, 2 to 4 a joint table
     sample: Callable  # rng -> instance of bare arrays
     evaluate: Callable  # slack for inequalities, signed residual for identities
+    evaluate_batch: Callable  # (stack(s) of positive cells, (B,) q) -> (B,) evaluate values
     matched: bool = False  # the pair shares one shape
     normalized: bool = True  # False: rank-1 arrays are free nonnegative weights
 
@@ -269,16 +396,16 @@ class LawSpec:
 _REGISTRY: dict[LawId, LawSpec] = {
     spec.law: spec
     for spec in [
-        LawSpec(LawId.JOINT_CHAIN, _SUB1, False, 1, (2,), _sample_rank2, _slack_block_chain),
-        LawSpec(LawId.INDEP_SUPERADD, _SUB1, False, 2, (1,), _sample_pair_dists, _slack_indep_superadd),
-        LawSpec(LawId.COND_CHAIN, _SUB1, False, 1, (3,), _sample_rank3, _slack_cond_chain),
-        LawSpec(LawId.BLOCK_CHAIN, _SUB1, False, 1, (2, 3, 4), _sample_block, _slack_block_chain),
-        LawSpec(LawId.QLN_SUM, _LE2, False, 2, (1,), _sample_weights, _slack_qln_sum, matched=True, normalized=False),
-        LawSpec(LawId.DQ_NONNEG, _LE2, False, 2, (1,), _sample_same_length_dists, _slack_dq_nonneg, matched=True),
-        LawSpec(LawId.MAX_BOUND, _LE2, False, 1, (1,), _sample_dist, _slack_max_bound),
-        LawSpec(LawId.DPI, _SUB1, False, 1, (3,), _sample_markov, _slack_dpi),
-        LawSpec(LawId.INFO_CHAIN_RULE, _SUB1, True, 1, (3,), _sample_rank3, _residual_info_chain),
-        LawSpec(LawId.REL_CHAIN_RULE, _SUB1, True, 2, (2,), _sample_rel_pair, _residual_rel_chain, matched=True),
+        LawSpec(LawId.JOINT_CHAIN, _SUB1, False, 1, (2,), _sample_rank2, _slack_block_chain, _batch_block_chain),
+        LawSpec(LawId.INDEP_SUPERADD, _SUB1, False, 2, (1,), _sample_pair_dists, _slack_indep_superadd, _batch_indep_superadd),
+        LawSpec(LawId.COND_CHAIN, _SUB1, False, 1, (3,), _sample_rank3, _slack_cond_chain, _batch_cond_chain),
+        LawSpec(LawId.BLOCK_CHAIN, _SUB1, False, 1, (2, 3, 4), _sample_block, _slack_block_chain, _batch_block_chain),
+        LawSpec(LawId.QLN_SUM, _LE2, False, 2, (1,), _sample_weights, _slack_qln_sum, _batch_qln_sum, matched=True, normalized=False),
+        LawSpec(LawId.DQ_NONNEG, _LE2, False, 2, (1,), _sample_same_length_dists, _slack_dq_nonneg, _batch_dq_nonneg, matched=True),
+        LawSpec(LawId.MAX_BOUND, _LE2, False, 1, (1,), _sample_dist, _slack_max_bound, _batch_max_bound),
+        LawSpec(LawId.DPI, _SUB1, False, 1, (3,), _sample_markov, _slack_dpi, _batch_dpi),
+        LawSpec(LawId.INFO_CHAIN_RULE, _SUB1, True, 1, (3,), _sample_rank3, _residual_info_chain, _batch_info_chain),
+        LawSpec(LawId.REL_CHAIN_RULE, _SUB1, True, 2, (2,), _sample_rel_pair, _residual_rel_chain, _batch_rel_chain, matched=True),
     ]
 }
 
@@ -369,6 +496,9 @@ class SlackReport:
     q_lo: float
     q_hi: float
     q_mean: float
+    worst_trial: int | None  # trial of the minimum slack; None if no slack is below +inf
+    worst_q: float | None
+    worst_shape: tuple | None  # shape of each array of that trial's instance
 
     CSV_HEADER = "law,trials,min_slack,mean_slack,violations,seed"
 
@@ -399,6 +529,9 @@ class SlackReport:
             "identity": self.identity,
             "q_range": [self.q_lo, self.q_hi],
             "q_mean": self.q_mean,
+            "worst_trial": self.worst_trial,
+            "worst_q": self.worst_q,
+            "worst_shape": None if self.worst_shape is None else [list(shape) for shape in self.worst_shape],
         }
 
 
@@ -442,16 +575,25 @@ def fuzz(law, trials: int, q_range=None, seed: int = 0, *, tol=None) -> SlackRep
     total = 0.0
     violations = 0
     q_total = 0.0
-    for _ in range(trials):
-        qv = lo if lo == hi else float(rng.uniform(lo, hi))
-        value = spec.evaluate(spec.sample(rng), qv)
-        slack = -abs(value) if spec.identity else value
-        if slack < min_slack:
-            min_slack = slack
-        total += slack
-        if slack < -tol:
-            violations += 1
-        q_total += qv
+    worst = (None, None, None)
+    done = 0
+    while done < trials:
+        qs, parts, cells = [], [], 0
+        while done + len(qs) < trials and cells < _FUZZ_CELLS:
+            qs.append(lo if lo == hi else float(rng.uniform(lo, hi)))
+            instance = spec.sample(rng)
+            parts.append((instance,) if spec.arity == 1 else instance)
+            cells += sum(a.size for a in parts[-1])
+        for i, value in enumerate(_grouped_values(spec, qs, parts)):
+            slack = -abs(value) if spec.identity else value
+            if slack < min_slack:
+                min_slack = slack
+                worst = (done + i, qs[i], tuple(a.shape for a in parts[i]))
+            total += slack
+            if slack < -tol:
+                violations += 1
+            q_total += qs[i]
+        done += len(qs)
     return SlackReport(
         law=lid.value,
         trials=trials,
@@ -464,7 +606,33 @@ def fuzz(law, trials: int, q_range=None, seed: int = 0, *, tol=None) -> SlackRep
         q_lo=lo,
         q_hi=hi,
         q_mean=q_total / trials,
+        worst_trial=worst[0],
+        worst_q=worst[1],
+        worst_shape=worst[2],
     )
+
+
+def _grouped_values(spec: LawSpec, qs: list, parts: list) -> list:
+    """``spec.evaluate`` of each q and instance (a tuple of its arrays), in
+    order, evaluated by one ``evaluate_batch`` call per instance shape.
+
+    A group whose stack holds a cell that is not positive is evaluated
+    row by row by the scalar evaluator.
+    """
+    groups = {}
+    for i, arrays in enumerate(parts):
+        groups.setdefault(tuple(a.shape for a in arrays), []).append(i)
+    values = [0.0] * len(parts)
+    for idx in groups.values():
+        stacks = tuple(np.stack(column) for column in zip(*(parts[i] for i in idx)))
+        if all(stack.min() > 0 for stack in stacks):
+            batch = stacks[0] if spec.arity == 1 else stacks
+            out = spec.evaluate_batch(batch, np.array([qs[i] for i in idx])).tolist()
+        else:
+            out = [spec.evaluate(parts[i][0] if spec.arity == 1 else parts[i], qs[i]) for i in idx]
+        for i, value in zip(idx, out):
+            values[i] = value
+    return values
 
 
 def all_laws() -> list[LawId]:

@@ -45,7 +45,7 @@ from .qcore import cross_term, ln_q_pos, q_value
 BLOCK_CELL_BUDGET = 1 << 20
 #: Sinkhorn scaling in ``random_doubly_stochastic``: row and column deviation bound, round cap.
 SINKHORN_TOL, SINKHORN_ROUNDS = 1e-13, 100_000
-#: Power iteration in ``stationary``: L1 residual bound, iteration cap.
+#: Power iteration in ``stationary`` (reducible chains only): L1 residual bound, iteration cap.
 STATIONARY_TOL, STATIONARY_ITERS = 1e-12, 1_000_000
 #: Joint cells per block of ``second_law_report``; its memory is O(_STEP_CELLS).
 _STEP_CELLS = 1 << 16
@@ -162,17 +162,25 @@ def random_doubly_stochastic(m: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def stationary(chain) -> ProbVec:
-    """Stationary distribution by damped power iteration.
+    """Stationary distribution by state reduction, or power iteration.
 
-    Iterates ``psi <- (psi + psi @ r) / 2`` (the half-lazy chain, which
-    shares stationary distributions with ``r`` but is never periodic)
-    until ``||psi @ r - psi||_1 <= STATIONARY_TOL``.  For reducible chains the
-    result depends on the starting distribution (the chain's own initial
-    distribution, or uniform when a bare matrix is given).
+    The reduction is GTH elimination (Grassmann, Taksar & Heyman, 1985):
+    it censors the states from the last one down, taking each state's exit
+    mass as the sum of its transitions to the states left, so it only adds,
+    multiplies and divides nonnegative numbers and needs no tolerance.
+    When a step finds zero exit mass (a reducible chain) the law is
+    iterated instead: ``psi <- (psi + psi @ r) / 2`` (the half-lazy chain,
+    which shares stationary distributions with ``r`` but is never periodic)
+    until ``||psi @ r - psi||_1 <= STATIONARY_TOL``, and the result depends
+    on the starting distribution (the chain's own initial distribution, or
+    uniform when a bare matrix is given).
     """
     if not isinstance(chain, MarkovChain):
         chain = MarkovChain(chain)
     r = chain.transition
+    psi = _state_reduction(r)
+    if psi is not None:
+        return ProbVec(psi)
     psi = chain.initial.p.copy()
     residual = math.inf
     for _ in range(STATIONARY_ITERS):
@@ -188,6 +196,23 @@ def stationary(chain) -> ProbVec:
         last=psi,
         residuals=[residual],
     )
+
+
+def _state_reduction(r: np.ndarray):
+    """GTH stationary law of ``r``; None when a step finds zero exit mass."""
+    a = r.copy()
+    m = len(a)
+    for n in range(m - 1, 0, -1):
+        exit_mass = a[n, :n].sum()
+        if exit_mass <= 0.0:
+            return None
+        a[:n, n] /= exit_mass
+        a[:n, :n] += a[:n, n, None] * a[n, :n]
+    psi = np.zeros(m)
+    psi[0] = 1.0
+    for n in range(1, m):
+        psi[n] = psi[:n] @ a[:n, n]
+    return psi / psi.sum()
 
 
 def block_table(chain: MarkovChain, n: int) -> np.ndarray:

@@ -83,13 +83,19 @@ def _as_checked_array(x, *, what: str):
     return arr
 
 
-def ln_q_pos(x, q: float):
+def ln_q_pos(x, q):
     """Unchecked ``ln_q`` of a positive array x for a float index q.
 
     expm1 scales the rounding of ``log x`` by ``y = (1 - q) log x``, which
     costs about y/3 ulps; cells with y above 4 take ``x**(1-q) - 1``
     instead, which cancels nothing there and keeps within an ulp.
+
+    ``q`` may also be an array that broadcasts against ``x``, such as a
+    ``(B, 1)`` column for ``B`` rows of cells: each cell then takes the
+    value a float call with its own q gives, bit for bit.
     """
+    if isinstance(q, np.ndarray):
+        return _ln_q_pos_column(x, q)
     eps = 1.0 - q
     if abs(eps) <= SHANNON_TOL:
         return np.log(x)
@@ -99,6 +105,33 @@ def ln_q_pos(x, q: float):
         big = y > 4.0
         out[big] = np.power(x[big], eps) - 1.0
     return out / eps
+
+
+#: Exponents for which numpy's ``power`` given one scalar exponent takes
+#: an exact operation (1/x, sqrt, x*x) that an exponent array does not.
+_SCALAR_POWER_CASES = (-1.0, 0.5, 2.0)
+
+
+def _ln_q_pos_column(x, q: np.ndarray):
+    """``ln_q_pos`` with a q array that broadcasts against ``x``."""
+    eps = 1.0 - q
+    log_x = np.log(x)
+    y = eps * log_x
+    out = np.expm1(y)
+    big = y > 4.0
+    if big.any():
+        xb = np.broadcast_to(x, y.shape)[big]
+        eb = np.broadcast_to(eps, y.shape)[big]
+        pb = np.power(xb, eb)
+        for e in _SCALAR_POWER_CASES:
+            hit = eb == e
+            if hit.any():
+                pb[hit] = np.power(xb[hit], e)
+        out[big] = pb - 1.0
+    shannon = np.abs(eps) <= SHANNON_TOL
+    if not shannon.any():
+        return out / eps
+    return np.where(shannon, log_x, out / np.where(shannon, 1.0, eps))
 
 
 def ln_q_from_log(log_x, q: float):
@@ -114,7 +147,7 @@ def ln_q_from_log(log_x, q: float):
     return np.expm1(eps * log_x) / eps
 
 
-def cross_term(w, a, b, q: float):
+def cross_term(w, a, b, q):
     """Product-rule cross term ``(1-q) * sum w ln_q(a) ln_q(b)`` (unchecked).
 
     ``a`` and ``b`` are positive arrays that broadcast against the weights
@@ -122,9 +155,13 @@ def cross_term(w, a, b, q: float):
     classical form by one such term.  The sum runs over the last axis: a
     float for 1-D operands, else (nested) lists with one float per row,
     as when ``w`` stacks several weight rows or ``b`` several second
-    factors.
+    factors.  A q array is a column as in :func:`ln_q_pos`: one q per row,
+    with a last axis of length 1 that the sum removes.
     """
-    return ((1.0 - q) * (w * ln_q_pos(a, q) * ln_q_pos(b, q)).sum(axis=-1)).tolist()
+    total = (w * ln_q_pos(a, q) * ln_q_pos(b, q)).sum(axis=-1)
+    if isinstance(q, np.ndarray):
+        q = q[..., 0]
+    return ((1.0 - q) * total).tolist()
 
 
 def ln_q(x, q):

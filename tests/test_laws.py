@@ -1,12 +1,22 @@
 """Inequality/identity registry and fuzz campaigns."""
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from qit import LawId, all_laws, fuzz, identity_residual, law_slack, prob
-from qit.laws import _REGISTRY, SlackReport, TOL_IDENTITY, TOL_INEQUALITY, law_is_identity, law_q_range
+from qit.laws import (
+    _REGISTRY,
+    SlackReport,
+    TOL_IDENTITY,
+    TOL_INEQUALITY,
+    _grouped_values,
+    law_is_identity,
+    law_q_range,
+)
 from qit.measures import (
     conditional_mutual_q_information,
     mutual_q_information,
@@ -314,7 +324,7 @@ def test_fuzz_is_deterministic():
     assert c.min_slack != a.min_slack
 
 
-@pytest.mark.parametrize("law", ["dpi", "rel-chain-rule"])
+@pytest.mark.parametrize("law", [law.value for law in all_laws()])
 def test_fuzz_replays_as_one_stream(law):
     # trial i is the i-th (q, instance) draw from stream 0 of the seed
     spec = _REGISTRY[LawId(law)]
@@ -368,3 +378,110 @@ def test_slack_report_serialization():
     assert d["q_range"] == [0.0, 2.0]
     assert d["tol"] == TOL_INEQUALITY
     assert isinstance(d["q_mean"], float)
+
+
+# number of instance shapes each sampler draws
+_SHAPES = {
+    "joint-chain": 25,
+    "indep-superadd": 25,
+    "cond-chain": 27,
+    "block-chain": 25 + 8 + 16,
+    "qln-sum": 7,
+    "dq-nonneg": 5,
+    "max-bound": 7,
+    "dpi": 27,
+    "info-chain-rule": 27,
+    "rel-chain-rule": 9,
+}
+
+
+def _arrays(spec, instance):
+    return (instance,) if spec.arity == 1 else instance
+
+
+def _shapes(spec, instance):
+    return tuple(a.shape for a in _arrays(spec, instance))
+
+
+@pytest.mark.parametrize("law", [law.value for law in all_laws()])
+def test_batch_evaluators_match_scalar_bit_for_bit(law):
+    spec = _REGISTRY[LawId(law)]
+    rng = make_rng(31)
+    instances = [spec.sample(rng) for _ in range(1500)]
+    groups = {}
+    for i, instance in enumerate(instances):
+        groups.setdefault(_shapes(spec, instance), []).append(i)
+    assert len(groups) == _SHAPES[law]
+    # q at both ends of the range, on both sides of 1 where the range
+    # spans it (inside and just outside the Shannon band), and at random
+    top = 2.0 if spec.q_range.hi_closed else math.nextafter(1.0, 0.0)
+    fixed = [0.0, 1e-9, 0.5, top, top - 1e-9]
+    if spec.q_range.hi_closed:
+        fixed += [1.0, 1.0 - 1e-13, 1.0 + 1e-13, 1.0 - 1e-6, 1.0 + 1e-6, 1.9]
+    qs = [fixed[i] if i < len(fixed) else float(rng.uniform(spec.q_range.lo, spec.q_range.hi)) for i in range(60)]
+    for idx in groups.values():
+        q = np.array([qs[j % len(qs)] for j in range(len(idx))])
+        stacks = tuple(np.stack(column) for column in zip(*(_arrays(spec, instances[i]) for i in idx)))
+        got = spec.evaluate_batch(stacks[0] if spec.arity == 1 else stacks, q)
+        want = np.array([spec.evaluate(instances[i], qv) for i, qv in zip(idx, q.tolist())])
+        assert got.tobytes() == want.tobytes()
+
+
+def test_groups_with_a_zero_cell_take_the_scalar_evaluator():
+    spec = _REGISTRY[LawId.JOINT_CHAIN]
+    rng = make_rng(32)
+    tables = [prob._flat_dirichlet((2, 3), rng) for _ in range(6)]
+    tables[3][1, 2] = 0.0
+    tables[3] /= tables[3].sum()
+    qs = [0.1, 0.3, 0.5, 0.7, 0.9, 0.95]
+
+    def no_batch(stack, q):
+        raise AssertionError("a stack with a zero cell reached the batch evaluator")
+
+    want = [spec.evaluate(t, qv) for t, qv in zip(tables, qs)]
+    got = _grouped_values(dataclasses.replace(spec, evaluate_batch=no_batch), qs, [(t,) for t in tables])
+    assert got == want
+
+
+def test_fuzz_calls_no_scalar_evaluator_on_positive_draws(monkeypatch):
+    def no_scalar(instance, q):
+        raise AssertionError("the scalar evaluator ran inside fuzz")
+
+    for law in all_laws():
+        want = fuzz(law, trials=300, seed=17)
+        monkeypatch.setitem(_REGISTRY, law, dataclasses.replace(_REGISTRY[law], evaluate=no_scalar))
+        assert fuzz(law, trials=300, seed=17) == want
+
+
+def test_fuzz_memory_does_not_grow_with_trials():
+    # block-chain draws the most cells per trial (rank 4, up to 81); draws
+    # are evaluated in chunks of a bounded number of cells
+    peaks = []
+    tracemalloc.start()
+    try:
+        for trials in (2_000, 20_000):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            fuzz("block-chain", trials, seed=5)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks
+
+
+@pytest.mark.parametrize("law", [law.value for law in all_laws()])
+def test_fuzz_reports_a_replayable_worst_trial(law):
+    spec = _REGISTRY[LawId(law)]
+    r = fuzz(law, trials=300, seed=23)
+    rng = make_rng(23)
+    for _ in range(r.worst_trial + 1):
+        qv = float(rng.uniform(spec.q_range.lo, spec.q_range.hi))
+        instance = spec.sample(rng)
+    value = spec.evaluate(instance, qv)
+    assert (-abs(value) if spec.identity else value) == r.min_slack
+    assert qv == r.worst_q
+    assert _shapes(spec, instance) == r.worst_shape
+    d = r.to_json_dict()
+    assert d["worst_trial"] == r.worst_trial and d["worst_q"] == r.worst_q
+    assert d["worst_shape"] == [list(shape) for shape in r.worst_shape]
+    assert len(r.to_csv_row().split(",")) == len(SlackReport.CSV_HEADER.split(","))

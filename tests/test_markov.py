@@ -19,7 +19,7 @@ from qit import (
     second_law_report,
     stationary,
 )
-from qit import markov
+from qit import h_q_k, markov
 from qit.measures import _entropy_from_array, q_entropy_chain_terms, q_entropy_joint
 from qit.prob import NORM_TOL, make_rng
 from qit.qcore import cross_term
@@ -92,12 +92,22 @@ def test_stationary_hand_values():
 
 
 def test_iteration_caps_raise_convergence_error(monkeypatch):
+    # only a reducible chain is iterated: two absorbing states fed by a third
     monkeypatch.setattr(markov, "STATIONARY_ITERS", 3)
     with pytest.raises(ConvergenceError, match="after 3 iterations"):
-        stationary(sticky_chain([1.0, 0.0]))
+        stationary(MarkovChain([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.5, 0.25, 0.25]], [0.0, 0.0, 1.0]))
     monkeypatch.setattr(markov, "SINKHORN_ROUNDS", 1)
     with pytest.raises(ConvergenceError, match="in 1 rounds"):
         random_doubly_stochastic(4, make_rng(8))
+
+
+@pytest.mark.parametrize("eps", [1e-5, 1e-12])
+def test_stationary_law_of_a_slowly_mixing_chain_is_exact(eps):
+    # the law is (2/3, 1/3) for every eps; a power iteration either runs
+    # out of iterations or stops at once on the uniform start
+    chain = MarkovChain([[1.0 - eps, eps], [2.0 * eps, 1.0 - 2.0 * eps]])
+    assert np.abs(stationary(chain).p - [2.0 / 3.0, 1.0 / 3.0]).max() <= 1e-15
+    assert h_q_k(chain, 0, 1.0) == pytest.approx(math.log(3.0) - 2.0 / 3.0 * math.log(2.0), rel=1e-14)
 
 
 def test_doubly_stochastic_detector_and_sampler():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from qit import QDomainError, QParam, SHANNON_TOL, exp_q, ln_q, pseudo_additivity_residual, q_value
 from qit.measures import q_entropy
+from qit.qcore import cross_term, ln_q_pos
 from qit.prob import make_rng
 
 U = np.finfo(float).eps
@@ -191,3 +192,24 @@ def test_lnq_matches_high_precision_reference():
             eps = Decimal(1) - Decimal(q)
             want = np.array([float(((Decimal(x).ln() * eps).exp() - 1) / eps) for x in xs])
         assert np.abs(got / want - 1.0).max() <= 2e-15, q
+
+
+def test_q_column_matches_per_row_scalar_calls_bit_for_bit():
+    # one q per row: rows in the Shannon band take log x, cells with
+    # (1-q) log x > 4 the power form, and every row equals a float-q call;
+    # q = 2, 0.5 and -1 give the exponents -1, 0.5 and 2 that numpy's power
+    # evaluates by an exact operation when the exponent is one scalar
+    rng = make_rng(12)
+    qs = [1.0, 1.0 - SHANNON_TOL, 1.0 + 0.5 * SHANNON_TOL, 1.0 - 2e-12, 1.0 + 2e-12,
+          0.0, 1e-9, 0.5, 0.999, 1.5, 2.0, -1.0, *rng.uniform(0.0, 2.0, 8)]
+    x = np.exp(rng.uniform(math.log(1e-12), math.log(1e12), (len(qs), 400)))
+    q = np.array(qs)[:, None]
+    got = ln_q_pos(x, q)
+    assert ((1.0 - q) * np.log(x) > 4.0).sum() > 1000  # many cells in the power branch
+    want = np.stack([ln_q_pos(row, qv) for row, qv in zip(x, qs)])
+    assert got.tobytes() == want.tobytes()
+    assert got[0].tobytes() == np.log(x[0]).tobytes()
+    w = rng.uniform(0.0, 1.0, x.shape)
+    y = x[::-1].copy()
+    want = [cross_term(wr, xr, yr, qv) for wr, xr, yr, qv in zip(w, x, y, qs)]
+    assert np.array(cross_term(w, x, y, q)).tobytes() == np.array(want).tobytes()

@@ -411,6 +411,10 @@ def test_probe_deterministic_output():
     assert first[1] == f"{a.points[0].block_mean:.10g}"
 
 
+def test_stationary_law_of_three_is_exact():
+    assert np.abs(stationary(THREE).p - np.array([25.0, 40.0, 34.0]) / 99.0).max() <= 1e-15
+
+
 def test_probe_computes_the_stationary_law_once(monkeypatch):
     calls = []
     monkeypatch.setattr("qit.smb.stationary", lambda c: calls.append(c) or stationary(c))
