@@ -14,13 +14,11 @@ from .errors import (
     ConvergenceError,
     ImpossibleTrajectoryError,
     QDomainError,
-    SizeBudgetError,
 )
 from .laws import LawId, SlackReport, all_laws, fuzz, identity_residual, law_slack
 from .markov import (
     MarkovChain,
     SecondLawRow,
-    block_table,
     entropy_rate_approximants,
     is_doubly_stochastic,
     random_doubly_stochastic,
@@ -67,7 +65,6 @@ __all__ = [
     "pseudo_additivity_residual",
     "QDomainError",
     "ConvergenceError",
-    "SizeBudgetError",
     "ImpossibleTrajectoryError",
     "ProbVec",
     "JointTable",
@@ -96,7 +93,6 @@ __all__ = [
     "stationary",
     "is_doubly_stochastic",
     "random_doubly_stochastic",
-    "block_table",
     "entropy_rate_approximants",
     "second_law_report",
     "MaxEntProblem",

@@ -344,7 +344,7 @@ def run(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
     except (
-        ValueError,  # covers QDomainError, SizeBudgetError, ImpossibleTrajectoryError
+        ValueError,  # covers QDomainError, ImpossibleTrajectoryError
         ConvergenceError,
         OSError,
     ) as exc:

@@ -27,17 +27,5 @@ class ConvergenceError(RuntimeError):
         self.residuals = residuals
 
 
-class SizeBudgetError(ValueError):
-    """An exact enumeration would exceed the configured cell budget.
-
-    ``last_bracket`` optionally carries the best bracketing information
-    available when the budget ran out (used by limit searches).
-    """
-
-    def __init__(self, message, last_bracket=None):
-        super().__init__(message)
-        self.last_bracket = last_bracket
-
-
 class ImpossibleTrajectoryError(ValueError):
     """A trajectory contains a transition the chain assigns probability zero."""

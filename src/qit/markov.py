@@ -1,4 +1,4 @@
-"""Finite Markov chains: block distributions, entropy rates, second law.
+"""Finite Markov chains: block entropies, entropy rates, second law.
 
 A chain is a row-stochastic transition matrix plus an initial
 distribution.  Two families of results live here:
@@ -7,7 +7,8 @@ distribution.  Two families of results live here:
   symbols divided by ``n``, and the average of the conditional
   (chain-rule) terms of the same block.  For deformation indices in
   [0, 1) the conditional average always dominates the block average; the
-  gap is the accumulated interaction slack of the chain rule.
+  gap is the accumulated interaction slack of the chain rule.  Both come
+  from the state laws of ``_laws``, with no table of ``m**n`` blocks.
 
 * a stepwise second-law report for doubly stochastic transitions.  Let
   ``psi`` be the state distribution, ``psi' = psi @ r`` its successor and
@@ -36,13 +37,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceError, SizeBudgetError
-from .measures import _conditional_entropy, _entropy_from_array
+from .errors import ConvergenceError
+from .measures import _entropy_from_array
 from .prob import NORM_TOL, ProbVec, _float_array, _validate_mass
-from .qcore import cross_term, ln_q_pos, q_value
+from .qcore import SHANNON_TOL, cross_term, ln_q_pos, q_value
 
-#: Cap on exact block-table enumeration (number of cells).
-BLOCK_CELL_BUDGET = 1 << 20
 #: Sinkhorn scaling in ``random_doubly_stochastic``: row and column deviation bound, round cap.
 SINKHORN_TOL, SINKHORN_ROUNDS = 1e-13, 100_000
 #: Power iteration in ``stationary`` (reducible chains only): L1 residual bound, iteration cap.
@@ -108,15 +107,38 @@ def _laws(psi: np.ndarray, r: np.ndarray, steps: int) -> np.ndarray:
     return out
 
 
-def _chain_terms(psi: np.ndarray, r: np.ndarray, n: int, qv: float) -> list[float]:
-    """Chain-rule terms ``[H_q(X_1), H_q(X_2 | X_1), ..]`` of the first ``n`` symbols.
+def _chain_cells(psi: np.ndarray, r: np.ndarray, n: int, qv: float) -> np.ndarray:
+    """``c[k, j] = sum_i psi_k[i] r[i, j] ln_q r[i, j]`` for ``k < n - 1``.
 
-    The chain is order 1, so the term of ``X_{k+1}`` conditions on ``X_k``
-    alone: it is the conditional entropy of the pair law
-    ``psi_{k-1}[:, None] * r``, whatever the length of the prefix.
+    The chain is order 1, so the chain-rule term of ``X_{k+2}`` conditions
+    on ``X_{k+1}`` alone: it is ``-c[k].sum()``, whatever the length of
+    the prefix.  Zero transitions give zero cells.
     """
-    laws = _laws(psi, r, n - 1)[:-1]
-    return [_entropy_from_array(psi, qv)] + [_conditional_entropy(p[:, None] * r, (1,), qv) for p in laws]
+    return _laws(psi, r, n - 1)[:-1] @ (r * ln_q_pos(np.where(r > 0, r, 1.0), qv))
+
+
+def _chain_terms(psi: np.ndarray, r: np.ndarray, n: int, qv: float) -> list[float]:
+    """Chain-rule terms ``[H_q(X_1), H_q(X_2 | X_1), ..]`` of the first ``n`` symbols."""
+    return [_entropy_from_array(psi, qv)] + (-_chain_cells(psi, r, n, qv).sum(axis=1)).tolist()
+
+
+def _block_entropy(psi: np.ndarray, r: np.ndarray, cells: np.ndarray, qv: float) -> float:
+    """``H_q`` of the first ``len(cells) + 1`` symbols from their chain-rule cells.
+
+    ``d[j]``, the sum of ``p ln_q p`` over the blocks that end in state j,
+    steps by the product rule ``ln_q(p r) = r**(1-q) ln_q p + ln_q r``:
+    ``d <- d @ r**(2-q) + cells[k]``, with ``r**(2-q)`` zero where r is
+    (numpy's ``0**0`` is 1) and the exponent exactly 1 in the Shannon
+    band, where ``ln_q`` is ``log``.  Every term has one sign, so nothing
+    cancels.
+    """
+    on = r > 0
+    rs = np.zeros_like(r)
+    rs[on] = r[on] ** (1.0 if abs(1.0 - qv) <= SHANNON_TOL else 2.0 - qv)
+    d = psi * ln_q_pos(np.where(psi > 0, psi, 1.0), qv)
+    for row in cells:
+        d = d @ rs + row
+    return -float(d.sum())
 
 
 def is_doubly_stochastic(r) -> bool:
@@ -215,34 +237,6 @@ def _state_reduction(r: np.ndarray):
     return psi / psi.sum()
 
 
-def block_table(chain: MarkovChain, n: int) -> np.ndarray:
-    """Exact joint distribution of the first ``n`` symbols.
-
-    Returned as a bare rank-``n`` array (block length routinely exceeds
-    the rank cap of the JointTable container).  Raises SizeBudgetError
-    when ``m ** n`` exceeds ``BLOCK_CELL_BUDGET``; the exception carries
-    the largest block length that would have fit.
-    """
-    if n < 1:
-        raise ValueError("block length must be >= 1")
-    m = chain.m
-    if m**n > BLOCK_CELL_BUDGET:
-        fit = 0
-        cells = 1
-        while cells * m <= BLOCK_CELL_BUDGET:
-            cells *= m
-            fit += 1
-        raise SizeBudgetError(
-            f"block of length {n} over {m} states needs {m**n} cells "
-            f"(budget {BLOCK_CELL_BUDGET})",
-            last_bracket=fit,
-        )
-    t = chain.initial.p.copy()
-    for _ in range(n - 1):
-        t = t[..., :, None] * chain.transition
-    return t
-
-
 class RateApproximants(NamedTuple):
     block_rate: float
     cond_rate: float
@@ -254,12 +248,16 @@ def entropy_rate_approximants(chain: MarkovChain, n: int, q) -> RateApproximants
     ``block_rate`` is the joint entropy of the length-``n`` block divided
     by ``n``; ``cond_rate`` is the mean of the block's chain-rule terms
     (the first term is the entropy of the first symbol, unconditioned).
-    For 0 <= q < 1, ``cond_rate >= block_rate``.
+    For 0 <= q < 1, ``cond_rate >= block_rate``.  Any ``n`` takes
+    O(n m**2) time.
     """
+    if n < 1:
+        raise ValueError("block length must be >= 1")
     qv = q_value(q)
-    block = _entropy_from_array(block_table(chain, n), qv)
-    terms = _chain_terms(chain.initial.p, chain.transition, n, qv)
-    return RateApproximants(block_rate=block / n, cond_rate=float(sum(terms)) / n)
+    psi, r = chain.initial.p, chain.transition
+    cells = _chain_cells(psi, r, n, qv)
+    terms = [_entropy_from_array(psi, qv)] + (-cells.sum(axis=1)).tolist()
+    return RateApproximants(block_rate=_block_entropy(psi, r, cells, qv) / n, cond_rate=float(sum(terms)) / n)
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,6 @@ from qit import (
     ConvergenceError,
     MarkovChain,
     SecondLawRow,
-    SizeBudgetError,
-    block_table,
     entropy_rate_approximants,
     is_doubly_stochastic,
     q_entropy_max,
@@ -19,7 +17,7 @@ from qit import (
     second_law_report,
     stationary,
 )
-from qit import h_q_k, markov
+from qit import h_q_inf, h_q_k, markov
 from qit.measures import _entropy_from_array, q_entropy_chain_terms, q_entropy_joint
 from qit.prob import NORM_TOL, make_rng
 from qit.qcore import cross_term
@@ -29,6 +27,14 @@ R_STICKY = [[0.9, 0.1], [0.1, 0.9]]
 
 def sticky_chain(initial=None):
     return MarkovChain(R_STICKY, initial)
+
+
+def _block_table(chain, n):
+    """Joint law of the first ``n`` symbols, all ``m**n`` cells enumerated (the oracle)."""
+    t = chain.initial.p.copy()
+    for _ in range(n - 1):
+        t = t[..., :, None] * chain.transition
+    return t
 
 
 def test_chain_validation():
@@ -135,23 +141,6 @@ def test_doubly_stochastic_detector_and_sampler():
     assert np.array_equal(a, b)
 
 
-def test_block_table_shapes_and_budget(monkeypatch):
-    c = sticky_chain()
-    t1 = block_table(c, 1)
-    assert t1.shape == (2,)
-    assert t1.tolist() == [0.5, 0.5]
-    t3 = block_table(c, 3)
-    assert t3.shape == (2, 2, 2)
-    assert t3.sum() == pytest.approx(1.0, abs=1e-12)
-    # p(0,0,0) = 0.5 * 0.9 * 0.9 under the uniform start
-    assert t3[0, 0, 0] == pytest.approx(0.405, abs=1e-15)
-    c4 = MarkovChain(np.full((4, 4), 0.25))
-    monkeypatch.setattr(markov, "BLOCK_CELL_BUDGET", 100)
-    with pytest.raises(SizeBudgetError) as exc:
-        block_table(c4, 5)
-    assert exc.value.last_bracket == 3  # 4^3 = 64 fits, 4^4 = 256 does not
-
-
 def test_rate_approximants_iid():
     iid = MarkovChain([[0.5, 0.5], [0.5, 0.5]])
     ra = entropy_rate_approximants(iid, 6, 1.0)
@@ -163,6 +152,8 @@ def test_rate_approximants_iid():
     assert ra2.block_rate == pytest.approx(0.5, abs=1e-14)
     assert ra2.cond_rate == pytest.approx(0.5857864376269049, abs=1e-14)
     assert ra2.cond_rate > ra2.block_rate
+    with pytest.raises(ValueError, match="block length must be >= 1"):
+        entropy_rate_approximants(iid, 0, 0.5)
 
 
 def test_rate_approximants_sticky_chain():
@@ -171,12 +162,53 @@ def test_rate_approximants_sticky_chain():
     assert ra.block_rate == pytest.approx(0.25456917878962315, abs=1e-12)
     assert ra.cond_rate == pytest.approx(0.31828999213600695, abs=1e-12)
     # every conditional term past the first equals the one-step value
-    terms = q_entropy_chain_terms(block_table(c, 4), 0.5)
+    terms = q_entropy_chain_terms(_block_table(c, 4), 0.5)
     one_step = 0.22912451030570766
     for t in terms[1:]:
         assert t == pytest.approx(one_step, abs=1e-12)
     assert ra.cond_rate == pytest.approx(sum(terms) / 4, abs=1e-14)
-    assert ra.block_rate == pytest.approx(q_entropy_joint(block_table(c, 4), 0.5) / 4, abs=1e-14)
+    assert ra.block_rate == pytest.approx(q_entropy_joint(_block_table(c, 4), 0.5) / 4, abs=1e-14)
+
+
+def _chains_with_zero_cells(rng, count):
+    """Random chains on 2-4 states with zero transitions and one zero initial cell."""
+    for _ in range(count):
+        m = int(rng.integers(2, 5))
+        r = rng.dirichlet(np.ones(m), size=m) * (rng.random((m, m)) < 0.6)
+        r[np.arange(m), rng.integers(0, m, m)] += 0.1  # every row keeps some mass
+        r /= r.sum(axis=1, keepdims=True)
+        psi = rng.dirichlet(np.ones(m))
+        psi[rng.integers(m)] = 0.0
+        yield MarkovChain(r, psi / psi.sum())
+
+
+# q = 2 meets numpy's 0**0 = 1 on zero transitions; 1 +- 1e-13 is inside the
+# Shannon band, where ln_q is log and the product rule's exponent must be 1
+@pytest.mark.parametrize("q", [0.0, 0.5, 1.0 - 1e-13, 1.0, 1.0 + 1e-13, 1.7, 2.0, "uniform"])
+def test_block_entropy_recursion_matches_the_enumeration(q):
+    rng = make_rng(13)
+    for chain in _chains_with_zero_cells(rng, 60):
+        qv = float(rng.uniform(0.0, 2.0)) if q == "uniform" else q
+        for n in range(1, 7):
+            want = _entropy_from_array(_block_table(chain, n), qv)
+            got = entropy_rate_approximants(chain, n, qv).block_rate
+            assert abs(got - want / n) <= 1e-14 * abs(want / n)
+
+
+@pytest.mark.parametrize("q", [1.0, 1.5, 2.0])
+def test_zero_transitions_give_finite_entropies(q):
+    # unmasked, 0 * ln_q(0) is 0 * -inf = nan for q >= 1
+    chain = MarkovChain([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])  # uniform is stationary
+    table = _block_table(chain, 4)
+    terms = q_entropy_chain_terms(table, q)
+    for k in range(4):
+        assert math.isfinite(h_q_k(chain, k, q))
+        assert h_q_k(chain, k, q) == pytest.approx(terms[k], rel=0, abs=1e-14)
+    assert h_q_inf(chain, q) == pytest.approx(terms[1], rel=0, abs=1e-14)
+    ra = entropy_rate_approximants(chain, 4, q)
+    assert math.isfinite(ra.block_rate) and math.isfinite(ra.cond_rate)
+    assert ra.block_rate == pytest.approx(q_entropy_joint(table, q) / 4, rel=0, abs=1e-14)
+    assert ra.cond_rate == pytest.approx(sum(terms) / 4, rel=0, abs=1e-14)
 
 
 def test_second_law_monotone_from_pure_state():

@@ -15,6 +15,7 @@ from qit import (
     SmbCurve,
     Trajectory,
     block_log_prob_q,
+    entropy_rate_approximants,
     h_q_inf,
     h_q_k,
     markov_k_block_log_prob_q,
@@ -291,10 +292,18 @@ def test_conditional_rate_sequence():
 
 
 def test_h_q_k_past_the_block_cell_budget():
-    # m ** (k + 1) cells would exceed BLOCK_CELL_BUDGET; the order-1 chain
-    # needs only its state laws
+    # a block of k + 1 symbols has m ** (k + 1) cells (2 ** 26 here); the
+    # order-1 chain needs only its state laws
     assert h_q_k(STICKY, 25, 0.5) == pytest.approx(h_q_k(STICKY, 1, 0.5), abs=1e-12)
     assert h_q_k(THREE, 14, 0.7) == pytest.approx(h_q_k(THREE, 1, 0.7), abs=1e-12)
+
+
+def test_exact_block_rate_at_gate_6():
+    # H_q(X^n) / n of the stationary sticky chain at gate 6's setting; the
+    # probe measures 0.0961400 there, under the ceiling 1/((1-q) n) = 0.1
+    chain = MarkovChain(STICKY.transition, stationary(STICKY))
+    rate = entropy_rate_approximants(chain, 10_000, 0.999).block_rate
+    assert rate == pytest.approx(0.0961188, rel=0, abs=5e-8)
 
 
 @pytest.mark.parametrize("q,n", [(0.6, 64), (0.75, 128), (0.9, 256)])
