@@ -44,6 +44,10 @@ from .qcore import exp_q_inside, ln_q, ln_q_pos, q_value
 KKT_MARGIN_TOL = 1e-9
 #: Newton on one active set: constraint residual bound (level-scaled units), iteration cap.
 NEWTON_TOL, NEWTON_ITERS = 1e-12, 200
+#: Step fractions ``t = 2**-k``, k < 60, that the line search tries, largest first.
+_FRACTIONS = np.array([math.ldexp(1.0, -k) for k in range(60)])
+#: Cells per array in the line-search scan and in a block of competitors.
+_CELLS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -81,27 +85,51 @@ class MaxEntProblem:
         return self.levels.size
 
 
-def _p_from_multipliers(lam, mu, eps, qv):
-    """Distribution and domain margins at (lam, mu); p is None out of domain."""
-    arg = (-lam - mu * eps) / (2.0 - qv)
-    base = 1.0 + (1.0 - qv) * arg
-    if base.min() <= 0.0:
-        return None, base
-    with np.errstate(over="ignore"):  # the line search rejects overflowed candidates
-        return exp_q_inside(arg, qv), base
+def _arguments(lam, mu, eps, qv):
+    """Deformed-exponential argument at each level: ``(-lam - mu e) / (2 - q)``.
+
+    ``lam`` and ``mu`` may be ``(k, 1)`` columns, one candidate per row.
+    """
+    return (-lam - mu * eps) / (2.0 - qv)
 
 
 class _Stuck(Exception):
     """Internal: Newton could not finish on the current active set."""
 
-    def __init__(self, lam, mu, p, norm, iters, step=None):
+    def __init__(self, lam, mu, p, norm, iters, margins=None):
         super().__init__("newton stalled")
         self.lam = lam
         self.mu = mu
         self.p = p
         self.norm = norm
         self.iters = iters
-        self.step = step
+        self.margins = margins  # domain margins at the undamped Newton step
+
+
+def _line_search(lam, mu, step, eps, target, qv, norm):
+    """First halving ``t = 2**-k`` whose candidate lowers the residual norm.
+
+    The domain margins of a block of halvings are one array, so only the
+    candidates inside the ``exp_q`` domain are evaluated.  Returns
+    ``(t, p, f1, f2, norm)``, or ``(None, margins at t = 1)``.
+    """
+    rows = max(1, _CELLS // eps.size)
+    for k0 in range(0, _FRACTIONS.size, rows):
+        t = _FRACTIONS[k0 : k0 + rows, None]
+        arg = _arguments(lam + t * step[0], mu + t * step[1], eps, qv)
+        base = 1.0 + (1.0 - qv) * arg
+        if k0 == 0:
+            margins = base[0]
+        with np.errstate(over="ignore"):  # overflowed candidates are rejected
+            for k in np.flatnonzero(base.min(axis=1) > 0.0):
+                cand = exp_q_inside(arg[k], qv)
+                if np.isfinite(cand).all():
+                    c1 = float(cand.sum()) - 1.0
+                    c2 = float(cand @ eps) - target
+                    cn = max(abs(c1), abs(c2))
+                    if cn < norm:
+                        return float(t[k, 0]), cand, c1, c2, cn
+    return None, margins
 
 
 def _newton(eps, target, qv):
@@ -109,7 +137,7 @@ def _newton(eps, target, qv):
     m = eps.size
     lam = -two_q * float(ln_q(1.0 / m, qv))
     mu = 0.0
-    p, _ = _p_from_multipliers(lam, mu, eps, qv)
+    p = exp_q_inside(_arguments(lam, mu, eps, qv), qv)
     f1 = float(p.sum()) - 1.0
     f2 = float(p @ eps) - target
     norm = max(abs(f1), abs(f2))
@@ -124,47 +152,36 @@ def _newton(eps, target, qv):
             step = np.linalg.solve(jac, [-f1, -f2])
         except np.linalg.LinAlgError:
             raise _Stuck(lam, mu, p, norm, iters) from None
-        t = 1.0
-        for _ in range(60):
-            cand = _p_from_multipliers(lam + t * step[0], mu + t * step[1], eps, qv)[0]
-            if cand is not None and np.isfinite(cand).all():
-                c1 = float(cand.sum()) - 1.0
-                c2 = float(cand @ eps) - target
-                cn = max(abs(c1), abs(c2))
-                if cn < norm:
-                    lam += t * step[0]
-                    mu += t * step[1]
-                    p, f1, f2, norm = cand, c1, c2, cn
-                    break
-            t /= 2.0
-        else:
-            raise _Stuck(lam, mu, p, norm, iters, step=step)
+        found = _line_search(lam, mu, step, eps, target, qv, norm)
+        if found[0] is None:
+            raise _Stuck(lam, mu, p, norm, iters, margins=found[1])
+        t, p, f1, f2, norm = found
+        lam += t * step[0]
+        mu += t * step[1]
         iters += 1
     return lam, mu, p, iters, (f1, f2)
 
 
-def _drop_candidate(stuck: _Stuck, eps, qv) -> int:
+def _drop_candidate(stuck: _Stuck) -> int:
     """Index of the level being squeezed out of the support."""
-    if stuck.step is not None:
+    if stuck.margins is not None:
         # margins at the undamped Newton candidate show which level the
         # iteration is pressing against the domain wall
-        _, base = _p_from_multipliers(
-            stuck.lam + stuck.step[0], stuck.mu + stuck.step[1], eps, qv
-        )
-        j = int(np.argmin(base))
-        if base[j] <= 0.0:
+        j = int(np.argmin(stuck.margins))
+        if stuck.margins[j] <= 0.0:
             return j
     return int(np.argmin(stuck.p))
 
 
 def _solve_with_cutoff(eps_all, target, qv):
     active = np.arange(eps_all.size)
+    dropped = []
     spent = 0
     while True:
         eps = eps_all[active]
         try:
             lam, mu, p, iters, resid = _newton(eps, target, qv)
-            return lam, mu, p, active, spent + iters, resid
+            return lam, mu, p, active, tuple(dropped), spent + iters, resid
         except _Stuck as s:
             spent += s.iters
             if qv >= 1.0 or active.size <= 2:
@@ -173,7 +190,7 @@ def _solve_with_cutoff(eps_all, target, qv):
                     last=(s.lam, s.mu),
                     residuals=[s.norm],
                 ) from None
-            j = _drop_candidate(s, eps, qv)
+            j = _drop_candidate(s)
             keep = np.ones(active.size, dtype=bool)
             keep[j] = False
             reduced = eps_all[active[keep]]
@@ -183,6 +200,7 @@ def _solve_with_cutoff(eps_all, target, qv):
                     last=(s.lam, s.mu),
                     residuals=[s.norm],
                 ) from None
+            dropped.append(int(active[j]))
             active = active[keep]
 
 
@@ -197,10 +215,11 @@ class MaxEntSolution:
     support: tuple
     iterations: int
     residuals: tuple  # (|sum p - 1|, |sum p e - target|) before renormalization
+    dropped: tuple  # levels the support reduction removed, in the order removed
 
     def arguments(self) -> np.ndarray:
         """Deformed-exponential argument at every level."""
-        return (-self.lam - self.mu * self.problem.levels) / (2.0 - self.problem.q)
+        return _arguments(self.lam, self.mu, self.problem.levels, self.problem.q)
 
     def domain_margins(self) -> np.ndarray:
         """``1 + (1 - q) * argument`` per level; nonpositive on removed levels."""
@@ -230,6 +249,7 @@ class MaxEntSolution:
             "entropy": self.entropy(),
             "iterations": self.iterations,
             "residuals": list(self.residuals),
+            "dropped": list(self.dropped),
         }
 
 
@@ -249,11 +269,12 @@ def solve(problem: MaxEntProblem) -> MaxEntSolution:
         lam = -two_q * float(ln_q(1.0 / m, qv))
         mu = 0.0
         active = np.arange(m)
+        dropped = ()
         iters = 0
         resid = (abs(float(p_full.sum()) - 1.0), abs(float(p_full @ eps_raw) - problem.target_mean))
     else:
         scale = max(1.0, float(np.abs(eps_raw).max()))
-        lam, mu_s, p_act, active, iters, resid_s = _solve_with_cutoff(
+        lam, mu_s, p_act, active, dropped, iters, resid_s = _solve_with_cutoff(
             eps_raw / scale, problem.target_mean / scale, qv
         )
         mu = mu_s / scale
@@ -269,6 +290,7 @@ def solve(problem: MaxEntProblem) -> MaxEntSolution:
         support=tuple(int(i) for i in active),
         iterations=int(iters),
         residuals=(float(resid[0]), float(resid[1])),
+        dropped=dropped,
     )
     removed = np.setdiff1d(np.arange(m), np.asarray(active))
     if removed.size and float(solution.domain_margins()[removed].max()) > KKT_MARGIN_TOL:
@@ -280,10 +302,37 @@ def solve(problem: MaxEntProblem) -> MaxEntSolution:
     return solution
 
 
-def _gap_formula(f: np.ndarray, p: np.ndarray, qv: float) -> float:
-    """Stable closed form of the entropy gap to a feasible competitor."""
-    mask = f > 0
-    return float((f[mask] * (ln_q_pos(f[mask], qv) - ln_q_pos(p[mask], qv))).sum())
+def _competitor_block(w, k, e, t, lo, hi):
+    """Feasible competitors, one per row: row n mixes vertices ``k[n]`` by ``w[n]``.
+
+    Vertex ``k`` is the level pair ``(lo[k // hi.size], hi[k % hi.size])``.
+    Each row's two ``bincount``s run over its own stretch of one flat index.
+    Without such pairs (identical levels) the competitors are the rows of w.
+    """
+    if not (lo.size and hi.size):
+        return w
+    b, m = w.shape
+    i, j = np.divmod(k, hi.size)
+    i, j = lo[i], hi[j]
+    # the share at i is <= 1 and exactly 1 at e_i = t, so w - at_i >= 0
+    at_i = w * ((e[j] - t) / (e[j] - e[i]))
+    rows = np.arange(0, b * m, m)[:, None]
+    f = np.bincount((i + rows).ravel(), at_i.ravel(), minlength=b * m)
+    f += np.bincount((j + rows).ravel(), (w - at_i).ravel(), minlength=b * m)
+    return f.reshape(b, m)
+
+
+def _row_sums(cells, counts):
+    """Sum of each row's run of ``cells``, row r holding ``counts[r]`` of them.
+
+    Rows of one count are summed as one ``(rows, count)`` array, whose
+    last-axis sum groups the terms as the 1-D sum of each row does.
+    """
+    out = np.zeros(counts.size)
+    owner = np.repeat(counts, counts)
+    for c in np.unique(counts[counts > 0]):
+        out[counts == c] = cells[owner == c].reshape(-1, c).sum(axis=1)
+    return out
 
 
 @dataclass(frozen=True)
@@ -316,8 +365,10 @@ def verify_optimality(solution: MaxEntSolution, trials: int = 100, seed: int = 0
     flat-Dirichlet weights.  A vertex is the two-point law on levels
     ``e_i <= t < e_j`` with mass ``(e_j - t) / (e_j - e_i)`` at i, a point
     mass when ``e_i = t``.  With identical levels there is no such pair and
-    the competitor is a flat-Dirichlet draw.  Memory is O(m) per
-    competitor.  The minimum gap over trials is the optimality margin.
+    the competitor is a flat-Dirichlet draw.  Competitors are drawn one at
+    a time and scored a block at a time, ``_CELLS // m`` of them (at least
+    one) per block, so memory is O(m) in the levels and bounded in the
+    trials.  The minimum gap over trials is the optimality margin.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -329,33 +380,42 @@ def verify_optimality(solution: MaxEntSolution, trials: int = 100, seed: int = 0
     p_star = solution.p.p
     h_star = _entropy_from_array(p_star, qv)
     full_support = bool((p_star > 0).all())
+    ln_p = ln_q_pos(p_star, qv) if full_support else None
     lo = np.flatnonzero(e <= t)
     hi = np.flatnonzero(e > t)
+    pairs = lo.size * hi.size
     rng = make_rng(seed)
     min_gap = math.inf
     total = 0.0
     mismatch = 0.0 if full_support else None
-    for _ in range(trials):
-        w = rng.standard_exponential(m)
-        w /= w.sum()
-        if lo.size and hi.size:
-            i, j = np.divmod(rng.integers(lo.size * hi.size, size=m), hi.size)
-            i, j = lo[i], hi[j]
-            # the share at i is <= 1 and exactly 1 at e_i = t, so w - at_i >= 0
-            at_i = w * ((e[j] - t) / (e[j] - e[i]))
-            f = np.bincount(i, at_i, minlength=m) + np.bincount(j, w - at_i, minlength=m)
-        else:
-            f = w
-        gap = h_star - _entropy_from_array(f, qv)
+    block = max(1, _CELLS // m)
+    for start in range(0, trials, block):
+        b = min(block, trials - start)
+        w = np.empty((b, m))
+        k = np.empty((b, m), dtype=np.int64)
+        for n in range(b):
+            rng.standard_exponential(out=w[n])
+            if pairs:
+                k[n] = rng.integers(pairs, size=m)
+        w /= w.sum(axis=1, keepdims=True)  # each row sum as the 1-D sum of that row
+        f = _competitor_block(w, k, e, t, lo, hi)
+        mask = f > 0
+        counts = np.bincount(np.nonzero(mask)[0], minlength=b)
+        pos = f[mask]
+        ln_f = ln_q_pos(pos, qv)
+        entropies = -_row_sums(pos * ln_f, counts)
+        gaps = h_star - entropies
         if full_support:
-            mm = abs(gap - _gap_formula(f, p_star, qv))
-            if mm > 1e-7:
+            ln_ref = np.broadcast_to(ln_p, f.shape)[mask]
+            mm = np.abs(gaps - _row_sums(pos * (ln_f - ln_ref), counts))
+            if (mm > 1e-7).any():
                 raise RuntimeError(
                     "internal inconsistency: direct and closed-form entropy gaps disagree"
                 )
-            mismatch = max(mismatch, mm)
-        min_gap = min(min_gap, gap)
-        total += gap
+            mismatch = max(mismatch, float(mm.max()))
+        min_gap = min(min_gap, float(gaps.min()))
+        for gap in gaps.tolist():  # left to right; a pairwise sum rounds differently
+            total += gap
     return OptimalityCheck(
         trials=trials,
         seed=int(seed),

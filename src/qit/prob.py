@@ -215,7 +215,7 @@ def product_dist(p, r) -> JointTable:
 def _flat_dirichlet(shape, rng: np.random.Generator) -> np.ndarray:
     """Flat-Dirichlet draw over all cells: normalized unit exponentials."""
     e = rng.standard_exponential(shape)
-    return e / e.sum()
+    return e / np.add.reduce(e, axis=None)  # e.sum() without its Python wrapper
 
 
 def _markov_triple(shapes, rng: np.random.Generator) -> np.ndarray:

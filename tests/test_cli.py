@@ -171,10 +171,14 @@ def test_maxent_solution_and_verification(capsys):
         [0.6007858820798255, 0.29842823584034917, 0.1007858820798254], abs=1e-10
     )
     assert sol["support"] == [0, 1, 2]
+    assert sol["dropped"] == []
     assert payload["optimality"]["min_gap"] >= -1e-9
     assert payload["optimality"]["trials"] == 50
     assert run(["maxent", "--levels", "[0,1,2]", "--q", "0.5"]) == 2  # no target
     capsys.readouterr()
+    assert run(["maxent", "--levels", "[0,1,2]", "--target-mean", "0.05", "--q", "0.5"]) == 0
+    sol = json.loads(capsys.readouterr().out)["solution"]
+    assert (sol["support"], sol["dropped"]) == ([0, 1], [2])
 
 
 @pytest.mark.parametrize(

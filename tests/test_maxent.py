@@ -1,5 +1,6 @@
 """Mean-constrained entropy maximization: solver, KKT margins, optimality."""
 
+import functools
 import itertools
 import math
 import tracemalloc
@@ -14,8 +15,9 @@ from qit.maxent import (
     solve,
     verify_optimality,
 )
-from qit.measures import q_entropy
+from qit.measures import _entropy_from_array, q_entropy
 from qit.prob import make_rng
+from qit.qcore import exp_q_inside, ln_q_pos
 
 
 def _jittered_levels(m):
@@ -87,6 +89,7 @@ def test_interior_solution_beats_grid_search():
 def test_low_target_squeezes_out_a_level():
     sol = solve(MaxEntProblem([0.0, 1.0, 2.0], 0.05, 0.5))
     assert sol.support == (0, 1)
+    assert sol.dropped == (2,)
     assert sol.p.p == pytest.approx([0.95, 0.05, 0.0], abs=1e-12)
     margins = sol.domain_margins()
     assert margins[0] > 0 and margins[1] > 0
@@ -146,16 +149,16 @@ def test_verify_optimality_at_edge_targets(m, fraction, q):
 )
 def test_every_competitor_is_feasible(monkeypatch, levels, target, q):
     sol = solve(MaxEntProblem(levels, target, q))
-    seen = []
-    entropy = maxent._entropy_from_array
+    competitors = []
+    block = maxent._competitor_block
 
-    def spy(f, qv):
-        seen.append(np.array(f))
-        return entropy(f, qv)
+    def spy(*args):
+        f = block(*args)
+        competitors.extend(np.array(f))  # one competitor per row
+        return f
 
-    monkeypatch.setattr(maxent, "_entropy_from_array", spy)
+    monkeypatch.setattr(maxent, "_competitor_block", spy)
     verify_optimality(sol, trials=200, seed=11)
-    competitors = seen[1:]  # the first call scores the solution itself
     assert len(competitors) == 200
     for f in competitors:
         assert f.min() >= 0.0
@@ -251,6 +254,7 @@ def test_solution_serialization():
     sol = solve(MaxEntProblem([0.0, 1.0, 2.0], 0.5, 0.5))
     d = sol.to_json_dict()
     assert sorted(d.keys()) == [
+        "dropped",
         "entropy",
         "iterations",
         "lambda",
@@ -263,4 +267,171 @@ def test_solution_serialization():
         "target_mean",
     ]
     assert d["support"] == [0, 1, 2]
+    assert d["dropped"] == []
     assert d["p"] == sol.p.p.tolist()
+
+
+def test_support_reduction_history_lists_levels_in_the_order_removed():
+    levels = _jittered_levels(8)
+    sol = solve(MaxEntProblem(levels, levels[0] + 0.02 * np.ptp(levels), 0.3))
+    assert len(sol.dropped) >= 2
+    assert sorted(sol.dropped + sol.support) == list(range(8))
+    # each removal squeezes out the highest level still in the support
+    assert list(sol.dropped) == sorted(sol.dropped, reverse=True)
+    assert sol.to_json_dict()["dropped"] == list(sol.dropped)
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the line search as a loop over halvings and verify_optimality as a
+# loop over trials, one candidate or competitor at a time.  The array
+# programs must give every output bit for bit as these loops do.
+
+_ORACLE_QS = (0.0, 0.3, 0.6, 0.9, 1.0 - 1e-13, 1.0, 1.0 + 1e-13, 1.4, 1.9)
+
+
+def _p_from_multipliers(lam, mu, eps, qv):
+    """Distribution and domain margins at (lam, mu); p is None out of domain."""
+    arg = (-lam - mu * eps) / (2.0 - qv)
+    base = 1.0 + (1.0 - qv) * arg
+    if base.min() <= 0.0:
+        return None, base
+    with np.errstate(over="ignore"):
+        return exp_q_inside(arg, qv), base
+
+
+def _halving_loop(lam, mu, step, eps, target, qv, norm):
+    """``maxent._line_search`` as one candidate evaluation per halving."""
+    t = 1.0
+    for _ in range(60):
+        cand = _p_from_multipliers(lam + t * step[0], mu + t * step[1], eps, qv)[0]
+        if cand is not None and np.isfinite(cand).all():
+            c1 = float(cand.sum()) - 1.0
+            c2 = float(cand @ eps) - target
+            cn = max(abs(c1), abs(c2))
+            if cn < norm:
+                return t, cand, c1, c2, cn
+        t /= 2.0
+    # margins at the undamped step, evaluated afresh
+    return None, _p_from_multipliers(lam + step[0], mu + step[1], eps, qv)[1]
+
+
+def _verify_loop(solution, trials, seed):
+    """(min_gap, mean_gap, max_formula_mismatch) scored one competitor at a time."""
+    prob = solution.problem
+    qv, m, e, t = prob.q, prob.m, prob.levels, prob.target_mean
+    p_star = solution.p.p
+    h_star = _entropy_from_array(p_star, qv)
+    full_support = bool((p_star > 0).all())
+    lo = np.flatnonzero(e <= t)
+    hi = np.flatnonzero(e > t)
+    rng = make_rng(seed)
+    min_gap, total = math.inf, 0.0
+    mismatch = 0.0 if full_support else None
+    for _ in range(trials):
+        w = rng.standard_exponential(m)
+        w /= w.sum()
+        if lo.size and hi.size:
+            i, j = np.divmod(rng.integers(lo.size * hi.size, size=m), hi.size)
+            i, j = lo[i], hi[j]
+            at_i = w * ((e[j] - t) / (e[j] - e[i]))
+            f = np.bincount(i, at_i, minlength=m) + np.bincount(j, w - at_i, minlength=m)
+        else:
+            f = w
+        gap = h_star - _entropy_from_array(f, qv)
+        if full_support:
+            mask = f > 0
+            formula = float((f[mask] * (ln_q_pos(f[mask], qv) - ln_q_pos(p_star[mask], qv))).sum())
+            mismatch = max(mismatch, abs(gap - formula))
+        min_gap = min(min_gap, gap)
+        total += gap
+    return min_gap, total / trials, mismatch
+
+
+def _oracle_problems():
+    """m 1..40 with edge, interior and on-level targets, cycled with q.
+
+    Every q of _ORACLE_QS meets every m up to 8, and each larger m takes one.
+    """
+    for m in range(1, 41):
+        levels = _jittered_levels(m)
+        lo, span = levels[0], np.ptp(levels)
+        qs = _ORACLE_QS if m <= 8 else _ORACLE_QS[m % 9 : m % 9 + 1]
+        for n, q in enumerate(qs, start=m // 9):
+            if m == 1:
+                target = levels[0]
+            else:
+                kind = (m + n) % 4
+                if kind == 2 and m >= 3:
+                    target = levels[m // 2]  # a level equal to the target
+                else:
+                    target = lo + span * (0.02, 0.4, 0.6, 0.98)[kind]
+            yield MaxEntProblem(levels, target, q)
+
+
+def _bits(*xs):
+    return [None if x is None else np.asarray(x, dtype=float).tobytes() for x in xs]
+
+
+def _solve_outputs(problems):
+    out = []
+    for problem in problems:
+        try:
+            sol = solve(problem)
+        except ConvergenceError as exc:
+            out.append(str(exc))
+            continue
+        out.append((*_bits(sol.lam, sol.mu, sol.p.p), sol.support, sol.dropped, sol.iterations))
+    return out
+
+
+@functools.cache
+def _oracle_solutions():
+    return tuple(solve(problem) for problem in _oracle_problems())
+
+
+@pytest.mark.parametrize("cells", [maxent._CELLS, 150])
+def test_line_search_scan_matches_the_halving_loop_bit_for_bit(monkeypatch, cells):
+    # 150 cells scan 3 to 50 halvings per block at m >= 3, so blocks end inside the 60
+    monkeypatch.setattr(maxent, "_CELLS", cells)
+    problems = list(_oracle_problems())
+    scanned = _solve_outputs(problems)
+    monkeypatch.setattr(maxent, "_line_search", _halving_loop)
+    assert scanned == _solve_outputs(problems)
+    assert any(isinstance(r, tuple) and r[4] for r in scanned)  # a solution dropped a level
+
+
+def test_stall_with_no_halving_in_the_domain_matches_the_halving_loop():
+    eps = _jittered_levels(5) / 4.5
+    qv = 0.6
+    lam, mu = 1.0, 0.2
+    step = np.array([1e30, -3e29])  # every halving lands far outside the domain
+    scanned = maxent._line_search(lam, mu, step, eps, 0.4, qv, 1.0)
+    looped = _halving_loop(lam, mu, step, eps, 0.4, qv, 1.0)
+    assert scanned[0] is None and looped[0] is None
+    assert scanned[1].tobytes() == looped[1].tobytes()
+    stuck = maxent._Stuck(lam, mu, np.full(5, 0.2), 1.0, 0, margins=scanned[1])
+    assert maxent._drop_candidate(stuck) == int(np.argmin(looped[1]))
+
+
+@pytest.mark.parametrize("cells", [maxent._CELLS, 50])
+def test_verify_blocks_match_the_trial_loop_bit_for_bit(monkeypatch, cells):
+    # with 50 cells a block holds 1 to 50 competitors, so 60 trials span blocks
+    monkeypatch.setattr(maxent, "_CELLS", cells)
+    cut = 0
+    for n, sol in enumerate(_oracle_solutions()):
+        cut += len(sol.dropped) > 0
+        check = verify_optimality(sol, trials=60, seed=n)
+        assert _bits(check.min_gap, check.mean_gap, check.max_formula_mismatch) == _bits(
+            *_verify_loop(sol, 60, n)
+        )
+    assert cut > 0  # solutions with zeros, whose mismatch is None, took part
+
+
+def test_verify_blocks_span_the_default_budget():
+    levels = _jittered_levels(40)
+    sol = solve(MaxEntProblem(levels, levels[0] + 0.3 * np.ptp(levels), 0.6))
+    trials = 2 * (maxent._CELLS // 40) + 7  # two full blocks and a part
+    check = verify_optimality(sol, trials=trials, seed=4)
+    assert _bits(check.min_gap, check.mean_gap, check.max_formula_mismatch) == _bits(
+        *_verify_loop(sol, trials, 4)
+    )
