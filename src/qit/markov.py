@@ -46,7 +46,8 @@ from .qcore import SHANNON_TOL, cross_term, ln_q_pos, q_value
 SINKHORN_TOL, SINKHORN_ROUNDS = 1e-13, 100_000
 #: Power iteration in ``stationary`` (reducible chains only): L1 residual bound, iteration cap.
 STATIONARY_TOL, STATIONARY_ITERS = 1e-12, 1_000_000
-#: Joint cells per block of ``second_law_report``; its memory is O(_STEP_CELLS).
+#: Cells per block of ``second_law_report`` and ``MarkovChain.evolve``; their
+#: memory is O(_STEP_CELLS).
 _STEP_CELLS = 1 << 16
 
 
@@ -82,11 +83,19 @@ class MarkovChain:
         return self.transition.shape[0]
 
     def evolve(self, steps: int = 1, start=None) -> ProbVec:
-        """State distribution after ``steps`` transitions."""
+        """State distribution after ``steps`` transitions.
+
+        The laws are stepped in blocks of ``_STEP_CELLS`` cells and only
+        the last is kept, so memory is O(_STEP_CELLS) whatever ``steps``.
+        """
         if steps < 0:
             raise ValueError("steps must be >= 0")
         psi = (self.initial if start is None else ProbVec.coerce(start)).p
-        return ProbVec(_laws(psi, self.transition, steps)[-1])
+        block = max(1, _STEP_CELLS // psi.size)
+        for done in range(0, steps, block):
+            # a copy, so the block's laws are freed before the next block
+            psi = _laws(psi, self.transition, min(block, steps - done))[-1].copy()
+        return ProbVec(psi)
 
     def __repr__(self) -> str:
         return f"MarkovChain(m={self.m})"

@@ -36,7 +36,9 @@ O(trajectories * chunk), whatever the length.
 
 The walk steps every trajectory at once, one position after another, by
 inverse-CDF lookup; each step is one gather from a table of next states
-(``_walk``).
+(``_walk_table``), built once per probe.  The time scan writes into one
+workspace allocated once per probe, so no chunk allocates an array of
+its size.
 """
 
 import math
@@ -53,6 +55,9 @@ from .qcore import SHANNON_TOL, ln_q_from_log, ln_q_pos, q_value
 
 #: Positions per chunk of the probe's time scan; its memory is O(T * _CHUNK).
 _CHUNK = 256
+#: Draws per ``searchsorted`` call of ``_walk``; numpy allocates each
+#: result (it takes no ``out``), so the calls stay small.
+_SEARCH_CELLS = 1 << 13
 
 
 def _cum_rows(p: np.ndarray) -> np.ndarray:
@@ -71,20 +76,15 @@ def _advance(cum_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     return (cum_rows < u[:, None]).sum(axis=1)
 
 
-def _walk(rcum: np.ndarray, state: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """States (c + 1, T) of T walks from ``state`` (T,) driven by uniforms ``u`` (c, T).
+def _walk_table(rcum: np.ndarray) -> tuple:
+    """The walk's table ``(cols, flat)`` for the cumulative transition rows ``rcum``.
 
-    ``rcum`` holds the cumulative transition rows; row 0 of the result is
-    ``state`` and row i the state after the i-th step, as ``_advance``
-    takes it.  The next state from s counts the inner columns of
-    ``rcum[s]`` strictly below the draw, so it depends on the draw only
-    through k, the number of all m (m - 1) inner columns below it
-    (``searchsorted``: tied columns sort together, and a draw passes all
-    of them or none).  The table ``nxt[k, s]`` of m (m - 1) + 1 rows is
-    built once, every draw's k is looked up at once, and each step is
-    one gather from the table.  The positions cannot run in parallel,
-    so a step costs numpy's per-call overhead; the table keeps it at two
-    calls whatever m is.
+    The next state from s counts the inner columns of ``rcum[s]``
+    strictly below the draw, so it depends on the draw only through k,
+    the number of all m (m - 1) inner columns below it (``searchsorted``
+    on the sorted ``cols``: tied columns sort together, and a draw passes
+    all of them or none).  ``flat[k * m + s]`` is that next state: the
+    table ``nxt[k, s]`` of m (m - 1) + 1 rows, row by row.
     """
     m = rcum.shape[0]
     inner = rcum[:, :-1].ravel()
@@ -93,15 +93,33 @@ def _walk(rcum: np.ndarray, state: np.ndarray, u: np.ndarray) -> np.ndarray:
     # nxt[k, s]: how many of the k smallest inner columns lie in row s
     nxt = np.zeros((cols.size + 1, m), dtype=np.int64)
     nxt[np.arange(1, cols.size + 1), np.repeat(np.arange(m), m - 1)[order]] = 1
-    flat = nxt.cumsum(axis=0).ravel()
-    kb = cols.searchsorted(u)
-    kb *= m  # offset of row k in ``flat``
-    syms = np.empty((u.shape[0] + 1, u.shape[1]), dtype=np.int64)
-    syms[0] = state
-    for i in range(u.shape[0]):
+    return cols, nxt.cumsum(axis=0).ravel()
+
+
+def _walk(table: tuple, u: np.ndarray, syms: np.ndarray, kb: np.ndarray) -> np.ndarray:
+    """Step T walks from the states ``syms[0]`` (T,) by the uniforms ``u`` (T, c).
+
+    Fills ``syms[1 : c + 1]`` with the state after each step, as
+    ``_advance`` takes it, and returns ``syms[: c + 1]``.  ``table`` is
+    ``_walk_table`` of the transition.  ``kb`` (c rows of T or more) is
+    left holding step i's index ``k * m + syms[i]`` into ``flat``, so a
+    table parallel to ``flat`` gives any function of the steps in one
+    gather.  The positions cannot run in parallel, so a step costs
+    numpy's per-call overhead; the table keeps it at two calls whatever
+    m is.
+    """
+    cols, flat = table
+    big_t, c = u.shape
+    m = flat.size // (cols.size + 1)
+    rows = max(1, _SEARCH_CELLS // max(c, 1))
+    for t in range(0, big_t, rows):
+        kb[:c, t : t + rows] = cols.searchsorted(u[t : t + rows]).T
+    kb[:c] *= m  # offset of row k in ``flat``
+    for i in range(c):
+        kb[i] += syms[i]
         # indices always lie in the table; "clip" writes ``out`` unbuffered
-        flat.take(kb[i] + syms[i], out=syms[i + 1], mode="clip")
-    return syms
+        flat.take(kb[i], out=syms[i + 1], mode="clip")
+    return syms[: c + 1]
 
 
 @dataclass(frozen=True)
@@ -133,8 +151,9 @@ def sample_trajectory(chain: MarkovChain, length: int, rng: np.random.Generator)
     if length < 1:
         raise ValueError("length must be >= 1")
     u = rng.random(length)
-    icum = _cum_rows(chain.initial.p)
-    syms = _walk(_cum_rows(chain.transition), _advance(icum[None, :], u[0:1]), u[1:, None])
+    syms = np.empty((length, 1), dtype=np.int64)
+    syms[0] = _advance(_cum_rows(chain.initial.p)[None, :], u[0:1])
+    _walk(_walk_table(_cum_rows(chain.transition)), u[None, 1:], syms, np.empty_like(syms))
     return Trajectory(syms[:, 0], chain.m)
 
 
@@ -358,17 +377,6 @@ def _grid(n_max: int) -> list:
     return ns
 
 
-def _running_sums(carry: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Running sums down the rows (c, T), continued from ``carry`` (T,).
-
-    Row 0 of the result is the carry, row i the sum through ``rows[i - 1]``.
-    Each row adds one term to the row before, so chunk after chunk this
-    rounds as one cumsum over the whole sequence would; adding the carry
-    to the chunk's own cumsum would not.
-    """
-    return np.concatenate([carry[None], rows]).cumsum(axis=0)
-
-
 def _std(v: np.ndarray) -> float:
     """``v.std()`` taken on ``v`` scaled down by a power of two, so squares cannot overflow.
 
@@ -426,52 +434,84 @@ def smb_probe(chain: MarkovChain, q, n_max: int, trajectories: int, seed: int = 
     m = chain.m
     big_t = trajectories
 
-    rcum = _cum_rows(r)
+    cols, flat = table = _walk_table(_cum_rows(r))
     with np.errstate(divide="ignore"):
         logr = np.log(r)
         logd1 = np.log(_laws(st, r, 1)[1])
+    # parallel to ``flat``: lflat[k * m + s] = log r[s, flat[k * m + s]],
+    # the log-probability of the step from s the table takes at row k
+    lflat = logr[np.tile(np.arange(m), cols.size + 1), flat]
 
     # One scan over time in chunks of _CHUNK positions, laid out time-major
     # as (position, trajectory).  Per trajectory it carries the state, the
     # running block log-probability and the running log and q-log sums of
-    # the factors, and keeps those sums only at the grid lengths.
+    # the factors, and keeps those sums only at the grid lengths.  Every
+    # array a chunk needs is allocated here, once: the steps write into it.
     grid = _grid(n_max)
     at = {}  # n -> (block, order-k, factor log, factor q-log) sums at length n
     rngs = [make_rng(seed, stream=t) for t in range(big_t)]
-    state = _advance(np.broadcast_to(_cum_rows(st), (big_t, m)), np.concatenate([g.random(1) for g in rngs]))
-    lblock = flog = fql = np.full(big_t, -0.0)  # -0.0 + x == x: an empty sum that changes no bits
+    width = min(_CHUNK, n_max)
+    u = np.empty((big_t, width))  # row t: the draws of trajectory t
+    syms = np.empty((width + 1, big_t), dtype=np.int64)  # row 0: the state carried in
+    kb = np.empty((width, big_t), dtype=np.int64)  # the walk's table indices
+    lcond = np.empty((width, big_t))
+    # running sums of the block log-probability, factor logs and factor
+    # q-logs; row 0 carries the sum so far, -0.0 at first (-0.0 + x == x:
+    # an empty sum that changes no bits).  Each row adds one term to the
+    # row before, so chunk after chunk this rounds as one cumsum over the
+    # whole sequence would; adding the carry to the chunk's own cumsum
+    # would not.
+    blk, fcum, fqcum = np.full((3, width + 1, big_t), -0.0)
+    syms[0] = _advance(np.broadcast_to(_cum_rows(st), (big_t, m)), np.concatenate([g.random(1) for g in rngs]))
+    eps = 1.0 - qv
     d = st
     for a in range(1, n_max + 1, _CHUNK):
         b = min(a + _CHUNK, n_max + 1)  # this chunk holds positions a .. b - 1
-        syms = _walk(rcum, state, np.stack([g.random(b - a) for g in rngs], axis=1))  # positions a - 1 .. b - 1
-        state = syms[-1]
-        lcond = logr[syms[:-1], syms[1:]]  # row i: log r[x_{a+i-1} -> x_{a+i}]
+        c = b - a
+        for t, g in enumerate(rngs):
+            g.random(out=u[t, :c])
+        _walk(table, u[:, :c], syms, kb)  # syms[i]: position a - 1 + i
+        lflat.take(kb[:c], out=lcond[:c], mode="clip")  # row i: log r[x_{a+i-1} -> x_{a+i}]
+        blk[1 : c + 1] = lcond[:c]
         if a == 1:  # the block's first factor is the marginal of position 1
             head_l = logd1[syms[1]]
             logr1 = lcond[0].copy()
-            blk = _running_sums(lblock, np.concatenate([head_l[None], lcond[1:]]))
-        else:
-            blk = _running_sums(lblock, lcond)
-        if not np.isfinite(blk).all():
+            blk[1] = head_l
+        np.cumsum(blk[: c + 1], axis=0, out=blk[: c + 1])
+        # a zero factor's -inf stays in every later running sum
+        if not np.isfinite(blk[c]).all():
             raise ImpossibleTrajectoryError("sampled a transition of probability zero")
 
         if k == 0:
             # the k = 0 factorization multiplies per-position marginals and
             # has no conditioning head
             f0 = a
-            laws = _laws(d, r, b - a)  # laws of positions a - 1 .. b - 1
+            laws = _laws(d, r, c)  # laws of positions a - 1 .. b - 1
             d = laws[-1]
             with np.errstate(divide="ignore"):
-                fcols = np.take_along_axis(np.log(laws[1:]), syms[1:], axis=1)
+                loglaws = np.log(laws[1:])
+            # row i: log of the law of position a + i at its symbol; the
+            # block sums are taken, so lcond is free
+            np.add(syms[1 : c + 1], (np.arange(c) * m)[:, None], out=kb[:c])
+            fcols = loglaws.take(kb[:c], out=lcond[:c], mode="clip")
         else:
             # conditional factors of the order-k factorization, head block
             # (positions 1..k) excluded
             f0 = max(a, k + 1)
-            fcols = lcond[f0 - a :]
+            fcols = lcond[f0 - a : c]
         # interaction residual over the factors: q-log of their running
         # product minus the running sum of their q-logs
-        fcum = _running_sums(flog, fcols)
-        fqcum = _running_sums(fql, ln_q_from_log(fcols, qv))
+        nf = len(fcols)
+        fcum[1 : nf + 1] = fcols
+        np.cumsum(fcum[: nf + 1], axis=0, out=fcum[: nf + 1])
+        fql = fqcum[1 : nf + 1]
+        if abs(eps) <= SHANNON_TOL:
+            fql[...] = fcols
+        else:  # ln_q_from_log's expm1 form, in place
+            np.multiply(fcols, eps, out=fql)
+            np.expm1(fql, out=fql)
+            fql /= eps
+        np.cumsum(fqcum[: nf + 1], axis=0, out=fqcum[: nf + 1])
 
         for n in grid:
             if a <= n < b:
@@ -480,7 +520,7 @@ def smb_probe(chain: MarkovChain, q, n_max: int, trajectories: int, seed: int = 
                 fq = fqcum[n - f0 + 1].copy() if n > k else None
                 # order-1 truth: every k >= 1 approximation is exact
                 at[n] = (lb, fl if k == 0 else lb, fl, fq)
-        lblock, flog, fql = blk[-1], fcum[-1], fqcum[-1]
+        syms[0], blk[0], fcum[0], fqcum[0] = syms[c], blk[c], fcum[nf], fqcum[nf]
 
     ratio1 = np.exp(logr1 - head_l)
 

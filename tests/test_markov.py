@@ -83,6 +83,24 @@ def test_evolve():
     assert c.evolve(1, start=[0.0, 1.0]).p == pytest.approx([0.1, 0.9], abs=1e-15)
 
 
+def test_evolve_in_blocks_matches_one_recursion_in_bounded_memory():
+    # slow mixing, so the law still moves in its last bits at every step
+    r = np.eye(3) * (1 - 3e-5) + np.array([[0, 1, 2], [2, 0, 1], [1, 2, 0]]) * 1e-5
+    chain = MarkovChain(r, [1.0, 0.0, 0.0])
+    block = markov._STEP_CELLS // 3
+    laws = markov._laws(chain.initial.p, chain.transition, block + 1)
+    for steps in (0, 1, block - 1, block, block + 1):
+        assert chain.evolve(steps).p.tolist() == laws[steps].tolist()
+    # the laws of three blocks would take 1.5 MiB; evolve keeps one block
+    tracemalloc.start()
+    try:
+        chain.evolve(3 * block + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_stationary_hand_values():
     got = stationary(MarkovChain([[0.5, 0.5], [0.25, 0.75]]))
     assert got.p == pytest.approx([1 / 3, 2 / 3], abs=1e-10)

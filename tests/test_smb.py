@@ -102,7 +102,15 @@ def test_walk_matches_the_step_loop_bit_for_bit(m):
                     u[tie] = rng.choice(cols, size=int(tie.sum()))
                 u[rng.random((c, big_t)) < 0.05] = np.nextafter(1.0, 0.0)
                 state = rng.integers(0, m, big_t)
-                assert np.array_equal(smb._walk(rcum, state, u), _step_walk(rcum, state, u))
+                syms = np.empty((c + 1, big_t), dtype=np.int64)
+                syms[0] = state
+                kb = np.empty((c, big_t), dtype=np.int64)
+                table = smb._walk_table(rcum)
+                got = smb._walk(table, np.ascontiguousarray(u.T), syms, kb)
+                assert np.array_equal(got, _step_walk(rcum, state, u))
+                # the walk leaves each step's index into the table in kb
+                assert np.array_equal(table[1][kb], got[1:])
+                assert np.array_equal(kb % m, got[:-1])
 
 
 def test_block_log_prob_hand_values():
@@ -436,8 +444,8 @@ def test_probe_computes_the_stationary_law_once(monkeypatch):
 def test_probe_trajectories_replay_in_isolation(monkeypatch):
     walks = []
 
-    def spy(rcum, state, u):
-        walks.append(smb_walk(rcum, state, u))
+    def spy(table, u, syms, kb):
+        walks.append(smb_walk(table, u, syms, kb).copy())
         return walks[-1]
 
     smb_walk = smb._walk
@@ -527,6 +535,31 @@ def test_probe_csv_pin_long_run():
     )
 
 
+def _pin_chain(m):
+    """A fixed chain on m states with zero transitions, irreducible by its cycle."""
+    i, j = np.indices((m, m))
+    w = ((i * j + 2 * i + 3 * j) % (m + 2)).astype(float)
+    w[np.arange(m), (np.arange(m) + 1) % m] += 1.0
+    return MarkovChain(w / w.sum(axis=1, keepdims=True))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # k = 0, q > 1: exp and square overflow
+def test_probe_json_repr_pin():
+    # The CSV pins print 10 significant digits; the reprs of the JSON
+    # dicts print every bit.  The grid straddles the 256-position chunks,
+    # runs one, a few and many trajectories, and takes q on both sides of
+    # 1 and within SHANNON_TOL of it.  Pinned on the probe that allocated
+    # fresh arrays for every chunk.
+    h = hashlib.sha256()
+    for chain in (STICKY, THREE, _pin_chain(4), _pin_chain(5), _pin_chain(6)):
+        for k in (0, 1, 2):
+            for q in (0.3, 0.75, 1 - 1e-13, 1.0, 1.3):
+                for n_max in (1, 255, 256, 257, 600):
+                    for big_t in (1, 5, 200):
+                        h.update(repr(smb_probe(chain, q, n_max, big_t, seed=17, k=k).to_json_dict()).encode())
+    assert h.hexdigest() == "1718059126d2db69e9ebe40b60b00799e29138de6a1c4b643a33a547777a7a16"
+
+
 def test_block_sd_is_finite_where_block_mean_is():
     # at q = 1.2 the per-symbol surprisals reach 1e293, so squaring them
     # overflows; the spread must not
@@ -551,9 +584,13 @@ class _RecordedDraws:
         self.sizes = sizes
         self.draw = draw
 
-    def random(self, size):
-        self.sizes.append(size)
-        return self.draw(size)
+    def random(self, size=None, out=None):
+        if out is None:
+            self.sizes.append(size)
+            return self.draw(size)
+        self.sizes.append(out.size)
+        out[...] = self.draw(out.size)
+        return out
 
 
 def test_probe_error_order(monkeypatch):
