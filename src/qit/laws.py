@@ -32,17 +32,19 @@ Instances are checked once, where they come in: ``law_slack`` and
 through the :mod:`qit.prob` containers.  Samplers and evaluators work on
 bare arrays, so a fuzz campaign validates nothing it built itself.
 
+Each law has one evaluator, which takes a ``(B, *shape)`` stack of
+instances (a pair of stacks for pair laws) and a ``(B,)`` q array, and
+handles zero cells.  ``law_slack`` and ``identity_residual`` evaluate a
+stack of one row; each row takes the same bits in a stack of any height.
+
 ``fuzz`` runs a seeded campaign of random instances for one law.  Every
 trial draws from stream 0 of the master seed, in trial order (q first,
 then the instance), so a report depends only on (law, trials, q-range,
 seed, tol), and trial ``i`` is the ``i``-th draw from that stream.  The
 draws stay in that order; the evaluation is grouped by instance shape,
-one ``evaluate_batch`` call per ``(B, *shape)`` stack of a chunk of
-draws, and the slacks are folded back in trial order.  Each batch row
-equals the scalar ``evaluate`` bit for bit, so the report has the same
-bits as a trial-by-trial loop.  The scalar evaluators serve
-``law_slack``, ``identity_residual`` and stacks with a cell that is not
-positive.
+one evaluator call per stack of a chunk of draws, and the slacks are
+folded back in trial order.  So ``law_slack`` on the report's
+``worst_trial`` instance and ``worst_q`` gives its ``min_slack`` exactly.
 """
 
 import math
@@ -52,10 +54,8 @@ from typing import Callable
 
 import numpy as np
 
-from .measures import _chain_terms_from_array, _conditional_entropy, _conditional_mutual_information
-from .measures import _divergence, _entropy_from_array, _mutual_information, q_entropy_max
 from .prob import JointTable, ProbVec, _conditional, _flat_dirichlet, _markov_triple, make_rng
-from .qcore import cross_term, ln_q, ln_q_pos, pseudo_additivity_residual, q_value
+from .qcore import SHANNON_TOL, cross_term, ln_q_pos, pseudo_additivity_residual, q_value
 
 #: Violation threshold for inequality laws.
 TOL_INEQUALITY = 1e-9
@@ -82,169 +82,79 @@ class LawId(str, Enum):
 
 
 # ---------------------------------------------------------------------------
-# slack functions (inequalities), on bare arrays
-
-def _slack_block_chain(t: np.ndarray, qv: float) -> float:
-    return float(sum(_chain_terms_from_array(t, qv)) - _entropy_from_array(t, qv))
-
-
-def _slack_indep_superadd(instance, qv: float) -> float:
-    p, r = instance
-    return _entropy_from_array(p, qv) + _entropy_from_array(r, qv) - _entropy_from_array(np.outer(p, r), qv)
-
-
-def _slack_cond_chain(t: np.ndarray, qv: float) -> float:
-    h_x_given_z = _conditional_entropy(t.sum(axis=1), (0,), qv)
-    h_y_given_xz = _conditional_entropy(t, (1,), qv)
-    h_xy_given_z = _conditional_entropy(t, (0, 1), qv)
-    return float(h_x_given_z + h_y_given_xz - h_xy_given_z)
-
-
-def _slack_qln_sum(instance, qv: float) -> float:
-    r, s = instance
-    rs = float(r.sum())
-    ss = float(s.sum())
-    if rs == 0:
-        return 0.0
-    lhs = _divergence(r, r, s, qv)  # +inf for q <= 1 where a positive r meets s = 0
-    if lhs == math.inf:
-        return math.inf
-    # past the escape above, ss = 0 means q > 1, where ln_q(rs / 0) = 1 / (q - 1)
-    rhs = rs / (qv - 1.0) if ss == 0 else rs * float(ln_q(rs / ss, qv))
-    return lhs - rhs
-
-
-def _slack_dq_nonneg(instance, qv: float) -> float:
-    p, r = instance
-    return _divergence(p, p, r, qv)
-
-
-def _slack_max_bound(p: np.ndarray, qv: float) -> float:
-    return q_entropy_max(p.size, qv) - _entropy_from_array(p, qv)
-
-
-def _mi_chain_cross(t: np.ndarray, qv: float) -> float:
-    """Cross term of I(X; Y,Z) = I(X; Z) + I(X; Y | Z) on a table (X, Y, Z):
-
-    (1-q) * sum p ln_q[p(x,z)/(p(x)p(z))] ln_q[p(x,y|z)/(p(x|z)p(y|z))].
-    """
-    px = t.sum(axis=(1, 2))
-    pz = t.sum(axis=(0, 1))
-    pxz = t.sum(axis=1)
-    pyz = t.sum(axis=0)
-    mask = t > 0
-    x, y, z = mask.nonzero()
-    w = t[mask]
-    a = pxz[x, z] / (px[x] * pz[z])
-    b = w * pz[z] / (pxz[x, z] * pyz[y, z])
-    return cross_term(w, a, b, qv)
-
-
-def _slack_dpi(t: np.ndarray, qv: float) -> float:
-    """Deformed data-processing inequality on a rank-3 table (X, Y, Z).
-
-    Requires the middle axis to separate the outer two (as produced by
-    ``random_markov_triple``); the slack then equals the conditional
-    mutual information of X and Y given Z, which is nonnegative.
-    """
-    i_xy = _mutual_information(t.sum(axis=2), qv)
-    i_xz = _mutual_information(t.sum(axis=1), qv)
-    return float(i_xy - i_xz - _mi_chain_cross(t, qv))
-
-
-# ---------------------------------------------------------------------------
-# identity residuals, on bare arrays
-
-def _residual_info_chain(t: np.ndarray, qv: float) -> float:
-    """Mutual-information chain identity for two sources and one target.
-
-    I(X1,X2; Y) = I(X1; Y) + I(X2; Y | X1)
-                  + (1-q) * sum p ln_q(R1) ln_q(R2)
-
-    with R1 = p(x1,y)/(p(x1)p(y)) and R2 = p(x2,y|x1)/(p(x2|x1)p(y|x1)).
-    """
-    m1, m2, my = t.shape
-    i_joint = _mutual_information(t.reshape(m1 * m2, my), qv)
-    i_1 = _mutual_information(t.sum(axis=1), qv)
-    i_2_given_1 = _conditional_mutual_information(np.moveaxis(t, 0, 2), qv)
-    # (Y, X2, X1) is the (X, Y, Z) layout of the dpi cross term
-    return i_joint - i_1 - i_2_given_1 - _mi_chain_cross(t.transpose(2, 1, 0), qv)
-
-
-def _residual_rel_chain(instance, qv: float) -> float:
-    """Chain identity for the divergence of two rank-2 tables.
-
-    D(p(x,y) || r(x,y)) = D(p(x) || r(x)) + D(p(y|x) || r(y|x))
-                          + (1-q) * sum p ln_q(pX/rX) ln_q(p(y|x)/r(y|x))
-
-    Undefined (infinite) components propagate: the residual is +inf when
-    absolute continuity fails.
-    """
-    p, r = instance
-    px = p.sum(axis=1)
-    rx = r.sum(axis=1)
-    p_cond = _conditional(p, (1,))
-    r_cond = _conditional(r, (1,))
-    lhs = _divergence(p.reshape(-1), p.reshape(-1), r.reshape(-1), qv)
-    d_marg = _divergence(px, px, rx, qv)
-    d_cond = _divergence(p, p_cond, r_cond, qv)
-    if math.isinf(lhs) or math.isinf(d_marg) or math.isinf(d_cond):
-        return math.inf
-    mask = p > 0
-    ratio_x = (px / rx)[mask.nonzero()[0]]
-    return lhs - d_marg - d_cond - cross_term(p[mask], ratio_x, p_cond[mask] / r_cond[mask], qv)
-
-
-# ---------------------------------------------------------------------------
-# batch evaluators, on (B, *shape) stacks of strictly positive cells
+# evaluators, on (B, *shape) stacks of bare arrays with a (B,) q array
 #
-# Each mirrors its scalar evaluator with a leading batch axis and a (B,) q
-# array.  With every cell positive a row holds the cells of the scalar
-# ``t[t > 0]`` compaction in the same C order, and every sum runs over
-# the same axes in the same memory order, so each row equals the scalar
-# value bit for bit.  Zero cells and the ``den = 0`` escape stay with the
-# scalar evaluators.
+# One evaluator per law.  Every sum runs over the cells of a row in C
+# order, so each row takes the same bits in a stack of any height; with
+# every cell positive the rows equal the q-log sums over the compacted
+# positive cells, bit for bit.  A cell of zero weight adds an exact 0: its
+# q-log argument becomes 1.
+
 
 def _rows(a: np.ndarray) -> np.ndarray:
     """(B, n) C-order copy or view of the cells of each row of ``a``."""
     return a.reshape(len(a), -1)
 
 
+def _ratio(num, den, w: np.ndarray, qc: np.ndarray):
+    """(B, n) rows of ``num / den`` where the weight ``w`` is positive, and
+    the (B,) mask of rows that the ``den = 0`` escape leaves +inf.
+
+    A cell of zero weight takes 1.  A positive weight over ``den = 0``
+    takes +inf above q = 1 + SHANNON_TOL, where its q-log is the finite
+    limit 1 / (q - 1), and 1 at and below it, where its row is marked:
+    the escape rule of :func:`qit.measures.relative_q_entropy`.
+    """
+    pos = w > 0
+    ok = pos & (den > 0)
+    ratio = _rows(np.divide(num, den, out=np.ones(w.shape), where=ok))
+    escaped = _rows(pos ^ ok)  # ok implies pos
+    if not escaped.any():
+        return ratio, escaped[:, 0]  # no row is marked
+    above = qc > 1.0 + SHANNON_TOL
+    ratio[escaped & above] = math.inf
+    return ratio, (escaped & ~above).any(axis=-1)
+
+
 def _entropy_rows(t: np.ndarray, qc: np.ndarray) -> np.ndarray:
     x = _rows(t)
-    return -(x * ln_q_pos(x, qc)).sum(axis=-1)
+    return -(x * ln_q_pos(np.where(x > 0, x, 1.0), qc)).sum(axis=-1)
 
 
-def _divergence_rows(w: np.ndarray, num: np.ndarray, den: np.ndarray, qc: np.ndarray) -> np.ndarray:
-    return 0.0 + (_rows(w) * ln_q_pos(_rows(num / den), qc)).sum(axis=-1)
+def _divergence_rows(w: np.ndarray, num, den, qc: np.ndarray) -> np.ndarray:
+    """Row sums of ``w ln_q(num / den)`` with the ``den = 0`` escape rule."""
+    ratio, undefined = _ratio(num, den, w, qc)
+    total = 0.0 + (_rows(w) * ln_q_pos(ratio, qc)).sum(axis=-1)
+    total[undefined] = math.inf
+    return total
 
 
 def _mi_rows(t: np.ndarray, qc: np.ndarray) -> np.ndarray:
     return _divergence_rows(t, t, t.sum(axis=2)[:, :, None] * t.sum(axis=1)[:, None, :], qc)
 
 
-def _batch_block_chain(t: np.ndarray, q: np.ndarray) -> np.ndarray:
+def _block_chain(t: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Sum of the chain terms H(X1) + H(X2|X1) + ... minus the joint entropy."""
     qc = q[:, None]
     n = t.ndim - 1
     terms = []
-    prev = None
+    prev = None  # marginal of the first i axes
     for i in range(n):
         cur = t.sum(axis=tuple(range(i + 2, n + 1)))
-        if i == 0:
-            terms.append(_entropy_rows(cur, qc))
-        else:
-            terms.append(-(_rows(cur) * ln_q_pos(_rows(cur / prev[..., None]), qc)).sum(axis=-1))
+        # H(X1), then the entropy of each newest axis given the whole prefix
+        terms.append(_entropy_rows(cur, qc) if i == 0 else -_divergence_rows(cur, cur, prev[..., None], qc))
         prev = cur
     return sum(terms) - _entropy_rows(t, qc)
 
 
-def _batch_indep_superadd(pair, q: np.ndarray) -> np.ndarray:
+def _indep_superadd(pair, q: np.ndarray) -> np.ndarray:
     p, r = pair
     qc = q[:, None]
     return _entropy_rows(p, qc) + _entropy_rows(r, qc) - _entropy_rows(p[:, :, None] * r[:, None, :], qc)
 
 
-def _batch_cond_chain(t: np.ndarray, q: np.ndarray) -> np.ndarray:
+def _cond_chain(t: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """H(X|Z) + H(Y|X,Z) - H(X,Y|Z) on tables (X, Y, Z)."""
     qc = q[:, None]
 
     def cond_entropy(a, other):
@@ -253,63 +163,96 @@ def _batch_cond_chain(t: np.ndarray, q: np.ndarray) -> np.ndarray:
     return cond_entropy(t.sum(axis=2), (1,)) + cond_entropy(t, (2,)) - cond_entropy(t, (1, 2))
 
 
-def _batch_qln_sum(pair, q: np.ndarray) -> np.ndarray:
+def _qln_sum(pair, q: np.ndarray) -> np.ndarray:
+    """sum r ln_q(r / s) - (sum r) ln_q(sum r / sum s) on free weights."""
     r, s = pair
-    rs = r.sum(axis=1)
-    return _divergence_rows(r, r, s, q[:, None]) - rs * ln_q_pos(rs / s.sum(axis=1), q)
+    qc = q[:, None]
+    rs = r.sum(axis=1, keepdims=True)
+    lhs = _divergence_rows(r, r, s, qc)
+    rhs = _divergence_rows(rs, rs, s.sum(axis=1, keepdims=True), qc)
+    # rhs escapes to +inf only where every positive r meets s = 0, and lhs with it
+    return lhs - np.where(np.isinf(lhs), 0.0, rhs)
 
 
-def _batch_dq_nonneg(pair, q: np.ndarray) -> np.ndarray:
+def _dq_nonneg(pair, q: np.ndarray) -> np.ndarray:
     p, r = pair
     return _divergence_rows(p, p, r, q[:, None])
 
 
-def _batch_max_bound(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+def _max_bound(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return -ln_q_pos(np.full(len(p), 1.0 / p.shape[1]), q) - _entropy_rows(p, q[:, None])
 
 
-def _mi_chain_cross_rows(t: np.ndarray, qc: np.ndarray) -> np.ndarray:
+def _mi_chain_cross(t: np.ndarray, qc: np.ndarray) -> np.ndarray:
+    """Cross term of I(X; Y,Z) = I(X; Z) + I(X; Y | Z) on tables (X, Y, Z):
+
+    (1-q) * sum p ln_q[p(x,z)/(p(x)p(z))] ln_q[p(x,y|z)/(p(x|z)p(y|z))].
+    """
     px = t.sum(axis=(2, 3))
     pz = t.sum(axis=(1, 2))
     pxz = t.sum(axis=2)
     pyz = t.sum(axis=1)
-    a = np.broadcast_to(pxz[:, :, None, :] / (px[:, :, None, None] * pz[:, None, None, :]), t.shape)
-    b = t * pz[:, None, None, :] / (pxz[:, :, None, :] * pyz[:, None, :, :])
-    return np.array(cross_term(_rows(t), _rows(a), _rows(b), qc))
+    a = _ratio(pxz[:, :, None, :], px[:, :, None, None] * pz[:, None, None, :], t, qc)[0]
+    b = _ratio(t * pz[:, None, None, :], pxz[:, :, None, :] * pyz[:, None, :, :], t, qc)[0]
+    return np.array(cross_term(_rows(t), a, b, qc))
 
 
-def _batch_dpi(t: np.ndarray, q: np.ndarray) -> np.ndarray:
+def _dpi(t: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Deformed data-processing inequality on tables (X, Y, Z).
+
+    Requires the middle axis to separate the outer two (as produced by
+    ``random_markov_triple``); the slack then equals the conditional
+    mutual information of X and Y given Z, which is nonnegative.
+    """
     qc = q[:, None]
-    return _mi_rows(t.sum(axis=3), qc) - _mi_rows(t.sum(axis=2), qc) - _mi_chain_cross_rows(t, qc)
+    return _mi_rows(t.sum(axis=3), qc) - _mi_rows(t.sum(axis=2), qc) - _mi_chain_cross(t, qc)
 
 
-def _batch_info_chain(t: np.ndarray, q: np.ndarray) -> np.ndarray:
+def _info_chain(t: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Mutual-information chain identity for two sources and one target.
+
+    I(X1,X2; Y) = I(X1; Y) + I(X2; Y | X1)
+                  + (1-q) * sum p ln_q(R1) ln_q(R2)
+
+    with R1 = p(x1,y)/(p(x1)p(y)) and R2 = p(x2,y|x1)/(p(x2|x1)p(y|x1)).
+    """
     qc = q[:, None]
     b, m1, m2, my = t.shape
-    # I(X2; Y | X1) on the (X2, Y, X1) view, as the scalar evaluator takes it
+    # I(X2; Y | X1) on the (X2, Y, X1) view
     c = np.moveaxis(t, 1, 3)
     pz = c.sum(axis=(1, 2))
     pxz = c.sum(axis=2)
     pyz = c.sum(axis=1)
     i_2_given_1 = _divergence_rows(c, c * pz[:, None, None, :], pxz[:, :, None, :] * pyz[:, None, :, :], qc)
     i_joint = _mi_rows(t.reshape(b, m1 * m2, my), qc)
-    return i_joint - _mi_rows(t.sum(axis=2), qc) - i_2_given_1 - _mi_chain_cross_rows(t.transpose(0, 3, 2, 1), qc)
+    # (Y, X2, X1) is the (X, Y, Z) layout of the dpi cross term
+    return i_joint - _mi_rows(t.sum(axis=2), qc) - i_2_given_1 - _mi_chain_cross(t.transpose(0, 3, 2, 1), qc)
 
 
-def _batch_rel_chain(pair, q: np.ndarray) -> np.ndarray:
+def _rel_chain(pair, q: np.ndarray) -> np.ndarray:
+    """Chain identity for the divergence of two rank-2 tables.
+
+    D(p(x,y) || r(x,y)) = D(p(x) || r(x)) + D(p(y|x) || r(y|x))
+                          + (1-q) * sum p ln_q(pX/rX) ln_q(p(y|x)/r(y|x))
+
+    Undefined (infinite) components propagate: the residual is +inf when
+    absolute continuity fails.
+    """
     p, r = pair
     qc = q[:, None]
     px = p.sum(axis=2)
     rx = r.sum(axis=2)
-    p_cond = p / p.sum(axis=2, keepdims=True)
-    r_cond = r / r.sum(axis=2, keepdims=True)
+    p_cond = _conditional(p, (2,))
+    r_cond = _conditional(r, (2,))
     lhs = _divergence_rows(p, p, r, qc)
     d_marg = _divergence_rows(px, px, rx, qc)
     d_cond = _divergence_rows(p, p_cond, r_cond, qc)
-    ratio_x = np.broadcast_to((px / rx)[:, :, None], p.shape)
-    cross = np.array(cross_term(_rows(p), _rows(ratio_x), _rows(p_cond / r_cond), qc))
-    undefined = np.isinf(lhs) | np.isinf(d_marg) | np.isinf(d_cond)
-    return np.where(undefined, math.inf, lhs - d_marg - d_cond - cross)
+    ratio_x = _ratio(px[:, :, None], rx[:, :, None], p, qc)[0]
+    cross = np.array(cross_term(_rows(p), ratio_x, _ratio(p_cond, r_cond, p, qc)[0], qc))
+    ok = ~(np.isinf(lhs) | np.isinf(d_marg) | np.isinf(d_cond))
+    residual = np.full(len(p), math.inf)
+    residual[ok] = lhs[ok] - d_marg[ok] - d_cond[ok] - cross[ok]
+    return residual
 
 
 # ---------------------------------------------------------------------------
@@ -322,9 +265,7 @@ class _QRange:
     hi_closed: bool
 
     def contains(self, qv: float) -> bool:
-        if qv < self.lo:
-            return False
-        return qv <= self.hi if self.hi_closed else qv < self.hi
+        return self.lo <= qv and (qv <= self.hi if self.hi_closed else qv < self.hi)
 
     def describe(self) -> str:
         return f"[{self.lo:g}, {self.hi:g}{']' if self.hi_closed else ')'}"
@@ -387,8 +328,8 @@ class LawSpec:
     arity: int  # an instance is one array, or a pair
     ranks: tuple  # accepted ranks: 1 is a distribution, 2 to 4 a joint table
     sample: Callable  # rng -> instance of bare arrays
-    evaluate: Callable  # slack for inequalities, signed residual for identities
-    evaluate_batch: Callable  # (stack(s) of positive cells, (B,) q) -> (B,) evaluate values
+    # (stack or pair of stacks, (B,) q) -> (B,) slacks for inequalities, signed residuals for identities
+    evaluate: Callable
     matched: bool = False  # the pair shares one shape
     normalized: bool = True  # False: rank-1 arrays are free nonnegative weights
 
@@ -396,22 +337,23 @@ class LawSpec:
 _REGISTRY: dict[LawId, LawSpec] = {
     spec.law: spec
     for spec in [
-        LawSpec(LawId.JOINT_CHAIN, _SUB1, False, 1, (2,), _sample_rank2, _slack_block_chain, _batch_block_chain),
-        LawSpec(LawId.INDEP_SUPERADD, _SUB1, False, 2, (1,), _sample_pair_dists, _slack_indep_superadd, _batch_indep_superadd),
-        LawSpec(LawId.COND_CHAIN, _SUB1, False, 1, (3,), _sample_rank3, _slack_cond_chain, _batch_cond_chain),
-        LawSpec(LawId.BLOCK_CHAIN, _SUB1, False, 1, (2, 3, 4), _sample_block, _slack_block_chain, _batch_block_chain),
-        LawSpec(LawId.QLN_SUM, _LE2, False, 2, (1,), _sample_weights, _slack_qln_sum, _batch_qln_sum, matched=True, normalized=False),
-        LawSpec(LawId.DQ_NONNEG, _LE2, False, 2, (1,), _sample_same_length_dists, _slack_dq_nonneg, _batch_dq_nonneg, matched=True),
-        LawSpec(LawId.MAX_BOUND, _LE2, False, 1, (1,), _sample_dist, _slack_max_bound, _batch_max_bound),
-        LawSpec(LawId.DPI, _SUB1, False, 1, (3,), _sample_markov, _slack_dpi, _batch_dpi),
-        LawSpec(LawId.INFO_CHAIN_RULE, _SUB1, True, 1, (3,), _sample_rank3, _residual_info_chain, _batch_info_chain),
-        LawSpec(LawId.REL_CHAIN_RULE, _SUB1, True, 2, (2,), _sample_rel_pair, _residual_rel_chain, _batch_rel_chain, matched=True),
+        LawSpec(LawId.JOINT_CHAIN, _SUB1, False, 1, (2,), _sample_rank2, _block_chain),
+        LawSpec(LawId.INDEP_SUPERADD, _SUB1, False, 2, (1,), _sample_pair_dists, _indep_superadd),
+        LawSpec(LawId.COND_CHAIN, _SUB1, False, 1, (3,), _sample_rank3, _cond_chain),
+        LawSpec(LawId.BLOCK_CHAIN, _SUB1, False, 1, (2, 3, 4), _sample_block, _block_chain),
+        LawSpec(LawId.QLN_SUM, _LE2, False, 2, (1,), _sample_weights, _qln_sum, matched=True, normalized=False),
+        LawSpec(LawId.DQ_NONNEG, _LE2, False, 2, (1,), _sample_same_length_dists, _dq_nonneg, matched=True),
+        LawSpec(LawId.MAX_BOUND, _LE2, False, 1, (1,), _sample_dist, _max_bound),
+        LawSpec(LawId.DPI, _SUB1, False, 1, (3,), _sample_markov, _dpi),
+        LawSpec(LawId.INFO_CHAIN_RULE, _SUB1, True, 1, (3,), _sample_rank3, _info_chain),
+        LawSpec(LawId.REL_CHAIN_RULE, _SUB1, True, 2, (2,), _sample_rel_pair, _rel_chain, matched=True),
     ]
 }
 
 
-def _instance_arrays(spec: LawSpec, instance):
-    """Bare arrays of an outside instance, after the law's instance check."""
+def _value(spec: LawSpec, instance, qv: float) -> float:
+    """``spec.evaluate`` of an outside instance, after the law's instance
+    check, as a stack of one row, as a fuzz campaign evaluates it."""
     parts = (instance,) if spec.arity == 1 else tuple(instance)
     if len(parts) != spec.arity:
         raise ValueError(f"{spec.law} expects a pair of arrays")
@@ -427,7 +369,7 @@ def _instance_arrays(spec: LawSpec, instance):
         arrays.append(arr)
     if spec.matched and arrays[0].shape != arrays[1].shape:
         raise ValueError(f"{spec.law} expects two arrays of one shape")
-    return arrays[0] if spec.arity == 1 else tuple(arrays)
+    return _grouped_values(spec, [qv], [tuple(arrays)])[0]
 
 
 def identity_residual(identity: str, instance, q) -> float:
@@ -444,8 +386,7 @@ def identity_residual(identity: str, instance, q) -> float:
     law = {"info-chain-rule-n2": LawId.INFO_CHAIN_RULE, "rel-chain-rule": LawId.REL_CHAIN_RULE}.get(identity)
     if law is None:
         raise ValueError(f"unknown identity {identity!r}")
-    spec = _REGISTRY[law]
-    return abs(spec.evaluate(_instance_arrays(spec, instance), qv))
+    return abs(_value(_REGISTRY[law], instance, qv))
 
 
 def law_q_range(law) -> tuple[float, float, bool]:
@@ -474,7 +415,7 @@ def law_slack(law, instance, q) -> float:
         raise ValueError(
             f"law {lid.value} is only asserted for q in {spec.q_range.describe()}, got {qv:g}"
         )
-    value = spec.evaluate(_instance_arrays(spec, instance), qv)
+    value = _value(spec, instance, qv)
     return -abs(value) if spec.identity else value
 
 
@@ -561,8 +502,12 @@ def fuzz(law, trials: int, q_range=None, seed: int = 0, *, tol=None) -> SlackRep
         raise ValueError("trials must be >= 1")
     if tol is None:
         tol = TOL_IDENTITY if spec.identity else TOL_INEQUALITY
+    if not math.isfinite(tol):
+        raise ValueError(f"tol must be finite, got {tol!r}")
 
     lo, hi = (spec.q_range.lo, spec.q_range.hi) if q_range is None else map(float, q_range)
+    if math.isnan(lo) or math.isnan(hi):
+        raise ValueError(f"q-range bounds must be numbers, got {lo!r} and {hi!r}")
     lo = max(lo, spec.q_range.lo)
     hi = min(hi, spec.q_range.hi)
     if lo > hi or (lo == hi and not spec.q_range.contains(lo)):
@@ -614,22 +559,15 @@ def fuzz(law, trials: int, q_range=None, seed: int = 0, *, tol=None) -> SlackRep
 
 def _grouped_values(spec: LawSpec, qs: list, parts: list) -> list:
     """``spec.evaluate`` of each q and instance (a tuple of its arrays), in
-    order, evaluated by one ``evaluate_batch`` call per instance shape.
-
-    A group whose stack holds a cell that is not positive is evaluated
-    row by row by the scalar evaluator.
-    """
+    order, evaluated by one call per instance shape."""
     groups = {}
     for i, arrays in enumerate(parts):
         groups.setdefault(tuple(a.shape for a in arrays), []).append(i)
     values = [0.0] * len(parts)
     for idx in groups.values():
         stacks = tuple(np.stack(column) for column in zip(*(parts[i] for i in idx)))
-        if all(stack.min() > 0 for stack in stacks):
-            batch = stacks[0] if spec.arity == 1 else stacks
-            out = spec.evaluate_batch(batch, np.array([qs[i] for i in idx])).tolist()
-        else:
-            out = [spec.evaluate(parts[i][0] if spec.arity == 1 else parts[i], qs[i]) for i in idx]
+        batch = stacks[0] if spec.arity == 1 else stacks
+        out = spec.evaluate(batch, np.array([qs[i] for i in idx])).tolist()
         for i, value in zip(idx, out):
             values[i] = value
     return values

@@ -13,8 +13,9 @@ reference distribution misses mass that the first distribution carries
 ``p_i / (q - 1)``.
 
 Numeric results are plain floats.  Each public function coerces its
-arguments to containers, checks their shapes and calls one unchecked
-kernel on the bare arrays; the laws call the kernels directly.
+arguments to containers, checks their shapes and computes on the bare
+arrays through the unchecked kernels ``_entropy_from_array`` and
+``_divergence``.
 """
 
 import math
@@ -57,11 +58,8 @@ def q_entropy_conditional(j, given_axes, q) -> float:
     """
     qv = q_value(q)
     table = JointTable.coerce(j)
-    return _conditional_entropy(table.t, _other_axes(table.rank, given_axes), qv)
-
-
-def _conditional_entropy(t: np.ndarray, other: tuple, qv: float) -> float:
-    """``-sum t ln_q(t / m)`` with ``m`` the sum of t over the ``other`` axes."""
+    t = table.t
+    other = _other_axes(table.rank, given_axes)
     return -_divergence(t, t, np.broadcast_to(t.sum(axis=other, keepdims=True), t.shape), qv)
 
 
@@ -113,11 +111,7 @@ def mutual_q_information(j, q) -> float:
     table = JointTable.coerce(j)
     if table.rank != 2:
         raise ValueError("mutual_q_information expects a rank-2 table")
-    return _mutual_information(table.t, qv)
-
-
-def _mutual_information(t: np.ndarray, qv: float) -> float:
-    """``sum t ln_q[t / (row sums x column sums)]`` of a rank-2 array."""
+    t = table.t
     return _divergence(t, t, np.outer(t.sum(axis=1), t.sum(axis=0)), qv)
 
 
@@ -135,11 +129,7 @@ def conditional_mutual_q_information(j, q, given_axis: int = 2) -> float:
         raise ValueError("conditional_mutual_q_information expects a rank-3 table")
     if not 0 <= given_axis < 3:
         raise ValueError("given_axis must be 0, 1, or 2")
-    return _conditional_mutual_information(np.moveaxis(table.t, given_axis, 2), qv)
-
-
-def _conditional_mutual_information(t: np.ndarray, qv: float) -> float:
-    """Mutual information of the first two axes of a rank-3 array given the last."""
+    t = np.moveaxis(table.t, given_axis, 2)
     pz = t.sum(axis=(0, 1))
     pxz = t.sum(axis=1)
     pyz = t.sum(axis=0)
@@ -168,10 +158,8 @@ def q_entropy_chain_terms(j, q) -> list[float]:
     Computed from prefix marginals of the joint table, so the terms are
     meaningful for tables of any rank (2 to 4).
     """
-    return _chain_terms_from_array(JointTable.coerce(j).t, q_value(q))
-
-
-def _chain_terms_from_array(t: np.ndarray, qv: float) -> list[float]:
+    t = JointTable.coerce(j).t
+    qv = q_value(q)
     n = t.ndim
     terms = []
     prev = None  # marginal of the first i axes

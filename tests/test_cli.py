@@ -110,6 +110,22 @@ def test_fuzz_violations_exit_3(capsys):
     assert int(lines[1].split(",")[4]) > 0
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--law", "joint-chain", "--q-range", "nan", "0.5"],
+        ["--law", "joint-chain", "--q-range", "0.2", "nan"],
+        ["--law", "qln-sum", "--tol", "nan"],
+        ["--law", "qln-sum", "--tol", "inf"],
+    ],
+)
+def test_fuzz_nan_q_bound_or_non_finite_tol_exits_2(capsys, flags):
+    assert run(["fuzz", *flags, "--trials", "5", "--seed", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
 def test_fuzz_json_format(capsys):
     rc = run(["fuzz", "--law", "dq-nonneg", "--trials", "20", "--seed", "1", "--format", "json", "--deterministic"])
     assert rc == 0

@@ -1,8 +1,8 @@
 """Inequality/identity registry and fuzz campaigns."""
 
-import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,18 +13,20 @@ from qit.laws import (
     SlackReport,
     TOL_IDENTITY,
     TOL_INEQUALITY,
-    _grouped_values,
     law_is_identity,
     law_q_range,
 )
 from qit.measures import (
+    _divergence,
     conditional_mutual_q_information,
     mutual_q_information,
     q_entropy,
     q_entropy_chain_terms,
     q_entropy_conditional,
     q_entropy_joint,
+    q_entropy_max,
     relative_q_entropy,
+    relative_q_entropy_conditional,
 )
 from qit.prob import (
     JointTable,
@@ -34,7 +36,7 @@ from qit.prob import (
     random_joint,
     random_markov_triple,
 )
-from qit.qcore import ln_q, pseudo_additivity_residual
+from qit.qcore import cross_term, ln_q, pseudo_additivity_residual
 
 
 def test_registry_enumerates_ten_laws():
@@ -332,8 +334,7 @@ def test_fuzz_replays_as_one_stream(law):
     slacks, qs = [], []
     for _ in range(40):
         qv = float(rng.uniform(spec.q_range.lo, spec.q_range.hi))
-        value = spec.evaluate(spec.sample(rng), qv)
-        slacks.append(-abs(value) if spec.identity else value)
+        slacks.append(law_slack(law, spec.sample(rng), qv))
         qs.append(qv)
     r = fuzz(law, trials=40, seed=11)
     assert r.identity is spec.identity
@@ -355,6 +356,16 @@ def test_fuzz_q_range_intersection():
         fuzz("joint-chain", trials=10, q_range=(0.9, 0.5))
     with pytest.raises(ValueError):
         fuzz("joint-chain", trials=0)
+
+
+def test_fuzz_rejects_nan_q_bounds_and_non_finite_tol():
+    for q_range in [(math.nan, 0.5), (0.2, math.nan)]:
+        with pytest.raises(ValueError, match="q-range"):
+            fuzz("joint-chain", trials=10, q_range=q_range)
+    # no slack is below -nan, so such a campaign could never fail
+    for tol in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="tol"):
+            fuzz("qln-sum", trials=10, tol=tol)
 
 
 def test_fuzz_tol_override_flags_violations():
@@ -380,6 +391,109 @@ def test_slack_report_serialization():
     assert isinstance(d["q_mean"], float)
 
 
+# ---------------------------------------------------------------------------
+# reference evaluators: one instance at a time, on its positive cells, through
+# the public measures (and ``_divergence`` for qln-sum's free weights)
+
+def _ref_block_chain(t, qv):
+    return float(sum(q_entropy_chain_terms(t, qv)) - q_entropy_joint(t, qv))
+
+
+def _ref_indep_superadd(instance, qv):
+    p, r = instance
+    return q_entropy(p, qv) + q_entropy(r, qv) - q_entropy_joint(np.outer(p, r), qv)
+
+
+def _ref_cond_chain(t, qv):
+    h_x_given_z = q_entropy_conditional(t.sum(axis=1), 1, qv)
+    h_y_given_xz = q_entropy_conditional(t, (0, 2), qv)
+    h_xy_given_z = q_entropy_conditional(t, 2, qv)
+    return float(h_x_given_z + h_y_given_xz - h_xy_given_z)
+
+
+def _ref_qln_sum(instance, qv):
+    r, s = instance
+    rs = float(r.sum())
+    ss = float(s.sum())
+    if rs == 0:
+        return 0.0
+    lhs = _divergence(r, r, s, qv)  # +inf for q <= 1 where a positive r meets s = 0
+    if lhs == math.inf:
+        return math.inf
+    # past the escape above, ss = 0 means q > 1, where ln_q(rs / 0) = 1 / (q - 1)
+    rhs = rs / (qv - 1.0) if ss == 0 else rs * float(ln_q(rs / ss, qv))
+    return lhs - rhs
+
+
+def _ref_dq_nonneg(instance, qv):
+    p, r = instance
+    return relative_q_entropy(p, r, qv)
+
+
+def _ref_max_bound(p, qv):
+    return q_entropy_max(p.size, qv) - q_entropy(p, qv)
+
+
+def _ref_mi_chain_cross(t, qv):
+    px = t.sum(axis=(1, 2))
+    pz = t.sum(axis=(0, 1))
+    pxz = t.sum(axis=1)
+    pyz = t.sum(axis=0)
+    mask = t > 0
+    x, y, z = mask.nonzero()
+    w = t[mask]
+    a = pxz[x, z] / (px[x] * pz[z])
+    b = w * pz[z] / (pxz[x, z] * pyz[y, z])
+    return cross_term(w, a, b, qv)
+
+
+def _ref_dpi(t, qv):
+    i_xy = mutual_q_information(t.sum(axis=2), qv)
+    i_xz = mutual_q_information(t.sum(axis=1), qv)
+    return float(i_xy - i_xz - _ref_mi_chain_cross(t, qv))
+
+
+def _ref_info_chain(t, qv):
+    m1, m2, my = t.shape
+    i_joint = mutual_q_information(t.reshape(m1 * m2, my), qv)
+    i_1 = mutual_q_information(t.sum(axis=1), qv)
+    i_2_given_1 = conditional_mutual_q_information(t, qv, given_axis=0)
+    return i_joint - i_1 - i_2_given_1 - _ref_mi_chain_cross(t.transpose(2, 1, 0), qv)
+
+
+def _ref_rel_chain(instance, qv):
+    p, r = instance
+    px = p.sum(axis=1)
+    rx = r.sum(axis=1)
+    lhs = relative_q_entropy(p.reshape(-1), r.reshape(-1), qv)
+    d_marg = relative_q_entropy(px, rx, qv)
+    d_cond = relative_q_entropy_conditional(p, r, 0, qv)
+    if math.isinf(lhs) or math.isinf(d_marg) or math.isinf(d_cond):
+        return math.inf
+    p_cond = prob._conditional(p, (1,))
+    r_cond = prob._conditional(r, (1,))
+    mask = p > 0
+    # rows of r without mass give 0/0 where p has none, and above q = 1 a
+    # positive p over r = 0 gives the ratio +inf, whose q-log is 1 / (q - 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio_x = (px / rx)[mask.nonzero()[0]]
+        ratio_cond = p_cond[mask] / r_cond[mask]
+    return lhs - d_marg - d_cond - cross_term(p[mask], ratio_x, ratio_cond, qv)
+
+
+_REFERENCE = {
+    "joint-chain": _ref_block_chain,
+    "indep-superadd": _ref_indep_superadd,
+    "cond-chain": _ref_cond_chain,
+    "block-chain": _ref_block_chain,
+    "qln-sum": _ref_qln_sum,
+    "dq-nonneg": _ref_dq_nonneg,
+    "max-bound": _ref_max_bound,
+    "dpi": _ref_dpi,
+    "info-chain-rule": _ref_info_chain,
+    "rel-chain-rule": _ref_rel_chain,
+}
+
 # number of instance shapes each sampler draws
 _SHAPES = {
     "joint-chain": 25,
@@ -403,6 +517,12 @@ def _shapes(spec, instance):
     return tuple(a.shape for a in _arrays(spec, instance))
 
 
+def _evaluate(spec, instances, q):
+    """``spec.evaluate`` of the instances (one shape) stacked, at the q array."""
+    stacks = tuple(np.stack(column) for column in zip(*(_arrays(spec, x) for x in instances)))
+    return spec.evaluate(stacks[0] if spec.arity == 1 else stacks, np.asarray(q, dtype=float))
+
+
 @pytest.mark.parametrize("law", [law.value for law in all_laws()])
 def test_batch_evaluators_match_scalar_bit_for_bit(law):
     spec = _REGISTRY[LawId(law)]
@@ -421,36 +541,84 @@ def test_batch_evaluators_match_scalar_bit_for_bit(law):
     qs = [fixed[i] if i < len(fixed) else float(rng.uniform(spec.q_range.lo, spec.q_range.hi)) for i in range(60)]
     for idx in groups.values():
         q = np.array([qs[j % len(qs)] for j in range(len(idx))])
-        stacks = tuple(np.stack(column) for column in zip(*(_arrays(spec, instances[i]) for i in idx)))
-        got = spec.evaluate_batch(stacks[0] if spec.arity == 1 else stacks, q)
-        want = np.array([spec.evaluate(instances[i], qv) for i, qv in zip(idx, q.tolist())])
+        got = _evaluate(spec, [instances[i] for i in idx], q)
+        want = np.array([_REFERENCE[law](instances[i], qv) for i, qv in zip(idx, q.tolist())])
         assert got.tobytes() == want.tobytes()
 
 
-def test_groups_with_a_zero_cell_take_the_scalar_evaluator():
-    spec = _REGISTRY[LawId.JOINT_CHAIN]
-    rng = make_rng(32)
-    tables = [prob._flat_dirichlet((2, 3), rng) for _ in range(6)]
-    tables[3][1, 2] = 0.0
-    tables[3] /= tables[3].sum()
-    qs = [0.1, 0.3, 0.5, 0.7, 0.9, 0.95]
-
-    def no_batch(stack, q):
-        raise AssertionError("a stack with a zero cell reached the batch evaluator")
-
-    want = [spec.evaluate(t, qv) for t, qv in zip(tables, qs)]
-    got = _grouped_values(dataclasses.replace(spec, evaluate_batch=no_batch), qs, [(t,) for t in tables])
-    assert got == want
+def _zero_cells(spec, instance, rng):
+    """``instance`` with about a third of the cells of each array set to 0,
+    keeping one positive cell, and rescaled to mass one for normalized laws.
+    Zeroed reference cells under positive weight are ``den = 0`` escapes."""
+    out = []
+    for a in _arrays(spec, instance):
+        a = a.copy()
+        zero = rng.random(a.shape) < 0.35
+        zero.flat[rng.integers(a.size)] = False
+        a[zero] = 0.0
+        out.append(a / a.sum() if spec.normalized else a)
+    return out[0] if spec.arity == 1 else tuple(out)
 
 
-def test_fuzz_calls_no_scalar_evaluator_on_positive_draws(monkeypatch):
-    def no_scalar(instance, q):
-        raise AssertionError("the scalar evaluator ran inside fuzz")
+def _q_grid(spec):
+    """q below 1, at the Shannon band and, where the range allows, above 1."""
+    if spec.q_range.hi_closed:
+        return [0.0, 0.3, 0.7, 1.0 - 1e-13, 1.0, 1.0 + 1e-13, 1.0 + 1e-6, 1.5, 2.0]
+    return [0.0, 0.3, 0.7, 0.99, 1.0 - 1e-13]
 
-    for law in all_laws():
-        want = fuzz(law, trials=300, seed=17)
-        monkeypatch.setitem(_REGISTRY, law, dataclasses.replace(_REGISTRY[law], evaluate=no_scalar))
-        assert fuzz(law, trials=300, seed=17) == want
+
+def _assert_matches_reference(got, want):
+    # within 1e-12 of the unit scale of the measures; +inf exactly
+    if math.isinf(want):
+        assert got == want
+    else:
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (got, want)
+
+
+@pytest.mark.parametrize("law", [law.value for law in all_laws()])
+def test_zero_cells_match_the_reference(law):
+    spec = _REGISTRY[LawId(law)]
+    rng = make_rng(41)
+    grid = _q_grid(spec)
+    cases = [(_zero_cells(spec, spec.sample(rng), rng), grid[k % len(grid)]) for k in range(300)]
+    if law == "qln-sum":
+        for r, s in [([0.0, 0.0, 0.0], [1.0, 2.0, 0.5]), ([1.0, 2.0, 0.5], [0.0, 0.0, 0.0]), ([0.0, 0.0], [0.0, 0.0])]:
+            cases += [((np.array(r), np.array(s)), qv) for qv in grid]
+    wants = [_REFERENCE[law](instance, qv) for instance, qv in cases]
+    assert any(math.isinf(w) for w in wants) == (law in ("qln-sum", "dq-nonneg", "rel-chain-rule"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        gots = [law_slack(law, instance, qv) for instance, qv in cases]
+    for got, want in zip(gots, wants):
+        _assert_matches_reference(got, -abs(want) if spec.identity else want)
+    if spec.identity:
+        # identity_residual takes any q; the escapes above 1 keep the identity
+        name = {"info-chain-rule": "info-chain-rule-n2"}.get(law, law)
+        for instance, _ in cases[:100]:
+            for qv in (0.5, 1.0, 1.5, 2.0):
+                want = abs(_REFERENCE[law](instance, qv))
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    got = identity_residual(name, instance, qv)
+                _assert_matches_reference(got, want)
+
+
+@pytest.mark.parametrize("law", [law.value for law in all_laws()])
+def test_each_row_of_a_mixed_stack_equals_its_one_row_evaluation(law):
+    spec = _REGISTRY[LawId(law)]
+    rng = make_rng(43)
+    groups = {}
+    for _ in range(400):
+        instance = spec.sample(rng)
+        groups.setdefault(_shapes(spec, instance), []).append(instance)
+    instances = max(groups.values(), key=len)
+    # every other row holds zero cells, and q runs over the whole grid
+    instances = [_zero_cells(spec, x, rng) if i % 2 else x for i, x in enumerate(instances)]
+    grid = _q_grid(spec)
+    q = [grid[i % len(grid)] for i in range(len(instances))]
+    stacked = _evaluate(spec, instances, q)
+    for i, (instance, qv) in enumerate(zip(instances, q)):
+        assert stacked[i : i + 1].tobytes() == _evaluate(spec, [instance], [qv]).tobytes()
 
 
 def test_fuzz_memory_does_not_grow_with_trials():
@@ -477,8 +645,7 @@ def test_fuzz_reports_a_replayable_worst_trial(law):
     for _ in range(r.worst_trial + 1):
         qv = float(rng.uniform(spec.q_range.lo, spec.q_range.hi))
         instance = spec.sample(rng)
-    value = spec.evaluate(instance, qv)
-    assert (-abs(value) if spec.identity else value) == r.min_slack
+    assert law_slack(law, instance, qv) == r.min_slack
     assert qv == r.worst_q
     assert _shapes(spec, instance) == r.worst_shape
     d = r.to_json_dict()
