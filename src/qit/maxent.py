@@ -16,11 +16,13 @@ and the multiplier pair ``(lam, mu)`` satisfies, level by level,
 classical exponential family).  Levels can drop out of the support
 when q < 1: a removed level j is consistent exactly when the exponential
 argument at j falls outside the domain of ``exp_q``, i.e. when the domain
-margin ``1 + (1 - q) * arg_j`` is nonpositive.  The solver therefore runs
-a damped Newton iteration on the two multipliers, keeping every active
-level strictly inside the domain; when the iteration stalls against the
-domain wall it removes the offending level and re-solves on the rest,
-then checks the removed levels' margins at the final multipliers.
+margin ``1 + (1 - q) * arg_j`` is nonpositive.  As that margin is linear
+in the level, the support is every level on one side of a root ``e0``,
+the Tsallis cutoff.  The solver finds the cutoff by bisection on the
+sorted levels, one O(m) mean per probe, then runs a damped Newton
+iteration on the two multipliers over that support, keeping every active
+level strictly inside the domain, and checks the removed levels' margins
+at the final multipliers.
 
 ``verify_optimality`` spot-checks a solution against random feasible
 competitors, mixtures of the vertices of the feasible polytope, so no
@@ -30,6 +32,7 @@ divergence-like form ``sum f (ln_q f - ln_q p)`` exactly, which is
 asserted as an internal consistency check.
 """
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -38,7 +41,7 @@ import numpy as np
 from .errors import ConvergenceError
 from .measures import _entropy_from_array
 from .prob import ProbVec, _float_array, make_rng
-from .qcore import exp_q_inside, ln_q, ln_q_pos, q_value
+from .qcore import SHANNON_TOL, exp_q_inside, ln_q, ln_q_pos, q_value
 
 #: Removed levels must have domain margin at or below this at the solution.
 KKT_MARGIN_TOL = 1e-9
@@ -93,33 +96,18 @@ def _arguments(lam, mu, eps, qv):
     return (-lam - mu * eps) / (2.0 - qv)
 
 
-class _Stuck(Exception):
-    """Internal: Newton could not finish on the current active set."""
-
-    def __init__(self, lam, mu, p, norm, iters, margins=None):
-        super().__init__("newton stalled")
-        self.lam = lam
-        self.mu = mu
-        self.p = p
-        self.norm = norm
-        self.iters = iters
-        self.margins = margins  # domain margins at the undamped Newton step
-
-
 def _line_search(lam, mu, step, eps, target, qv, norm):
     """First halving ``t = 2**-k`` whose candidate lowers the residual norm.
 
     The domain margins of a block of halvings are one array, so only the
     candidates inside the ``exp_q`` domain are evaluated.  Returns
-    ``(t, p, f1, f2, norm)``, or ``(None, margins at t = 1)``.
+    ``(t, p, f1, f2, norm)``, or None when no halving does.
     """
     rows = max(1, _CELLS // eps.size)
     for k0 in range(0, _FRACTIONS.size, rows):
         t = _FRACTIONS[k0 : k0 + rows, None]
         arg = _arguments(lam + t * step[0], mu + t * step[1], eps, qv)
         base = 1.0 + (1.0 - qv) * arg
-        if k0 == 0:
-            margins = base[0]
         with np.errstate(over="ignore"):  # overflowed candidates are rejected
             for k in np.flatnonzero(base.min(axis=1) > 0.0):
                 cand = exp_q_inside(arg[k], qv)
@@ -129,7 +117,13 @@ def _line_search(lam, mu, step, eps, target, qv, norm):
                     cn = max(abs(c1), abs(c2))
                     if cn < norm:
                         return float(t[k, 0]), cand, c1, c2, cn
-    return None, margins
+    return None
+
+
+def _stalled(lam, mu, norm):
+    return ConvergenceError(
+        f"constrained solve stalled with residual {norm:.3e}", last=(lam, mu), residuals=[norm]
+    )
 
 
 def _newton(eps, target, qv):
@@ -144,17 +138,17 @@ def _newton(eps, target, qv):
     iters = 0
     while norm > NEWTON_TOL:
         if iters >= NEWTON_ITERS:
-            raise _Stuck(lam, mu, p, norm, iters)
+            raise _stalled(lam, mu, norm)
         w = np.power(p, qv)
         j12 = float(w @ eps)
         jac = np.array([[float(w.sum()), j12], [j12, float(w @ (eps * eps))]]) / -two_q
         try:
             step = np.linalg.solve(jac, [-f1, -f2])
         except np.linalg.LinAlgError:
-            raise _Stuck(lam, mu, p, norm, iters) from None
+            raise _stalled(lam, mu, norm) from None
         found = _line_search(lam, mu, step, eps, target, qv, norm)
-        if found[0] is None:
-            raise _Stuck(lam, mu, p, norm, iters, margins=found[1])
+        if found is None:
+            raise _stalled(lam, mu, norm)
         t, p, f1, f2, norm = found
         lam += t * step[0]
         mu += t * step[1]
@@ -162,46 +156,41 @@ def _newton(eps, target, qv):
     return lam, mu, p, iters, (f1, f2)
 
 
-def _drop_candidate(stuck: _Stuck) -> int:
-    """Index of the level being squeezed out of the support."""
-    if stuck.margins is not None:
-        # margins at the undamped Newton candidate show which level the
-        # iteration is pressing against the domain wall
-        j = int(np.argmin(stuck.margins))
-        if stuck.margins[j] <= 0.0:
-            return j
-    return int(np.argmin(stuck.p))
+def _supports(eps, target, qv):
+    """Supports for ``_newton`` to try in turn, each with the levels it drops.
 
+    For 0 <= q < 1 the support is the levels on one side of the cutoff: the
+    high ones go for a target below the levels' mean, the low ones for one
+    above.  Sorted from the kept end, a root at level ``s_k`` gives the law
+    ``(s_k - s_i)**(1/(1-q))`` on the levels below it, whose mean ``M_k``
+    rises with k.  The support is the first k >= 2 levels, for the least k
+    with ``M_k`` above the target.  If ``M_(k-1)`` is the target within a
+    few ``NEWTON_TOL``, the support without level k - 1 is the second try.
+    Dropped levels run from the far end inward, equal levels by index.
+    """
+    m = eps.size
+    side = np.sign(float(eps.mean()) - target)
+    if not (qv < 1.0 - SHANNON_TOL and m >= 3 and side):
+        return [(np.arange(m), ())]
+    # kept end first, equal levels by descending index
+    order = np.lexsort((-np.arange(m), side * eps))
+    s, t = side * eps[order], side * target
+    power = 1.0 / (1.0 - qv)
+    # a support meeting the constraints within NEWTON_TOL has its cut mean
+    # within twice that of the target (|t| <= 1); the band doubles it again
+    tol = 4.0 * NEWTON_TOL
 
-def _solve_with_cutoff(eps_all, target, qv):
-    active = np.arange(eps_all.size)
-    dropped = []
-    spent = 0
-    while True:
-        eps = eps_all[active]
-        try:
-            lam, mu, p, iters, resid = _newton(eps, target, qv)
-            return lam, mu, p, active, tuple(dropped), spent + iters, resid
-        except _Stuck as s:
-            spent += s.iters
-            if qv >= 1.0 or active.size <= 2:
-                raise ConvergenceError(
-                    f"constrained solve stalled with residual {s.norm:.3e}",
-                    last=(s.lam, s.mu),
-                    residuals=[s.norm],
-                ) from None
-            j = _drop_candidate(s)
-            keep = np.ones(active.size, dtype=bool)
-            keep[j] = False
-            reduced = eps_all[active[keep]]
-            if not (reduced.min() < target < reduced.max()):
-                raise ConvergenceError(
-                    "support reduction made the target mean infeasible",
-                    last=(s.lam, s.mu),
-                    residuals=[s.norm],
-                ) from None
-            dropped.append(int(active[j]))
-            active = active[keep]
+    def cut_mean(k):
+        below = s[: np.searchsorted(s, s[k])]
+        if not below.size:
+            return -math.inf
+        log_w = power * np.log(s[k] - below)  # the powers over- and underflow near q = 1
+        w = np.exp(log_w - log_w.max())
+        return float(w @ below) / float(w.sum())
+
+    k = 2 + bisect.bisect_right(range(2, m), t + tol, key=cut_mean)  # k = m: no cut
+    sizes = [k, k - 1] if k > 2 and cut_mean(k - 1) >= t - tol else [k]
+    return [(np.sort(order[:n]), tuple(int(i) for i in order[n:][::-1])) for n in sizes]
 
 
 @dataclass(frozen=True)
@@ -213,9 +202,9 @@ class MaxEntSolution:
     lam: float
     mu: float
     support: tuple
-    iterations: int
+    iterations: int  # Newton steps on the returned support
     residuals: tuple  # (|sum p - 1|, |sum p e - target|) before renormalization
-    dropped: tuple  # levels the support reduction removed, in the order removed
+    dropped: tuple  # levels cut from the support: far end inward, equal levels by index
 
     def arguments(self) -> np.ndarray:
         """Deformed-exponential argument at every level."""
@@ -274,9 +263,15 @@ def solve(problem: MaxEntProblem) -> MaxEntSolution:
         resid = (abs(float(p_full.sum()) - 1.0), abs(float(p_full @ eps_raw) - problem.target_mean))
     else:
         scale = max(1.0, float(np.abs(eps_raw).max()))
-        lam, mu_s, p_act, active, dropped, iters, resid_s = _solve_with_cutoff(
-            eps_raw / scale, problem.target_mean / scale, qv
-        )
+        eps, target = eps_raw / scale, problem.target_mean / scale
+        for active, dropped in _supports(eps, target, qv):
+            try:
+                lam, mu_s, p_act, iters, resid_s = _newton(eps[active], target, qv)
+                break
+            except ConvergenceError as exc:
+                error = exc
+        else:
+            raise error
         mu = mu_s / scale
         p_full = np.zeros(m)
         p_full[active] = p_act

@@ -1,6 +1,7 @@
 """Mean-constrained entropy maximization: solver, KKT margins, optimality."""
 
 import functools
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -276,9 +277,71 @@ def test_support_reduction_history_lists_levels_in_the_order_removed():
     sol = solve(MaxEntProblem(levels, levels[0] + 0.02 * np.ptp(levels), 0.3))
     assert len(sol.dropped) >= 2
     assert sorted(sol.dropped + sol.support) == list(range(8))
-    # each removal squeezes out the highest level still in the support
+    # the cut runs from the highest level inward
     assert list(sol.dropped) == sorted(sol.dropped, reverse=True)
     assert sol.to_json_dict()["dropped"] == list(sol.dropped)
+
+
+@pytest.mark.parametrize("side", [1.0, -1.0])
+def test_cut_runs_from_the_far_end_with_equal_levels_by_index(side):
+    levels = side * np.array([4.0, 0.0, 3.0, 1.0, 2.0, 3.0])
+    sol = solve(MaxEntProblem(levels, side * 0.3, 0.3))
+    assert sol.support == (1, 3, 4)
+    assert sol.dropped == (0, 2, 5)
+
+
+def test_far_edge_target_takes_one_newton_run():
+    # cutting one level per Newton stall took 6961 steps here
+    levels = _jittered_levels(39)
+    sol = solve(MaxEntProblem(levels, levels[0] + 0.98 * np.ptp(levels), 0.0))
+    assert sol.iterations <= maxent.NEWTON_ITERS
+    assert sol.support == (35, 36, 37, 38)
+    assert sol.dropped == tuple(range(35))
+
+
+def _count_newton_runs(monkeypatch):
+    sizes = []
+    newton = maxent._newton
+
+    def spy(eps, *args):
+        sizes.append(eps.size)
+        return newton(eps, *args)
+
+    monkeypatch.setattr(maxent, "_newton", spy)
+    return sizes
+
+
+def test_one_newton_run_per_problem(monkeypatch):
+    runs = _count_newton_runs(monkeypatch)
+    problems = [p for p in _oracle_problems() if np.ptp(p.levels) > 0.0]
+    for problem in problems:
+        solve(problem)
+    assert len(runs) == len(problems)
+
+
+def test_target_at_a_cut_mean_keeps_the_boundary_level(monkeypatch):
+    # with the root at level 4 the cut law has mean 1: p_4 = 0 up to rounding
+    runs = _count_newton_runs(monkeypatch)
+    sol = solve(MaxEntProblem([0.0, 1.0, 2.0, 3.0, 4.0], 1.0, 0.0))
+    assert runs == [5]
+    assert sol.support == (0, 1, 2, 3, 4)
+    assert sol.dropped == ()
+    assert 0.0 < sol.p.p[4] < 1e-12
+
+
+def test_target_just_below_a_cut_mean_tries_the_boundary_level_first(monkeypatch):
+    runs = _count_newton_runs(monkeypatch)
+    sol = solve(MaxEntProblem([0.0, 1.0, 2.0, 3.0, 4.0], 1.0 - 5e-12, 0.0))
+    assert runs == [5, 4]  # Newton stalls with level 4 and solves without it
+    assert sol.support == (0, 1, 2, 3)
+    assert sol.dropped == (4,)
+
+
+@pytest.mark.parametrize("q, sizes", [(0.5, [2]), (1.0 - 1e-11, [3, 2]), (1.0 - 1e-13, [3]), (1.0, [3])])
+def test_cutoff_search_stops_at_the_shannon_switch(q, sizes):
+    # within SHANNON_TOL of q = 1, exp_q is exp and has no domain wall to cut at
+    supports = maxent._supports(np.array([0.0, 1.0, 2.0]), 1e-13, q)
+    assert [active.size for active, _ in supports] == sizes
 
 
 # ---------------------------------------------------------------------------
@@ -290,20 +353,19 @@ _ORACLE_QS = (0.0, 0.3, 0.6, 0.9, 1.0 - 1e-13, 1.0, 1.0 + 1e-13, 1.4, 1.9)
 
 
 def _p_from_multipliers(lam, mu, eps, qv):
-    """Distribution and domain margins at (lam, mu); p is None out of domain."""
+    """Distribution at (lam, mu), or None out of the domain."""
     arg = (-lam - mu * eps) / (2.0 - qv)
-    base = 1.0 + (1.0 - qv) * arg
-    if base.min() <= 0.0:
-        return None, base
+    if (1.0 + (1.0 - qv) * arg).min() <= 0.0:
+        return None
     with np.errstate(over="ignore"):
-        return exp_q_inside(arg, qv), base
+        return exp_q_inside(arg, qv)
 
 
 def _halving_loop(lam, mu, step, eps, target, qv, norm):
     """``maxent._line_search`` as one candidate evaluation per halving."""
     t = 1.0
     for _ in range(60):
-        cand = _p_from_multipliers(lam + t * step[0], mu + t * step[1], eps, qv)[0]
+        cand = _p_from_multipliers(lam + t * step[0], mu + t * step[1], eps, qv)
         if cand is not None and np.isfinite(cand).all():
             c1 = float(cand.sum()) - 1.0
             c2 = float(cand @ eps) - target
@@ -311,8 +373,7 @@ def _halving_loop(lam, mu, step, eps, target, qv, norm):
             if cn < norm:
                 return t, cand, c1, c2, cn
         t /= 2.0
-    # margins at the undamped step, evaluated afresh
-    return None, _p_from_multipliers(lam + step[0], mu + step[1], eps, qv)[1]
+    return None
 
 
 def _verify_loop(solution, trials, seed):
@@ -389,6 +450,23 @@ def _oracle_solutions():
     return tuple(solve(problem) for problem in _oracle_problems())
 
 
+def _pinned_problems():
+    yield from _oracle_problems()
+    lo, span = _EDGE_LEVELS[0], np.ptp(_EDGE_LEVELS)
+    for q in _ORACLE_QS:
+        for fraction in (0.02, 0.1, 0.9, 0.98):
+            yield MaxEntProblem(_EDGE_LEVELS, lo + span * fraction, q)
+
+
+def test_solutions_match_their_pin():
+    # pinned from a solver that cut one level per Newton stall; 32 of the 140 cut
+    digest = hashlib.sha256()
+    for problem in _pinned_problems():
+        sol = solve(problem)
+        digest.update(repr((*_bits(sol.lam, sol.mu, sol.p.p), sol.support, sol.dropped)).encode())
+    assert digest.hexdigest() == "f281f0026da4431843201bcc0779c49be226819f01e2f0c06993d64068e985cf"
+
+
 @pytest.mark.parametrize("cells", [maxent._CELLS, 150])
 def test_line_search_scan_matches_the_halving_loop_bit_for_bit(monkeypatch, cells):
     # 150 cells scan 3 to 50 halvings per block at m >= 3, so blocks end inside the 60
@@ -405,12 +483,8 @@ def test_stall_with_no_halving_in_the_domain_matches_the_halving_loop():
     qv = 0.6
     lam, mu = 1.0, 0.2
     step = np.array([1e30, -3e29])  # every halving lands far outside the domain
-    scanned = maxent._line_search(lam, mu, step, eps, 0.4, qv, 1.0)
-    looped = _halving_loop(lam, mu, step, eps, 0.4, qv, 1.0)
-    assert scanned[0] is None and looped[0] is None
-    assert scanned[1].tobytes() == looped[1].tobytes()
-    stuck = maxent._Stuck(lam, mu, np.full(5, 0.2), 1.0, 0, margins=scanned[1])
-    assert maxent._drop_candidate(stuck) == int(np.argmin(looped[1]))
+    assert maxent._line_search(lam, mu, step, eps, 0.4, qv, 1.0) is None
+    assert _halving_loop(lam, mu, step, eps, 0.4, qv, 1.0) is None
 
 
 @pytest.mark.parametrize("cells", [maxent._CELLS, 50])
