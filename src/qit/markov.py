@@ -131,6 +131,7 @@ def _chain_terms(psi: np.ndarray, r: np.ndarray, n: int, qv: float) -> list[floa
     return [_entropy_from_array(psi, qv)] + (-_chain_cells(psi, r, n, qv).sum(axis=1)).tolist()
 
 
+@np.errstate(over="ignore", invalid="ignore")  # q > 1: H_q grows past the float range
 def _block_entropy(psi: np.ndarray, r: np.ndarray, cells: np.ndarray, qv: float) -> float:
     """``H_q`` of the first ``len(cells) + 1`` symbols from their chain-rule cells.
 
@@ -139,7 +140,8 @@ def _block_entropy(psi: np.ndarray, r: np.ndarray, cells: np.ndarray, qv: float)
     ``d <- d @ r**(2-q) + cells[k]``, with ``r**(2-q)`` zero where r is
     (numpy's ``0**0`` is 1) and the exponent exactly 1 in the Shannon
     band, where ``ln_q`` is ``log``.  Every term has one sign, so nothing
-    cancels.
+    cancels.  For q > 1 the value grows geometrically in the length and
+    is inf once it passes the float range.
     """
     on = r > 0
     rs = np.zeros_like(r)
@@ -147,7 +149,10 @@ def _block_entropy(psi: np.ndarray, r: np.ndarray, cells: np.ndarray, qv: float)
     d = psi * ln_q_pos(np.where(psi > 0, psi, 1.0), qv)
     for row in cells:
         d = d @ rs + row
-    return -float(d.sum())
+    h = -float(d.sum())
+    # past the float range d holds -inf, which a zero transition turns
+    # into -inf * 0 = nan; the sum is beyond the range either way
+    return math.inf if math.isnan(h) else h
 
 
 def is_doubly_stochastic(r) -> bool:
@@ -257,8 +262,9 @@ def entropy_rate_approximants(chain: MarkovChain, n: int, q) -> RateApproximants
     ``block_rate`` is the joint entropy of the length-``n`` block divided
     by ``n``; ``cond_rate`` is the mean of the block's chain-rule terms
     (the first term is the entropy of the first symbol, unconditioned).
-    For 0 <= q < 1, ``cond_rate >= block_rate``.  Any ``n`` takes
-    O(n m**2) time.
+    For 0 <= q < 1, ``cond_rate >= block_rate``.  For q > 1 the block
+    entropy grows geometrically in ``n``, and ``block_rate`` is inf once
+    it passes the float range.  Any ``n`` takes O(n m**2) time.
     """
     if n < 1:
         raise ValueError("block length must be >= 1")

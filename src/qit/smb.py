@@ -35,14 +35,18 @@ and the values at its grid lengths, so its memory is
 O(trajectories * chunk), whatever the length.
 
 The walk steps every trajectory at once, one position after another, by
-inverse-CDF lookup; each step is one gather from a table of next states
-(``_walk_table``), built once per probe.  The time scan writes into one
-workspace allocated once per probe, so no chunk allocates an array of
-its size.
+inverse-CDF lookup.  A guide table finds, for every draw of a chunk at
+once, how many cumulative columns lie below it (Chen & Asau 1974), and
+each step is then one gather from a table of next states (``_walk_table``,
+built once per probe) over row views built once with the workspace.  The
+time scan writes into that one workspace, so no chunk allocates an array
+of its size, and it keeps its running sums with one in-order reduce per
+grid length in the chunk, not a running cumsum over every position.
 """
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -53,11 +57,14 @@ from .prob import make_rng
 from .qcore import SHANNON_TOL, ln_q_from_log, ln_q_pos, q_value
 
 
-#: Positions per chunk of the probe's time scan; its memory is O(T * _CHUNK).
+#: Positions per chunk of the walk and of the probe's time scan; the
+#: probe's memory is O(T * _CHUNK).
 _CHUNK = 256
-#: Draws per ``searchsorted`` call of ``_walk``; numpy allocates each
-#: result (it takes no ``out``), so the calls stay small.
-_SEARCH_CELLS = 1 << 13
+#: Largest guide of ``_walk_table``.  Columns that tie share a bucket at
+#: any size, so the doubling has to stop.  2**14 buckets (128 KiB) left
+#: at most 5 of the m (m - 1) columns in one bucket, so 5 correction
+#: passes, on 20 random chains with Dirichlet(1) rows at m = 64.
+_GUIDE_CAP = 1 << 14
 
 
 def _cum_rows(p: np.ndarray) -> np.ndarray:
@@ -76,50 +83,105 @@ def _advance(cum_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     return (cum_rows < u[:, None]).sum(axis=1)
 
 
-def _walk_table(rcum: np.ndarray) -> tuple:
-    """The walk's table ``(cols, flat)`` for the cumulative transition rows ``rcum``.
+class _WalkTable(NamedTuple):
+    """The walk's tables for one transition; see ``_walk_table``."""
+
+    cols: np.ndarray  # the m (m - 1) sorted inner columns, then 1.0
+    flat: np.ndarray  # flat[k * m + s]: the next state from s past k columns
+    guide: np.ndarray  # guide[g]: the columns below g / G, G = guide.size
+    passes: int  # correction passes after the guide: its largest bucket
+
+
+def _walk_table(rcum: np.ndarray) -> _WalkTable:
+    """The walk's tables for the cumulative transition rows ``rcum``.
 
     The next state from s counts the inner columns of ``rcum[s]``
     strictly below the draw, so it depends on the draw only through k,
-    the number of all m (m - 1) inner columns below it (``searchsorted``
-    on the sorted ``cols``: tied columns sort together, and a draw passes
-    all of them or none).  ``flat[k * m + s]`` is that next state: the
-    table ``nxt[k, s]`` of m (m - 1) + 1 rows, row by row.
+    the number of all m (m - 1) inner columns below it (tied columns sort
+    together, and a draw passes all of them or none).  ``flat[k * m + s]``
+    is that next state: the table ``nxt[k, s]`` of m (m - 1) + 1 rows,
+    row by row.
+
+    k comes from a guide table (Chen & Asau 1974; Devroye 1986,
+    section III.2.4): a draw u lies in bucket ``floor(u G)`` of G equal
+    buckets, G a power of two so that ``u G`` is exact, and ``guide[g]``
+    columns lie below the bucket's left edge ``g / G``.  Only the columns
+    inside the bucket remain, so ``passes`` steps of ``k += u > cols[k]``,
+    the most any bucket holds, end on k.  G doubles from 1 until no
+    bucket holds two columns or G reaches ``_GUIDE_CAP``; the guide is
+    O(G) and the sorted columns O(m^2).
     """
     m = rcum.shape[0]
     inner = rcum[:, :-1].ravel()
     order = np.argsort(inner)
-    cols = inner[order]
+    # 1.0 after the last column: no draw passes it, so k stops at m (m - 1)
+    cols = np.append(inner[order], 1.0)
     # nxt[k, s]: how many of the k smallest inner columns lie in row s
-    nxt = np.zeros((cols.size + 1, m), dtype=np.int64)
-    nxt[np.arange(1, cols.size + 1), np.repeat(np.arange(m), m - 1)[order]] = 1
-    return cols, nxt.cumsum(axis=0).ravel()
+    nxt = np.zeros((inner.size + 1, m), dtype=np.int64)
+    nxt[np.arange(1, inner.size + 1), np.repeat(np.arange(m), m - 1)[order]] = 1
+    size = 1
+    while True:
+        # edges[g] = g / G, exact; below[g]: the columns below edge g
+        below = cols.searchsorted(np.arange(size + 1) / size)
+        passes = int(np.diff(below).max())
+        if passes <= 1 or size == _GUIDE_CAP:
+            break
+        size *= 2
+    return _WalkTable(cols, nxt.cumsum(axis=0).ravel(), below[:-1], passes)
 
 
-def _walk(table: tuple, u: np.ndarray, syms: np.ndarray, kb: np.ndarray) -> np.ndarray:
-    """Step T walks from the states ``syms[0]`` (T,) by the uniforms ``u`` (T, c).
+class _WalkSpace(NamedTuple):
+    """The walk's workspace for T trajectories and chunks of up to w positions."""
 
-    Fills ``syms[1 : c + 1]`` with the state after each step, as
-    ``_advance`` takes it, and returns ``syms[: c + 1]``.  ``table`` is
-    ``_walk_table`` of the transition.  ``kb`` (c rows of T or more) is
-    left holding step i's index ``k * m + syms[i]`` into ``flat``, so a
-    table parallel to ``flat`` gives any function of the steps in one
-    gather.  The positions cannot run in parallel, so a step costs
+    syms: np.ndarray  # (w + 1, T): row 0 the state carried in, row i after step i
+    kb: np.ndarray  # (w, T): step i's index ``k * m + syms[i]`` into ``flat``
+    scratch: np.ndarray  # (w, T) floats: the columns a correction pass tests; free between walks
+    passed: np.ndarray  # (w, T) bools: the draws past that column
+    steps: list  # the row views (kb[i], syms[i], syms[i + 1]) of step i
+
+
+def _walk_space(big_t: int, width: int) -> _WalkSpace:
+    """A walk workspace whose step row views are built once, here."""
+    syms = np.empty((width + 1, big_t), dtype=np.int64)
+    kb = np.empty((width, big_t), dtype=np.int64)
+    steps = [(kb[i], syms[i], syms[i + 1]) for i in range(width)]
+    return _WalkSpace(syms, kb, np.empty((width, big_t)), np.empty((width, big_t), dtype=bool), steps)
+
+
+def _walk(table: _WalkTable, u: np.ndarray, ws: _WalkSpace) -> np.ndarray:
+    """Step T walks from the states ``ws.syms[0]`` (T,) by the uniforms ``u`` (T, c).
+
+    Fills ``ws.syms[1 : c + 1]`` with the state after each step, as
+    ``_advance`` takes it, and returns ``ws.syms[: c + 1]``.  ``table`` is
+    ``_walk_table`` of the transition.  ``ws.kb[:c]`` is left holding
+    step i's index ``k * m + syms[i]`` into ``table.flat``, so a table
+    parallel to ``flat`` gives any function of the steps in one gather.
+
+    All c * T counts k come first, from the guide and its correction
+    passes.  The positions cannot run in parallel, so a step costs
     numpy's per-call overhead; the table keeps it at two calls whatever
-    m is.
+    m is, on row views the workspace built once.
     """
-    cols, flat = table
-    big_t, c = u.shape
-    m = flat.size // (cols.size + 1)
-    rows = max(1, _SEARCH_CELLS // max(c, 1))
-    for t in range(0, big_t, rows):
-        kb[:c, t : t + rows] = cols.searchsorted(u[t : t + rows]).T
-    kb[:c] *= m  # offset of row k in ``flat``
-    for i in range(c):
-        kb[i] += syms[i]
-        # indices always lie in the table; "clip" writes ``out`` unbuffered
-        flat.take(kb[i], out=syms[i + 1], mode="clip")
-    return syms[: c + 1]
+    cols, flat, guide, passes = table
+    c = u.shape[1]
+    m = flat.size // cols.size
+    kb, below, passed = ws.kb[:c], ws.scratch[:c], ws.passed[:c]
+    ut = u.T
+    np.multiply(ut, guide.size, out=below)  # exact: the guide size is a power of two
+    np.copyto(kb, below, casting="unsafe")  # truncation: floor of a nonnegative product
+    # indices always lie in the tables; "clip" writes ``out`` unbuffered,
+    # and take reads each index before it writes that element
+    guide.take(kb, out=kb, mode="clip")
+    for _ in range(passes):
+        cols.take(kb, out=below, mode="clip")
+        np.less(below, ut, out=passed)
+        kb += passed
+    kb *= m  # offset of row k in ``flat``
+    add, take = np.add, flat.take
+    for k_row, s_row, s_next in ws.steps[:c]:
+        add(k_row, s_row, k_row)
+        take(k_row, None, s_next, "clip")
+    return ws.syms[: c + 1]
 
 
 @dataclass(frozen=True)
@@ -147,14 +209,24 @@ class Trajectory:
 
 
 def sample_trajectory(chain: MarkovChain, length: int, rng: np.random.Generator) -> Trajectory:
-    """Draw ``length`` symbols, pre-drawing all uniforms in one block."""
+    """Draw ``length`` symbols, pre-drawing all uniforms in one block.
+
+    The walk runs in chunks of ``_CHUNK`` steps, so beside the uniforms
+    and the symbols its memory is O(_CHUNK) at any length.
+    """
     if length < 1:
         raise ValueError("length must be >= 1")
     u = rng.random(length)
-    syms = np.empty((length, 1), dtype=np.int64)
-    syms[0] = _advance(_cum_rows(chain.initial.p)[None, :], u[0:1])
-    _walk(_walk_table(_cum_rows(chain.transition)), u[None, 1:], syms, np.empty_like(syms))
-    return Trajectory(syms[:, 0], chain.m)
+    out = np.empty(length, dtype=np.int64)
+    out[0] = _advance(_cum_rows(chain.initial.p)[None, :], u[0:1])[0]
+    table = _walk_table(_cum_rows(chain.transition))
+    ws = _walk_space(1, min(_CHUNK, length - 1))
+    ws.syms[0] = out[0]
+    for a in range(1, length, _CHUNK):
+        c = min(_CHUNK, length - a)
+        out[a : a + c] = _walk(table, u[None, a : a + c], ws)[1:, 0]
+        ws.syms[0] = ws.syms[c]
+    return Trajectory(out, chain.m)
 
 
 def _coerce_symbols(symbols, m: int) -> np.ndarray:
@@ -434,13 +506,20 @@ def smb_probe(chain: MarkovChain, q, n_max: int, trajectories: int, seed: int = 
     m = chain.m
     big_t = trajectories
 
-    cols, flat = table = _walk_table(_cum_rows(r))
+    table = _walk_table(_cum_rows(r))
     with np.errstate(divide="ignore"):
         logr = np.log(r)
         logd1 = np.log(_laws(st, r, 1)[1])
     # parallel to ``flat``: lflat[k * m + s] = log r[s, flat[k * m + s]],
     # the log-probability of the step from s the table takes at row k
-    lflat = logr[np.tile(np.arange(m), cols.size + 1), flat]
+    lflat = logr[np.tile(np.arange(m), table.flat.size // m), table.flat]
+    eps = 1.0 - qv
+    shannon = abs(eps) <= SHANNON_TOL
+    # qlflat: their q-logs in ln_q_from_log's expm1 form, so k >= 1 gathers
+    # its factor q-logs; an entry may overflow to inf (q > 1 and a tiny
+    # step probability) whether or not a step takes it
+    with np.errstate(over="ignore"):
+        qlflat = lflat if shannon else np.expm1(lflat * eps) / eps
 
     # One scan over time in chunks of _CHUNK positions, laid out time-major
     # as (position, trajectory).  Per trajectory it carries the state, the
@@ -448,85 +527,91 @@ def smb_probe(chain: MarkovChain, q, n_max: int, trajectories: int, seed: int = 
     # the factors, and keeps those sums only at the grid lengths.  Every
     # array a chunk needs is allocated here, once: the steps write into it.
     grid = _grid(n_max)
-    at = {}  # n -> (block, order-k, factor log, factor q-log) sums at length n
+    at = {}  # n -> the three running sums at length n, as ``sums`` holds them
     rngs = [make_rng(seed, stream=t) for t in range(big_t)]
     width = min(_CHUNK, n_max)
     u = np.empty((big_t, width))  # row t: the draws of trajectory t
-    syms = np.empty((width + 1, big_t), dtype=np.int64)  # row 0: the state carried in
-    kb = np.empty((width, big_t), dtype=np.int64)  # the walk's table indices
-    lcond = np.empty((width, big_t))
-    # running sums of the block log-probability, factor logs and factor
-    # q-logs; row 0 carries the sum so far, -0.0 at first (-0.0 + x == x:
-    # an empty sum that changes no bits).  Each row adds one term to the
-    # row before, so chunk after chunk this rounds as one cumsum over the
-    # whole sequence would; adding the carry to the chunk's own cumsum
-    # would not.
-    blk, fcum, fqcum = np.full((3, width + 1, big_t), -0.0)
+    draws = [(g.random, u[t]) for t, g in enumerate(rngs)]
+    ws = _walk_space(big_t, width)
+    syms, kb = ws.syms, ws.kb
+    lcond = ws.scratch  # free once each walk returns
+    # sums[i, j]: the running sum at position a - 1 + i of the block
+    # log-probability (j = 0), the factor logs (1) and the factor q-logs
+    # (2); row 0 carries the sums so far, -0.0 at first (-0.0 + x == x: an
+    # empty sum that changes no bits).  Reducing the rows from the carry
+    # with initial -0.0 adds them one at a time in order, so chunk after
+    # chunk this rounds as one cumsum over the whole sequence would.  The
+    # three sums sit side by side on purpose: numpy sums a reduced axis
+    # pairwise when it is the innermost loop, as it would be for a lone
+    # column (T = 1), and pairwise sums round differently.
+    sums = np.full((width + 1, 3, big_t), -0.0)
+    acc = np.empty((3, big_t))
     syms[0] = _advance(np.broadcast_to(_cum_rows(st), (big_t, m)), np.concatenate([g.random(1) for g in rngs]))
-    eps = 1.0 - qv
     d = st
     for a in range(1, n_max + 1, _CHUNK):
         b = min(a + _CHUNK, n_max + 1)  # this chunk holds positions a .. b - 1
         c = b - a
-        for t, g in enumerate(rngs):
-            g.random(out=u[t, :c])
-        _walk(table, u[:, :c], syms, kb)  # syms[i]: position a - 1 + i
+        if c < width:  # the last chunk is short
+            draws = [(rand, row[:c]) for rand, row in draws]
+        for rand, row in draws:
+            rand(out=row)
+        _walk(table, u[:, :c], ws)  # syms[i]: position a - 1 + i
         lflat.take(kb[:c], out=lcond[:c], mode="clip")  # row i: log r[x_{a+i-1} -> x_{a+i}]
-        blk[1 : c + 1] = lcond[:c]
+        terms = sums[1 : c + 1]
+        terms[:, 0] = lcond[:c]
         if a == 1:  # the block's first factor is the marginal of position 1
             head_l = logd1[syms[1]]
             logr1 = lcond[0].copy()
-            blk[1] = head_l
-        np.cumsum(blk[: c + 1], axis=0, out=blk[: c + 1])
-        # a zero factor's -inf stays in every later running sum
-        if not np.isfinite(blk[c]).all():
-            raise ImpossibleTrajectoryError("sampled a transition of probability zero")
+            terms[0, 0] = head_l
 
         if k == 0:
             # the k = 0 factorization multiplies per-position marginals and
             # has no conditioning head
-            f0 = a
             laws = _laws(d, r, c)  # laws of positions a - 1 .. b - 1
             d = laws[-1]
             with np.errstate(divide="ignore"):
                 loglaws = np.log(laws[1:])
             # row i: log of the law of position a + i at its symbol; the
-            # block sums are taken, so lcond is free
+            # step logs are copied, so lcond is free
             np.add(syms[1 : c + 1], (np.arange(c) * m)[:, None], out=kb[:c])
-            fcols = loglaws.take(kb[:c], out=lcond[:c], mode="clip")
+            loglaws.take(kb[:c], out=lcond[:c], mode="clip")
+            terms[:, 1] = lcond[:c]
+            fql = terms[:, 2]
+            if shannon:
+                fql[...] = lcond[:c]
+            else:  # ln_q_from_log's expm1 form, in place: the marginals change with position
+                np.multiply(lcond[:c], eps, out=fql)
+                np.expm1(fql, out=fql)
+                fql /= eps
         else:
-            # conditional factors of the order-k factorization, head block
-            # (positions 1..k) excluded
-            f0 = max(a, k + 1)
-            fcols = lcond[f0 - a : c]
-        # interaction residual over the factors: q-log of their running
-        # product minus the running sum of their q-logs
-        nf = len(fcols)
-        fcum[1 : nf + 1] = fcols
-        np.cumsum(fcum[: nf + 1], axis=0, out=fcum[: nf + 1])
-        fql = fqcum[1 : nf + 1]
-        if abs(eps) <= SHANNON_TOL:
-            fql[...] = fcols
-        else:  # ln_q_from_log's expm1 form, in place
-            np.multiply(fcols, eps, out=fql)
-            np.expm1(fql, out=fql)
-            fql /= eps
-        np.cumsum(fqcum[: nf + 1], axis=0, out=fqcum[: nf + 1])
+            # conditional factors of the order-k factorization: the head
+            # block (positions 1..k) adds -0.0, no term
+            h = min(max(k + 1 - a, 0), c)
+            terms[:h, 1:] = -0.0
+            terms[h:, 1] = lcond[h:c]
+            qlflat.take(kb[:c], out=lcond[:c], mode="clip")
+            terms[h:, 2] = lcond[h:c]
 
-        for n in grid:
-            if a <= n < b:
-                lb = blk[n - a + 1].copy()
-                fl = fcum[n - f0 + 1].copy() if n > k else None
-                fq = fqcum[n - f0 + 1].copy() if n > k else None
-                # order-1 truth: every k >= 1 approximation is exact
-                at[n] = (lb, fl if k == 0 else lb, fl, fq)
-        syms[0], blk[0], fcum[0], fqcum[0] = syms[c], blk[c], fcum[nf], fqcum[nf]
+        # the running sums at the grid lengths inside the chunk, then at its
+        # end; each reduce starts from the row the one before wrote
+        start = 0
+        for n in [n for n in grid if a <= n < b - 1] + [b - 1]:
+            np.add.reduce(sums[start : n - a + 2], axis=0, out=acc, initial=-0.0)
+            start = n - a + 1
+            sums[start] = acc
+            if n in grid:
+                at[n] = acc.copy()
+        # a zero factor's -inf stays in every later running sum
+        if not np.isfinite(acc[0]).all():
+            raise ImpossibleTrajectoryError("sampled a transition of probability zero")
+        syms[0], sums[0] = syms[c], acc
 
     ratio1 = np.exp(logr1 - head_l)
 
     points = []
     for n in grid:
-        lb, lk, fl, fq = at[n]
+        lb, fl, fq = at[n]
+        lk = fl if k == 0 else lb  # order-1 truth: every k >= 1 approximation is exact
         with np.errstate(over="ignore"):  # q > 1: ln_q of a tiny p overflows to -inf
             vb = -ln_q_from_log(lb, qv) / n
             vk = -ln_q_from_log(lk, qv) / n

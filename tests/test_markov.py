@@ -229,6 +229,19 @@ def test_zero_transitions_give_finite_entropies(q):
     assert ra.cond_rate == pytest.approx(sum(terms) / 4, rel=0, abs=1e-14)
 
 
+def test_block_rate_is_inf_past_the_float_range():
+    # q > 1: H_q(X^n) grows geometrically in n and passes the float range;
+    # the suite turns RuntimeWarnings into errors, so none may escape
+    ra = entropy_rate_approximants(sticky_chain(), 5000, 1.5)
+    assert ra.block_rate == math.inf
+    assert math.isfinite(ra.cond_rate)
+    # with a zero transition the overflowed sums meet -inf * 0
+    chain = MarkovChain([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
+    assert entropy_rate_approximants(chain, 5000, 1.9).block_rate == math.inf
+    # below the overflow the value is finite and unchanged
+    assert math.isfinite(entropy_rate_approximants(chain, 500, 1.9).block_rate)
+
+
 def test_second_law_monotone_from_pure_state():
     rows = second_law_report(sticky_chain([1.0, 0.0]), 50, 0.8)
     assert len(rows) == 50

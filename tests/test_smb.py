@@ -82,35 +82,68 @@ def _step_walk(rcum, state, u):
     return syms
 
 
-@pytest.mark.parametrize("m", range(1, 9))
-def test_walk_matches_the_step_loop_bit_for_bit(m):
-    rng = make_rng(43, m)
+def _walk_chains(rng, m):
+    """Transitions on m states for the walk: dense, sparse, dyadic, with
+    leading zeros, and with inner columns clustered within 1e-12."""
     dense = rng.dirichlet(np.ones(m), size=m)
     sparse = dense * (rng.random((m, m)) < 0.5)
     sparse[np.arange(m), rng.integers(0, m, m)] += 0.5  # every row keeps some mass
-    sparse /= sparse.sum(axis=1, keepdims=True)
-    for r in (dense, sparse):
+    # cumulative columns on multiples of 1/16: the guide's bucket edges
+    dyadic = rng.multinomial(16, np.ones(m) / m, size=m) / 16.0
+    # leading zero transitions put columns at 0
+    lead = dense.copy()
+    lead[:, : m // 2] = 0.0
+    lead[np.arange(m), -1] += 0.1
+    # every row near the first: columns of a kind lie within 1e-12, so
+    # they share a bucket at any guide size
+    cluster = dense[0] * (1.0 + 1e-13 * rng.standard_normal((m, m)))
+    chains = {"dense": dense, "sparse": sparse, "dyadic": dyadic, "lead": lead, "cluster": cluster}
+    return {name: x / x.sum(axis=1, keepdims=True) for name, x in chains.items()}
+
+
+@pytest.mark.parametrize("m", [*range(1, 9), 17, 64])
+def test_walk_matches_the_step_loop_bit_for_bit(m):
+    rng = make_rng(43, m)
+    for name, r in _walk_chains(rng, m).items():
         rcum = smb._cum_rows(MarkovChain(r).transition)
+        table = smb._walk_table(rcum)
+        if name == "cluster" and m > 1:  # the capped guide, and more than one pass
+            assert table.guide.size == smb._GUIDE_CAP and table.passes > 1
         # the inner columns a uniform draw in [0, 1) can equal
         cols = rcum[:, :-1][rcum[:, :-1] < 1.0]
         for c in (1, smb._CHUNK):
-            for big_t in (1, 7, 200):
+            for big_t in (1, 7, 200) if m <= 8 else (1, 7):
                 u = rng.random((c, big_t))
                 # ties: draws exactly on a cumulative column must not pass it
                 tie = rng.random((c, big_t)) < 0.3
                 if cols.size:
                     u[tie] = rng.choice(cols, size=int(tie.sum()))
+                # draws on the guide's bucket edges j / 2**p, p <= 14
+                edge = rng.random((c, big_t)) < 0.2
+                p = rng.integers(0, 15, int(edge.sum()))
+                u[edge] = rng.integers(0, 2**p) / 2.0**p
                 u[rng.random((c, big_t)) < 0.05] = np.nextafter(1.0, 0.0)
                 state = rng.integers(0, m, big_t)
-                syms = np.empty((c + 1, big_t), dtype=np.int64)
-                syms[0] = state
-                kb = np.empty((c, big_t), dtype=np.int64)
-                table = smb._walk_table(rcum)
-                got = smb._walk(table, np.ascontiguousarray(u.T), syms, kb)
+                ws = smb._walk_space(big_t, c)
+                ws.syms[0] = state
+                got = smb._walk(table, np.ascontiguousarray(u.T), ws)
                 assert np.array_equal(got, _step_walk(rcum, state, u))
                 # the walk leaves each step's index into the table in kb
-                assert np.array_equal(table[1][kb], got[1:])
-                assert np.array_equal(kb % m, got[:-1])
+                assert np.array_equal(table[1][ws.kb], got[1:])
+                assert np.array_equal(ws.kb % m, got[:-1])
+
+
+def test_sample_trajectory_memory_is_a_few_words_per_step():
+    # the walk runs chunk by chunk, so only the uniforms and the symbols
+    # grow with the length
+    n = 10**6
+    tracemalloc.start()
+    try:
+        sample_trajectory(STICKY, n, make_rng(7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * n
 
 
 def test_block_log_prob_hand_values():
@@ -444,8 +477,8 @@ def test_probe_computes_the_stationary_law_once(monkeypatch):
 def test_probe_trajectories_replay_in_isolation(monkeypatch):
     walks = []
 
-    def spy(table, u, syms, kb):
-        walks.append(smb_walk(table, u, syms, kb).copy())
+    def spy(*args):
+        walks.append(smb_walk(*args).copy())
         return walks[-1]
 
     smb_walk = smb._walk
