@@ -35,13 +35,14 @@ and the values at its grid lengths, so its memory is
 O(trajectories * chunk), whatever the length.
 
 The walk steps every trajectory at once, one position after another, by
-inverse-CDF lookup.  A guide table finds, for every draw of a chunk at
-once, how many cumulative columns lie below it (Chen & Asau 1974), and
-each step is then one gather from a table of next states (``_walk_table``,
-built once per probe) over row views built once with the workspace.  The
-time scan writes into that one workspace, so no chunk allocates an array
-of its size, and it keeps its running sums with one in-order reduce per
-grid length in the chunk, not a running cumsum over every position.
+inverse-CDF lookup.  A guide table and a bisection of its bucket find,
+for every draw of a chunk at once, how many distinct cumulative columns
+lie below it (Chen & Asau 1974), and each step is then one gather from a
+table of next states (``_walk_table``, built once per probe) over row
+views built once with the workspace.  The time scan writes into that one
+workspace, so no chunk allocates an array of its size, and it keeps its
+running sums with one in-order reduce per grid length in the chunk, not
+a running cumsum over every position.
 """
 
 import math
@@ -60,10 +61,12 @@ from .qcore import SHANNON_TOL, ln_q_from_log, ln_q_pos, q_value
 #: Positions per chunk of the walk and of the probe's time scan; the
 #: probe's memory is O(T * _CHUNK).
 _CHUNK = 256
-#: Largest guide of ``_walk_table``.  Columns that tie share a bucket at
-#: any size, so the doubling has to stop.  2**14 buckets (128 KiB) left
-#: at most 5 of the m (m - 1) columns in one bucket, so 5 correction
-#: passes, on 20 random chains with Dirichlet(1) rows at m = 64.
+#: Largest guide of ``_walk_table``.  Distinct columns closer than
+#: 1 / G share a bucket at any guide size G, so the doubling has to stop;
+#: the bisection over a bucket then costs log2 of its count.  At 2**14
+#: buckets (128 KiB), chains with Dirichlet(1) rows held at most 4
+#: distinct columns in a bucket at m = 64 (3 passes, 20 chains) and 14
+#: or 15 at m = 256 (4 passes, 5 chains).
 _GUIDE_CAP = 1 << 14
 
 
@@ -86,57 +89,55 @@ def _advance(cum_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
 class _WalkTable(NamedTuple):
     """The walk's tables for one transition; see ``_walk_table``."""
 
-    cols: np.ndarray  # the m (m - 1) sorted inner columns, then 1.0
-    flat: np.ndarray  # flat[k * m + s]: the next state from s past k columns
-    guide: np.ndarray  # guide[g]: the columns below g / G, G = guide.size
-    passes: int  # correction passes after the guide: its largest bucket
+    vals: np.ndarray  # the distinct cumulative columns, sorted, 1.0 among them
+    flat: np.ndarray  # flat[j * m + s]: the next state from s past j values
+    guide: np.ndarray  # guide[g]: the values below g / G, G = guide.size
+    passes: int  # bisection passes after the guide: log2 of its largest bucket, rounded up
 
 
 def _walk_table(rcum: np.ndarray) -> _WalkTable:
     """The walk's tables for the cumulative transition rows ``rcum``.
 
     The next state from s counts the inner columns of ``rcum[s]``
-    strictly below the draw, so it depends on the draw only through k,
-    the number of all m (m - 1) inner columns below it (tied columns sort
-    together, and a draw passes all of them or none).  ``flat[k * m + s]``
-    is that next state: the table ``nxt[k, s]`` of m (m - 1) + 1 rows,
-    row by row.
+    strictly below the draw.  Every column is one of ``vals``, the
+    distinct inner columns and 1.0, sorted, so it depends on the draw
+    only through j, the number of ``vals`` below it: a draw passes tied
+    columns all together or not at all.  ``flat[j * m + s]`` is that next
+    state, the table ``nxt[j, s]`` row by row; it has m entries per
+    distinct column, so at most m (m (m - 1) + 1).
 
-    k comes from a guide table (Chen & Asau 1974; Devroye 1986,
+    j comes from a guide table (Chen & Asau 1974; Devroye 1986,
     section III.2.4): a draw u lies in bucket ``floor(u G)`` of G equal
     buckets, G a power of two so that ``u G`` is exact, and ``guide[g]``
-    columns lie below the bucket's left edge ``g / G``.  Only the columns
-    inside the bucket remain, so ``passes`` steps of ``k += u > cols[k]``,
-    the most any bucket holds, end on k.  G doubles from 1 until no
-    bucket holds two columns or G reaches ``_GUIDE_CAP``; the guide is
-    O(G) and the sorted columns O(m^2).
+    values lie below the bucket's left edge ``g / G``.  Only the values
+    inside the bucket remain, and ``passes`` bisection passes, enough
+    for the most any bucket holds, end on j.  G doubles from 1 until no
+    bucket holds two values or G reaches ``_GUIDE_CAP``.  1.0 is never
+    below a draw, so j stops at or before it.
     """
-    m = rcum.shape[0]
-    inner = rcum[:, :-1].ravel()
-    order = np.argsort(inner)
-    # 1.0 after the last column: no draw passes it, so k stops at m (m - 1)
-    cols = np.append(inner[order], 1.0)
-    # nxt[k, s]: how many of the k smallest inner columns lie in row s
-    nxt = np.zeros((inner.size + 1, m), dtype=np.int64)
-    nxt[np.arange(1, inner.size + 1), np.repeat(np.arange(m), m - 1)[order]] = 1
+    inner = rcum[:, :-1]
+    cols = np.sort(np.append(inner, 1.0))
+    vals = cols[np.append(True, cols[1:] != cols[:-1])]  # each distinct column once
+    # a row's cumulative columns are sorted, so this counts those below vals[j]
+    nxt = np.stack([row.searchsorted(vals) for row in inner], axis=1)
     size = 1
     while True:
-        # edges[g] = g / G, exact; below[g]: the columns below edge g
-        below = cols.searchsorted(np.arange(size + 1) / size)
-        passes = int(np.diff(below).max())
-        if passes <= 1 or size == _GUIDE_CAP:
+        # edges[g] = g / G, exact; below[g]: the values below edge g
+        below = vals.searchsorted(np.arange(size + 1) / size)
+        most = int(np.diff(below).max())
+        if most <= 1 or size == _GUIDE_CAP:
             break
         size *= 2
-    return _WalkTable(cols, nxt.cumsum(axis=0).ravel(), below[:-1], passes)
+    return _WalkTable(vals, nxt.ravel(), below[:-1], most.bit_length())
 
 
 class _WalkSpace(NamedTuple):
     """The walk's workspace for T trajectories and chunks of up to w positions."""
 
     syms: np.ndarray  # (w + 1, T): row 0 the state carried in, row i after step i
-    kb: np.ndarray  # (w, T): step i's index ``k * m + syms[i]`` into ``flat``
-    scratch: np.ndarray  # (w, T) floats: the columns a correction pass tests; free between walks
-    passed: np.ndarray  # (w, T) bools: the draws past that column
+    kb: np.ndarray  # (w, T): step i's index ``j * m + syms[i]`` into ``flat``
+    scratch: np.ndarray  # (w, T) floats: the values a pass tests; free between walks
+    passed: np.ndarray  # (w, T) bools: the draws past those values
     steps: list  # the row views (kb[i], syms[i], syms[i + 1]) of step i
 
 
@@ -154,29 +155,40 @@ def _walk(table: _WalkTable, u: np.ndarray, ws: _WalkSpace) -> np.ndarray:
     Fills ``ws.syms[1 : c + 1]`` with the state after each step, as
     ``_advance`` takes it, and returns ``ws.syms[: c + 1]``.  ``table`` is
     ``_walk_table`` of the transition.  ``ws.kb[:c]`` is left holding
-    step i's index ``k * m + syms[i]`` into ``table.flat``, so a table
+    step i's index ``j * m + syms[i]`` into ``table.flat``, so a table
     parallel to ``flat`` gives any function of the steps in one gather.
 
-    All c * T counts k come first, from the guide and its correction
-    passes.  The positions cannot run in parallel, so a step costs
-    numpy's per-call overhead; the table keeps it at two calls whatever
-    m is, on row views the workspace built once.
+    All c * T counts j come first, from the guide and a branch-free
+    bisection of each draw's bucket: pass p tests the value 2**p - 1
+    places past j and, if the draw is above it, moves j 2**p on.  The
+    positions cannot run in parallel, so a step costs numpy's per-call
+    overhead; the table keeps it at two calls whatever m is, on row views
+    the workspace built once.
     """
-    cols, flat, guide, passes = table
+    vals, flat, guide, passes = table
     c = u.shape[1]
-    m = flat.size // cols.size
+    m = flat.size // vals.size
     kb, below, passed = ws.kb[:c], ws.scratch[:c], ws.passed[:c]
+    # the states the steps fill in last hold each draw's bucket, then the
+    # values a pass tests: indices apart from ``kb``, so no take aliases
+    at = ws.syms[1 : c + 1]
     ut = u.T
     np.multiply(ut, guide.size, out=below)  # exact: the guide size is a power of two
-    np.copyto(kb, below, casting="unsafe")  # truncation: floor of a nonnegative product
-    # indices always lie in the tables; "clip" writes ``out`` unbuffered,
-    # and take reads each index before it writes that element
-    guide.take(kb, out=kb, mode="clip")
-    for _ in range(passes):
-        cols.take(kb, out=below, mode="clip")
+    np.copyto(at, below, casting="unsafe")  # truncation: floor of a nonnegative product
+    # indices always lie in the tables, or past the end of ``vals``, whose
+    # last value no draw passes; "clip" writes ``out`` unbuffered
+    guide.take(at, out=kb, mode="clip")
+    for p in range(passes - 1, 0, -1):
+        np.add(kb, (1 << p) - 1, out=at)
+        vals.take(at, out=below, mode="clip")
+        np.less(below, ut, out=passed)
+        np.multiply(passed, 1 << p, out=at)
+        kb += at
+    if passes:  # p = 0: the value at j itself
+        vals.take(kb, out=below, mode="clip")
         np.less(below, ut, out=passed)
         kb += passed
-    kb *= m  # offset of row k in ``flat``
+    kb *= m  # offset of row j in ``flat``
     add, take = np.add, flat.take
     for k_row, s_row, s_next in ws.steps[:c]:
         add(k_row, s_row, k_row)
@@ -515,11 +527,15 @@ def smb_probe(chain: MarkovChain, q, n_max: int, trajectories: int, seed: int = 
     lflat = logr[np.tile(np.arange(m), table.flat.size // m), table.flat]
     eps = 1.0 - qv
     shannon = abs(eps) <= SHANNON_TOL
-    # qlflat: their q-logs in ln_q_from_log's expm1 form, so k >= 1 gathers
-    # its factor q-logs; an entry may overflow to inf (q > 1 and a tiny
-    # step probability) whether or not a step takes it
-    with np.errstate(over="ignore"):
-        qlflat = lflat if shannon else np.expm1(lflat * eps) / eps
+    qlflat = lflat
+    if k >= 1 and not shannon:
+        # their q-logs in ln_q_from_log's expm1 form, built in place, so
+        # k >= 1 gathers its factor q-logs; an entry may overflow to inf
+        # (q > 1 and a tiny step probability) whether or not a step takes it
+        qlflat = lflat * eps
+        with np.errstate(over="ignore"):
+            np.expm1(qlflat, out=qlflat)
+            qlflat /= eps
 
     # One scan over time in chunks of _CHUNK positions, laid out time-major
     # as (position, trajectory).  Per trajectory it carries the state, the

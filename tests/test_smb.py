@@ -84,7 +84,8 @@ def _step_walk(rcum, state, u):
 
 def _walk_chains(rng, m):
     """Transitions on m states for the walk: dense, sparse, dyadic, with
-    leading zeros, and with inner columns clustered within 1e-12."""
+    leading zeros, banded, with identical rows, and with inner columns
+    clustered within 1e-12."""
     dense = rng.dirichlet(np.ones(m), size=m)
     sparse = dense * (rng.random((m, m)) < 0.5)
     sparse[np.arange(m), rng.integers(0, m, m)] += 0.5  # every row keeps some mass
@@ -94,10 +95,22 @@ def _walk_chains(rng, m):
     lead = dense.copy()
     lead[:, : m // 2] = 0.0
     lead[np.arange(m), -1] += 0.1
+    # a birth-death chain: row s has s - 1 leading zeros and trailing ones
+    band = sum(np.eye(m, k=d) * rng.random((m, 1)) for d in (-1, 0, 1)) + np.eye(m) * 1e-3
+    # an i.i.d. chain: every column ties with m - 1 others
+    iid = np.tile(dense[0], (m, 1))
     # every row near the first: columns of a kind lie within 1e-12, so
     # they share a bucket at any guide size
     cluster = dense[0] * (1.0 + 1e-13 * rng.standard_normal((m, m)))
-    chains = {"dense": dense, "sparse": sparse, "dyadic": dyadic, "lead": lead, "cluster": cluster}
+    chains = {
+        "dense": dense,
+        "sparse": sparse,
+        "dyadic": dyadic,
+        "lead": lead,
+        "band": band,
+        "iid": iid,
+        "cluster": cluster,
+    }
     return {name: x / x.sum(axis=1, keepdims=True) for name, x in chains.items()}
 
 
@@ -109,6 +122,8 @@ def test_walk_matches_the_step_loop_bit_for_bit(m):
         table = smb._walk_table(rcum)
         if name == "cluster" and m > 1:  # the capped guide, and more than one pass
             assert table.guide.size == smb._GUIDE_CAP and table.passes > 1
+        if name in ("lead", "band", "iid"):  # tied columns count once
+            assert table.passes <= 2
         # the inner columns a uniform draw in [0, 1) can equal
         cols = rcum[:, :-1][rcum[:, :-1] < 1.0]
         for c in (1, smb._CHUNK):
