@@ -34,8 +34,10 @@ bare arrays, so a fuzz campaign validates nothing it built itself.
 
 Each law has one evaluator, which takes a ``(B, *shape)`` stack of
 instances (a pair of stacks for pair laws) and a ``(B,)`` q array, and
-handles zero cells.  ``law_slack`` and ``identity_residual`` evaluate a
-stack of one row; each row takes the same bits in a stack of any height.
+handles zero cells.  The evaluators are built on the row-stack kernels of
+:mod:`qit.measures`, which the public measures evaluate through as well.
+``law_slack`` and ``identity_residual`` evaluate a stack of one row; each
+row takes the same bits in a stack of any height.
 
 ``fuzz`` runs a seeded campaign of random instances for one law.  Every
 trial draws from stream 0 of the master seed, in trial order (q first,
@@ -54,8 +56,18 @@ from typing import Callable
 
 import numpy as np
 
+from .measures import (
+    _chain_terms_rows,
+    _cmi_rows,
+    _cond_entropy_rows,
+    _divergence_rows,
+    _entropy_rows,
+    _mi_rows,
+    _ratio,
+    _rows,
+)
 from .prob import JointTable, ProbVec, _conditional, _flat_dirichlet, _markov_triple, make_rng
-from .qcore import SHANNON_TOL, cross_term, ln_q_pos, pseudo_additivity_residual, q_value
+from .qcore import cross_term, ln_q_pos, pseudo_additivity_residual, q_value
 
 #: Violation threshold for inequality laws.
 TOL_INEQUALITY = 1e-9
@@ -84,67 +96,15 @@ class LawId(str, Enum):
 # ---------------------------------------------------------------------------
 # evaluators, on (B, *shape) stacks of bare arrays with a (B,) q array
 #
-# One evaluator per law.  Every sum runs over the cells of a row in C
-# order, so each row takes the same bits in a stack of any height; with
-# every cell positive the rows equal the q-log sums over the compacted
-# positive cells, bit for bit.  A cell of zero weight adds an exact 0: its
-# q-log argument becomes 1.
-
-
-def _rows(a: np.ndarray) -> np.ndarray:
-    """(B, n) C-order copy or view of the cells of each row of ``a``."""
-    return a.reshape(len(a), -1)
-
-
-def _ratio(num, den, w: np.ndarray, qc: np.ndarray):
-    """(B, n) rows of ``num / den`` where the weight ``w`` is positive, and
-    the (B,) mask of rows that the ``den = 0`` escape leaves +inf.
-
-    A cell of zero weight takes 1.  A positive weight over ``den = 0``
-    takes +inf above q = 1 + SHANNON_TOL, where its q-log is the finite
-    limit 1 / (q - 1), and 1 at and below it, where its row is marked:
-    the escape rule of :func:`qit.measures.relative_q_entropy`.
-    """
-    pos = w > 0
-    ok = pos & (den > 0)
-    ratio = _rows(np.divide(num, den, out=np.ones(w.shape), where=ok))
-    escaped = _rows(pos ^ ok)  # ok implies pos
-    if not escaped.any():
-        return ratio, escaped[:, 0]  # no row is marked
-    above = qc > 1.0 + SHANNON_TOL
-    ratio[escaped & above] = math.inf
-    return ratio, (escaped & ~above).any(axis=-1)
-
-
-def _entropy_rows(t: np.ndarray, qc: np.ndarray) -> np.ndarray:
-    x = _rows(t)
-    return -(x * ln_q_pos(np.where(x > 0, x, 1.0), qc)).sum(axis=-1)
-
-
-def _divergence_rows(w: np.ndarray, num, den, qc: np.ndarray) -> np.ndarray:
-    """Row sums of ``w ln_q(num / den)`` with the ``den = 0`` escape rule."""
-    ratio, undefined = _ratio(num, den, w, qc)
-    total = 0.0 + (_rows(w) * ln_q_pos(ratio, qc)).sum(axis=-1)
-    total[undefined] = math.inf
-    return total
-
-
-def _mi_rows(t: np.ndarray, qc: np.ndarray) -> np.ndarray:
-    return _divergence_rows(t, t, t.sum(axis=2)[:, :, None] * t.sum(axis=1)[:, None, :], qc)
+# One evaluator per law, built on the row-stack kernels of
+# :mod:`qit.measures`, so each row takes the same bits in a stack of any
+# height and a cell of zero weight adds an exact 0.
 
 
 def _block_chain(t: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Sum of the chain terms H(X1) + H(X2|X1) + ... minus the joint entropy."""
     qc = q[:, None]
-    n = t.ndim - 1
-    terms = []
-    prev = None  # marginal of the first i axes
-    for i in range(n):
-        cur = t.sum(axis=tuple(range(i + 2, n + 1)))
-        # H(X1), then the entropy of each newest axis given the whole prefix
-        terms.append(_entropy_rows(cur, qc) if i == 0 else -_divergence_rows(cur, cur, prev[..., None], qc))
-        prev = cur
-    return sum(terms) - _entropy_rows(t, qc)
+    return sum(_chain_terms_rows(t, qc)) - _entropy_rows(t, qc)
 
 
 def _indep_superadd(pair, q: np.ndarray) -> np.ndarray:
@@ -156,11 +116,11 @@ def _indep_superadd(pair, q: np.ndarray) -> np.ndarray:
 def _cond_chain(t: np.ndarray, q: np.ndarray) -> np.ndarray:
     """H(X|Z) + H(Y|X,Z) - H(X,Y|Z) on tables (X, Y, Z)."""
     qc = q[:, None]
-
-    def cond_entropy(a, other):
-        return -_divergence_rows(a, a, a.sum(axis=other, keepdims=True), qc)
-
-    return cond_entropy(t.sum(axis=2), (1,)) + cond_entropy(t, (2,)) - cond_entropy(t, (1, 2))
+    return (
+        _cond_entropy_rows(t.sum(axis=2), (1,), qc)
+        + _cond_entropy_rows(t, (2,), qc)
+        - _cond_entropy_rows(t, (1, 2), qc)
+    )
 
 
 def _qln_sum(pair, q: np.ndarray) -> np.ndarray:
@@ -218,12 +178,7 @@ def _info_chain(t: np.ndarray, q: np.ndarray) -> np.ndarray:
     """
     qc = q[:, None]
     b, m1, m2, my = t.shape
-    # I(X2; Y | X1) on the (X2, Y, X1) view
-    c = np.moveaxis(t, 1, 3)
-    pz = c.sum(axis=(1, 2))
-    pxz = c.sum(axis=2)
-    pyz = c.sum(axis=1)
-    i_2_given_1 = _divergence_rows(c, c * pz[:, None, None, :], pxz[:, :, None, :] * pyz[:, None, :, :], qc)
+    i_2_given_1 = _cmi_rows(np.moveaxis(t, 1, 3), qc)  # on the (X2, Y, X1) view
     i_joint = _mi_rows(t.reshape(b, m1 * m2, my), qc)
     # (Y, X2, X1) is the (X, Y, Z) layout of the dpi cross term
     return i_joint - _mi_rows(t.sum(axis=2), qc) - i_2_given_1 - _mi_chain_cross(t.transpose(0, 3, 2, 1), qc)

@@ -38,9 +38,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConvergenceError
-from .measures import _entropy_from_array
+from .measures import _entropy_rows, _plogp
 from .prob import NORM_TOL, ProbVec, _float_array, _validate_mass
-from .qcore import SHANNON_TOL, cross_term, ln_q_pos, q_value
+from .qcore import SHANNON_TOL, cross_term, q_value
 
 #: Sinkhorn scaling in ``random_doubly_stochastic``: row and column deviation bound, round cap.
 SINKHORN_TOL, SINKHORN_ROUNDS = 1e-13, 100_000
@@ -123,12 +123,13 @@ def _chain_cells(psi: np.ndarray, r: np.ndarray, n: int, qv: float) -> np.ndarra
     on ``X_{k+1}`` alone: it is ``-c[k].sum()``, whatever the length of
     the prefix.  Zero transitions give zero cells.
     """
-    return _laws(psi, r, n - 1)[:-1] @ (r * ln_q_pos(np.where(r > 0, r, 1.0), qv))
+    return _laws(psi, r, n - 1)[:-1] @ _plogp(r, qv)
 
 
-def _chain_terms(psi: np.ndarray, r: np.ndarray, n: int, qv: float) -> list[float]:
-    """Chain-rule terms ``[H_q(X_1), H_q(X_2 | X_1), ..]`` of the first ``n`` symbols."""
-    return [_entropy_from_array(psi, qv)] + (-_chain_cells(psi, r, n, qv).sum(axis=1)).tolist()
+def _chain_terms(psi: np.ndarray, cells: np.ndarray, qv: float) -> list[float]:
+    """Chain-rule terms ``[H_q(X_1), H_q(X_2 | X_1), ..]`` of the first
+    ``len(cells) + 1`` symbols from their chain-rule cells."""
+    return _entropy_rows(psi[None], qv).tolist() + (-cells.sum(axis=1)).tolist()
 
 
 @np.errstate(over="ignore", invalid="ignore")  # q > 1: H_q grows past the float range
@@ -146,7 +147,7 @@ def _block_entropy(psi: np.ndarray, r: np.ndarray, cells: np.ndarray, qv: float)
     on = r > 0
     rs = np.zeros_like(r)
     rs[on] = r[on] ** (1.0 if abs(1.0 - qv) <= SHANNON_TOL else 2.0 - qv)
-    d = psi * ln_q_pos(np.where(psi > 0, psi, 1.0), qv)
+    d = _plogp(psi, qv)
     for row in cells:
         d = d @ rs + row
     h = -float(d.sum())
@@ -271,8 +272,8 @@ def entropy_rate_approximants(chain: MarkovChain, n: int, q) -> RateApproximants
     qv = q_value(q)
     psi, r = chain.initial.p, chain.transition
     cells = _chain_cells(psi, r, n, qv)
-    terms = [_entropy_from_array(psi, qv)] + (-cells.sum(axis=1)).tolist()
-    return RateApproximants(block_rate=_block_entropy(psi, r, cells, qv) / n, cond_rate=float(sum(terms)) / n)
+    cond_rate = float(sum(_chain_terms(psi, cells, qv))) / n
+    return RateApproximants(block_rate=_block_entropy(psi, r, cells, qv) / n, cond_rate=cond_rate)
 
 
 @dataclass(frozen=True)
@@ -338,9 +339,9 @@ def second_law_report(chain: MarkovChain, steps: int, q) -> list[SecondLawRow]:
     for start in range(0, steps, block):
         laws = _laws(psi, r, min(block, steps - start))
         psi, nxt = laws[-1], laws[1:, None, :]
-        # Zero cells get weight 0 and q-log arguments 1, so they add exact zeros;
-        # from 8 cells on they regroup numpy's pairwise sums (last bits only).
-        h = -(laws * ln_q_pos(np.where(laws > 0, laws, 1.0), qv)).sum(axis=-1)
+        # Zero cells add exact zeros; from 8 cells on they regroup numpy's
+        # pairwise sums (last bits only).
+        h = _entropy_rows(laws, qv)
         joint = laws[:-1, :, None] * r
         on = joint > 0
         w = joint.reshape(len(nxt), -1)

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
-from .measures import _entropy_from_array
+from .measures import _entropy_rows, _plogp
 from .prob import ProbVec, _float_array, make_rng
 from .qcore import SHANNON_TOL, exp_q_inside, ln_q, ln_q_pos, q_value
 
@@ -224,7 +224,7 @@ class MaxEntSolution:
         return np.abs(-1.0 - (2.0 - qv) * ln_q_pos(p, qv) - rhs)
 
     def entropy(self) -> float:
-        return _entropy_from_array(self.p.p, self.problem.q)
+        return float(_entropy_rows(self.p.p[None], self.problem.q)[0])
 
     def to_json_dict(self) -> dict:
         return {
@@ -317,19 +317,6 @@ def _competitor_block(w, k, e, t, lo, hi):
     return f.reshape(b, m)
 
 
-def _row_sums(cells, counts):
-    """Sum of each row's run of ``cells``, row r holding ``counts[r]`` of them.
-
-    Rows of one count are summed as one ``(rows, count)`` array, whose
-    last-axis sum groups the terms as the 1-D sum of each row does.
-    """
-    out = np.zeros(counts.size)
-    owner = np.repeat(counts, counts)
-    for c in np.unique(counts[counts > 0]):
-        out[counts == c] = cells[owner == c].reshape(-1, c).sum(axis=1)
-    return out
-
-
 @dataclass(frozen=True)
 class OptimalityCheck:
     """Result of sampling feasible competitors against a solution."""
@@ -373,7 +360,7 @@ def verify_optimality(solution: MaxEntSolution, trials: int = 100, seed: int = 0
     e = prob.levels
     t = prob.target_mean
     p_star = solution.p.p
-    h_star = _entropy_from_array(p_star, qv)
+    h_star = solution.entropy()
     full_support = bool((p_star > 0).all())
     ln_p = ln_q_pos(p_star, qv) if full_support else None
     lo = np.flatnonzero(e <= t)
@@ -394,15 +381,10 @@ def verify_optimality(solution: MaxEntSolution, trials: int = 100, seed: int = 0
                 k[n] = rng.integers(pairs, size=m)
         w /= w.sum(axis=1, keepdims=True)  # each row sum as the 1-D sum of that row
         f = _competitor_block(w, k, e, t, lo, hi)
-        mask = f > 0
-        counts = np.bincount(np.nonzero(mask)[0], minlength=b)
-        pos = f[mask]
-        ln_f = ln_q_pos(pos, qv)
-        entropies = -_row_sums(pos * ln_f, counts)
-        gaps = h_star - entropies
+        plogp = _plogp(f, qv)
+        gaps = h_star + plogp.sum(axis=1)
         if full_support:
-            ln_ref = np.broadcast_to(ln_p, f.shape)[mask]
-            mm = np.abs(gaps - _row_sums(pos * (ln_f - ln_ref), counts))
+            mm = np.abs(gaps - (plogp - f * ln_p).sum(axis=1))
             if (mm > 1e-7).any():
                 raise RuntimeError(
                     "internal inconsistency: direct and closed-form entropy gaps disagree"

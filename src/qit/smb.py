@@ -53,7 +53,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConvergenceError, ImpossibleTrajectoryError
-from .markov import MarkovChain, _chain_terms, _laws, stationary
+from .markov import MarkovChain, _chain_cells, _chain_terms, _laws, stationary
 from .prob import make_rng
 from .qcore import SHANNON_TOL, ln_q_from_log, ln_q_pos, q_value
 
@@ -340,7 +340,8 @@ def h_q_k(chain: MarkovChain, k: int, q) -> float:
     """
     if k < 0:
         raise ValueError("order k must be >= 0")
-    return _chain_terms(stationary(chain).p, chain.transition, k + 1, q_value(q))[k]
+    st, qv = stationary(chain).p, q_value(q)
+    return _chain_terms(st, _chain_cells(st, chain.transition, k + 1, qv), qv)[k]
 
 
 def h_q_inf(chain: MarkovChain, q, tol: float = 1e-10, k_max: int = 12) -> float:
@@ -356,7 +357,7 @@ def h_q_inf(chain: MarkovChain, q, tol: float = 1e-10, k_max: int = 12) -> float
 
 def _h_q_inf(r: np.ndarray, st: np.ndarray, qv: float, tol: float = 1e-10, k_max: int = 12) -> float:
     """``h_q_inf`` of the transition ``r`` with stationary law ``st``."""
-    h = _chain_terms(st, r, k_max + 2, qv)  # h[k] = h_q_k(k) for k <= k_max + 1
+    h = _chain_terms(st, _chain_cells(st, r, k_max + 2, qv), qv)  # h[k] = h_q_k(k) for k <= k_max + 1
     for k in range(k_max + 1):
         if abs(h[k] - h[k + 1]) <= tol:
             return h[k]
@@ -369,7 +370,13 @@ def _h_q_inf(r: np.ndarray, st: np.ndarray, qv: float, tol: float = 1e-10, k_max
 
 @dataclass(frozen=True)
 class SmbPoint:
-    """Cross-trajectory statistics of one block length."""
+    """Cross-trajectory statistics of one block length.
+
+    For q > 1 the per-symbol value ``-ln_q(p) / n`` of a block of tiny
+    probability p overflows to +inf; ``block_mean`` is then inf and
+    ``block_sd`` nan, and ``ratio2_mean`` is inf where ``p / p_k``
+    overflows.
+    """
 
     n: int
     block_mean: float
@@ -625,36 +632,35 @@ def smb_probe(chain: MarkovChain, q, n_max: int, trajectories: int, seed: int = 
     ratio1 = np.exp(logr1 - head_l)
 
     points = []
-    for n in grid:
-        lb, fl, fq = at[n]
-        lk = fl if k == 0 else lb  # order-1 truth: every k >= 1 approximation is exact
-        with np.errstate(over="ignore"):  # q > 1: ln_q of a tiny p overflows to -inf
+    # q > 1: ln_q of a tiny p overflows to -inf, so a statistic can be inf or
+    # nan (see SmbPoint), and exp(lb - lk) can overflow to inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in grid:
+            lb, fl, fq = at[n]
+            lk = fl if k == 0 else lb  # order-1 truth: every k >= 1 approximation is exact
             vb = -ln_q_from_log(lb, qv) / n
             vk = -ln_q_from_log(lk, qv) / n
-            if n > k:
-                t3 = ln_q_from_log(fl, qv) - fq
-            else:
-                t3 = np.zeros(big_t)
-        at_ceiling = 0.0
-        if qv < 1.0 - SHANNON_TOL:
-            cap = 1.0 / ((1.0 - qv) * n)
-            if vb.min() < -1e-12 or vb.max() > cap * (1.0 + 1e-12):
-                raise RuntimeError("per-symbol surprisal escaped its ceiling")
-            at_ceiling = float((vb >= cap * (1.0 - 1e-12)).mean())
-        points.append(
-            SmbPoint(
-                n=n,
-                block_mean=float(vb.mean()),
-                block_sd=_std(vb),
-                pk_mean=float(vk.mean()),
-                t3_over_n_mean=float(t3.mean() / n),
-                cond_c1_rate=float((logr1 >= lb).mean()),
-                cond_c2_rate=float((lb >= lk).mean()),
-                ratio1_mean=float(ratio1.mean()),
-                ratio2_mean=float(np.exp(lb - lk).mean()),
-                at_ceiling=at_ceiling,
+            t3 = ln_q_from_log(fl, qv) - fq if n > k else np.zeros(big_t)
+            at_ceiling = 0.0
+            if qv < 1.0 - SHANNON_TOL:
+                cap = 1.0 / ((1.0 - qv) * n)
+                if vb.min() < -1e-12 or vb.max() > cap * (1.0 + 1e-12):
+                    raise RuntimeError("per-symbol surprisal escaped its ceiling")
+                at_ceiling = float((vb >= cap * (1.0 - 1e-12)).mean())
+            points.append(
+                SmbPoint(
+                    n=n,
+                    block_mean=float(vb.mean()),
+                    block_sd=_std(vb),
+                    pk_mean=float(vk.mean()),
+                    t3_over_n_mean=float(t3.mean() / n),
+                    cond_c1_rate=float((logr1 >= lb).mean()),
+                    cond_c2_rate=float((lb >= lk).mean()),
+                    ratio1_mean=float(ratio1.mean()),
+                    ratio2_mean=float(np.exp(lb - lk).mean()),
+                    at_ceiling=at_ceiling,
+                )
             )
-        )
 
     flags = {
         "c1_failed": bool(any(pt.cond_c1_rate < 1.0 for pt in points)),
@@ -671,7 +677,7 @@ def smb_probe(chain: MarkovChain, q, n_max: int, trajectories: int, seed: int = 
         trajectories=big_t,
         seed=int(seed),
         points=tuple(points),
-        h_q_k=_chain_terms(st, r, k + 1, qv)[k],
+        h_q_k=_chain_terms(st, _chain_cells(st, r, k + 1, qv), qv)[k],
         h_q_inf=_h_q_inf(r, st, qv),
         surprisal_sup=(1.0 / (1.0 - qv) if qv < 1.0 - SHANNON_TOL else math.inf),
         flags=flags,

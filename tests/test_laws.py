@@ -17,7 +17,6 @@ from qit.laws import (
     law_q_range,
 )
 from qit.measures import (
-    _divergence,
     conditional_mutual_q_information,
     mutual_q_information,
     q_entropy,
@@ -37,6 +36,7 @@ from qit.prob import (
     random_markov_triple,
 )
 from qit.qcore import cross_term, ln_q, pseudo_additivity_residual
+from reference import divergence
 
 
 def test_registry_enumerates_ten_laws():
@@ -393,7 +393,7 @@ def test_slack_report_serialization():
 
 # ---------------------------------------------------------------------------
 # reference evaluators: one instance at a time, on its positive cells, through
-# the public measures (and ``_divergence`` for qln-sum's free weights)
+# the public measures (and the compacted ``divergence`` for qln-sum's free weights)
 
 def _ref_block_chain(t, qv):
     return float(sum(q_entropy_chain_terms(t, qv)) - q_entropy_joint(t, qv))
@@ -417,7 +417,7 @@ def _ref_qln_sum(instance, qv):
     ss = float(s.sum())
     if rs == 0:
         return 0.0
-    lhs = _divergence(r, r, s, qv)  # +inf for q <= 1 where a positive r meets s = 0
+    lhs = divergence(r, r, s, qv)  # +inf for q <= 1 where a positive r meets s = 0
     if lhs == math.inf:
         return math.inf
     # past the escape above, ss = 0 means q > 1, where ln_q(rs / 0) = 1 / (q - 1)

@@ -18,9 +18,10 @@ from qit import (
     stationary,
 )
 from qit import h_q_inf, h_q_k, markov
-from qit.measures import _entropy_from_array, q_entropy_chain_terms, q_entropy_joint
+from qit.measures import q_entropy_chain_terms, q_entropy_joint
 from qit.prob import NORM_TOL, make_rng
 from qit.qcore import cross_term
+from reference import entropy
 
 R_STICKY = [[0.9, 0.1], [0.1, 0.9]]
 
@@ -208,7 +209,7 @@ def test_block_entropy_recursion_matches_the_enumeration(q):
     for chain in _chains_with_zero_cells(rng, 60):
         qv = float(rng.uniform(0.0, 2.0)) if q == "uniform" else q
         for n in range(1, 7):
-            want = _entropy_from_array(_block_table(chain, n), qv)
+            want = entropy(_block_table(chain, n), qv)
             got = entropy_rate_approximants(chain, n, qv).block_rate
             assert abs(got - want / n) <= 1e-14 * abs(want / n)
 
@@ -325,12 +326,12 @@ def _loop_second_law_report(chain, steps, q):
     bracket = float(m) ** (1.0 - q)
     rows = []
     psi = chain.initial.p.copy()
-    h_prev = _entropy_from_array(psi, q)
+    h_prev = entropy(psi, q)
     for step in range(1, steps + 1):
         joint = psi[:, None] * r
         nxt = joint.sum(axis=0)
         nxt /= nxt.sum()
-        h_next = _entropy_from_array(nxt, q)
+        h_next = entropy(nxt, q)
         delta = h_next - h_prev
         mask = joint > 0
         w = joint[mask]

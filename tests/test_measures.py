@@ -18,7 +18,8 @@ from qit import (
 )
 from qit.measures import relative_q_entropy_conditional
 from qit.prob import JointTable, make_rng, random_dist, random_joint, random_markov_triple
-from qit.qcore import ln_q
+from qit.qcore import ln_q, ln_q_pos
+from reference import divergence, entropy
 
 J22 = [[0.1, 0.2], [0.3, 0.4]]
 
@@ -199,3 +200,77 @@ def test_relative_conditional_divergence():
     # reference with an empty conditional cell where p has mass
     rz = JointTable([[0.5, 0.0, 0.0], [0.1, 0.2, 0.2]])
     assert relative_q_entropy_conditional(pj, rz, 0, 0.5) == math.inf
+
+
+def _compacted_pairs(p, r, t, tr, qv):
+    """(public measure, compacted reference) of every measure that sums over
+    cells, on distributions p, r of one length and rank-3 tables t, tr of one
+    shape; the reference sums over the cells of positive weight only."""
+    pos = p[p > 0]
+    t2 = t.sum(axis=2)
+    pairs = [
+        (tsallis_entropy(p, qv), float(-(np.power(pos, qv) * ln_q_pos(pos, qv)).sum())),
+        (q_entropy(p, qv), entropy(p, qv)),
+        (q_entropy_joint(t, qv), entropy(t, qv)),
+        (relative_q_entropy(p, r, qv), divergence(p, p, r, qv)),
+        (mutual_q_information(t2, qv), divergence(t2, t2, np.outer(t2.sum(axis=1), t2.sum(axis=0)), qv)),
+    ]
+    for given in (0, 1, 2, (0, 2)):
+        other = tuple(a for a in range(3) if a not in np.atleast_1d(given))
+        marg = np.broadcast_to(t.sum(axis=other, keepdims=True), t.shape)
+        pairs.append((q_entropy_conditional(t, given, qv), -divergence(t, t, marg, qv)))
+        num, den = JointTable(t).conditional(given), JointTable(tr).conditional(given)
+        pairs.append((relative_q_entropy_conditional(t, tr, given, qv), divergence(t, num, den, qv)))
+    for given in range(3):
+        c = np.moveaxis(t, given, 2)
+        pz, pxz, pyz = c.sum(axis=(0, 1)), c.sum(axis=1), c.sum(axis=0)
+        want = divergence(c, c * pz, pxz[:, None, :] * pyz[None, :, :], qv)
+        pairs.append((conditional_mutual_q_information(t, qv, given), want))
+    for table in (t2, t):
+        # prefix marginals; the newest axis of each is conditioned on the one before
+        marg = [table.sum(axis=tuple(range(i + 1, table.ndim))) for i in range(table.ndim)]
+        want = [entropy(marg[0], qv)]
+        for prev, cur in zip(marg, marg[1:]):
+            want.append(-divergence(cur, cur, np.broadcast_to(prev[..., None], cur.shape), qv))
+        pairs += zip(q_entropy_chain_terms(table, qv), want)
+    return pairs
+
+
+def _draw(rng, shape, zeros):
+    """Flat-Dirichlet draw; with ``zeros``, about a third of the cells are 0."""
+    x = rng.standard_exponential(shape)
+    if zeros:
+        x *= rng.random(shape) < 0.65
+        x.flat[rng.integers(x.size)] += 0.5  # some mass survives
+    return x / x.sum()
+
+
+# 0, the edges of the Shannon band and 1, and q > 1, where mass over a
+# zero reference escapes to its finite limit
+_GRID_QS = (0.0, 0.5, 1.0 - 1e-13, 1.0, 1.0 + 1e-13, 1.5, 2.0)
+
+
+@pytest.mark.parametrize("zeros", [False, True])
+def test_public_measures_match_the_compacted_reference(zeros):
+    # zero cells add exact zeros; from 8 cells on they regroup numpy's
+    # pairwise sums, so only there may the last bits move
+    rng = make_rng(61 + zeros)
+    escaped = {"inf": 0, "finite": 0}
+    for _ in range(60):
+        m = int(rng.integers(2, 13))
+        shape = tuple(int(n) for n in rng.integers(2, 5, size=3))
+        p, r = _draw(rng, m, zeros), _draw(rng, m, zeros)
+        t, tr = _draw(rng, shape, zeros), _draw(rng, shape, zeros)
+        for qv in _GRID_QS:
+            for got, want in _compacted_pairs(p, r, t, tr, qv):
+                if not zeros:
+                    assert np.float64(got).tobytes() == np.float64(want).tobytes(), (qv, got, want)
+                elif math.isinf(want):
+                    assert got == want, (qv, got, want)
+                    escaped["inf"] += 1
+                else:
+                    assert abs(got - want) <= 1e-14 * max(1.0, abs(want)), (qv, got, want)
+            if zeros and qv > 1.0 + 1e-12 and ((p > 0) & (r == 0)).any():
+                escaped["finite"] += 1
+    if zeros:
+        assert escaped["inf"] and escaped["finite"]  # both sides of the escape took part

@@ -625,6 +625,21 @@ def test_block_sd_is_finite_where_block_mean_is():
     assert smb._std(v) == v.std()
 
 
+def test_probe_past_the_float_range_raises_no_warning():
+    # the suite turns RuntimeWarnings into errors; at q > 1 on 64 states a
+    # block's ln_q passes the float range, so block_mean is inf and
+    # block_sd nan, and on a sparse chain k = 0's exp(lb - lk) overflows
+    rng = make_rng(3)
+    dense = rng.dirichlet(np.ones(64), size=64)
+    sparse = rng.dirichlet(np.ones(64), size=64) * (rng.random((64, 64)) < 0.1)
+    sparse[np.arange(64), rng.integers(0, 64, 64)] += 0.1  # every row keeps some mass
+    sparse /= sparse.sum(axis=1, keepdims=True)
+    last = smb_probe(MarkovChain(dense), 1.3, 700, 60, seed=1, k=0).points[-1]
+    assert last.block_mean == math.inf and math.isnan(last.block_sd)
+    last = smb_probe(MarkovChain(sparse), 1.3, 700, 60, seed=1, k=0).points[-1]
+    assert math.isfinite(last.block_mean) and last.ratio2_mean == math.inf
+
+
 class _RecordedDraws:
     """A generator stand-in that records the size of every draw."""
 
