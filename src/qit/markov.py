@@ -32,7 +32,6 @@ distribution.  Two families of results live here:
 """
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -276,8 +275,7 @@ def entropy_rate_approximants(chain: MarkovChain, n: int, q) -> RateApproximants
     return RateApproximants(block_rate=_block_entropy(psi, r, cells, qv) / n, cond_rate=cond_rate)
 
 
-@dataclass(frozen=True)
-class SecondLawRow:
+class SecondLawRow(NamedTuple):
     """One transition of the stepwise second-law decomposition.
 
     ``h_q`` is the entropy of the arrival distribution, ``delta_h`` its
@@ -305,16 +303,7 @@ class SecondLawRow:
         )
 
     def to_json_dict(self) -> dict:
-        return {
-            "step": self.step,
-            "h_q": self.h_q,
-            "delta_h": self.delta_h,
-            "t_q": self.t_q,
-            "lhs": self.lhs,
-            "slack": self.slack,
-            "t_q_statement": self.t_q_statement,
-            "applicable": self.applicable,
-        }
+        return self._asdict()
 
 
 def second_law_report(chain: MarkovChain, steps: int, q) -> list[SecondLawRow]:

@@ -34,7 +34,7 @@ asserted as an internal consistency check.
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -331,13 +331,7 @@ class OptimalityCheck:
         return self.min_gap >= -tol
 
     def to_json_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "seed": self.seed,
-            "min_gap": self.min_gap,
-            "mean_gap": self.mean_gap,
-            "max_formula_mismatch": self.max_formula_mismatch,
-        }
+        return asdict(self)
 
 
 def verify_optimality(solution: MaxEntSolution, trials: int = 100, seed: int = 0) -> OptimalityCheck:

@@ -15,11 +15,15 @@ campaigns can confirm the identity numerically.
 
 ``ln_q`` is the checked public kernel.  ``ln_q_pos`` and ``ln_q_from_log``
 are its unchecked internal forms for positive arrays and for a given
-natural log; every q-log in the package is evaluated by one of the three.
-They compute ``expm1((1 - q) log x) / (1 - q)``, which keeps the digits
-that ``x**(1-q) - 1`` cancels as q approaches the classical branch or x
+natural log; every q-log in the package is evaluated by one of the three,
+and each form is written once.  They compute
+``expm1((1 - q) log x) / (1 - q)``, which keeps the digits that
+``x**(1-q) - 1`` cancels as q approaches the classical branch or x
 approaches 1; ``ln_q_pos`` keeps the power form only where it cancels
-nothing (see there).  ``exp_q_inside`` is the unchecked ``exp_q``.
+nothing (see there).  One ``ln_q_pos`` body takes a float q or a q
+column (one q per row of a stack), and ``ln_q_from_log`` makes one new
+array per call, so large tables of logs cost no temporaries.
+``exp_q_inside`` is the unchecked ``exp_q``.
 
 Conventions
 -----------
@@ -83,43 +87,36 @@ def _as_checked_array(x, *, what: str):
     return arr
 
 
-def ln_q_pos(x, q):
-    """Unchecked ``ln_q`` of a positive array x for a float index q.
-
-    expm1 scales the rounding of ``log x`` by ``y = (1 - q) log x``, which
-    costs about y/3 ulps; cells with y above 4 take ``x**(1-q) - 1``
-    instead, which cancels nothing there and keeps within an ulp.
-
-    ``q`` may also be an array that broadcasts against ``x``, such as a
-    ``(B, 1)`` column for ``B`` rows of cells: each cell then takes the
-    value a float call with its own q gives, bit for bit.
-    """
-    if isinstance(q, np.ndarray):
-        return _ln_q_pos_column(x, q)
-    eps = 1.0 - q
-    if abs(eps) <= SHANNON_TOL:
-        return np.log(x)
-    y = eps * np.log(x)
-    out = np.expm1(y)
-    if y.size and y.max() > 4.0:
-        big = y > 4.0
-        out[big] = np.power(x[big], eps) - 1.0
-    return out / eps
-
-
 #: Exponents for which numpy's ``power`` given one scalar exponent takes
 #: an exact operation (1/x, sqrt, x*x) that an exponent array does not.
 _SCALAR_POWER_CASES = (-1.0, 0.5, 2.0)
 
 
-def _ln_q_pos_column(x, q: np.ndarray):
-    """``ln_q_pos`` with a q array that broadcasts against ``x``."""
+def ln_q_pos(x, q):
+    """Unchecked ``ln_q`` of a positive array x.
+
+    expm1 scales the rounding of ``log x`` by ``y = (1 - q) log x``, which
+    costs about y/3 ulps; cells with y above 4 take ``x**(1-q) - 1``
+    instead, which cancels nothing there and keeps within an ulp.
+
+    ``q`` is a float, or an array that broadcasts against ``x`` such as a
+    ``(B, 1)`` column for ``B`` rows of cells.  One body serves both: the
+    power cells take their exponents as an array, and the exponents of
+    ``_SCALAR_POWER_CASES`` are redone as scalars, so each cell takes the
+    value a float call with its own q gives, bit for bit.
+    """
     eps = 1.0 - q
     log_x = np.log(x)
+    # count_nonzero takes a 0-d and an array test alike, at a fraction of
+    # the cost of ``.all()`` / ``.any()`` on small inputs
+    shannon = np.abs(eps) <= SHANNON_TOL
+    n_shannon = np.count_nonzero(shannon)
+    if n_shannon == shannon.size:
+        return log_x
     y = eps * log_x
     out = np.expm1(y)
     big = y > 4.0
-    if big.any():
+    if np.count_nonzero(big):
         xb = np.broadcast_to(x, y.shape)[big]
         eb = np.broadcast_to(eps, y.shape)[big]
         pb = np.power(xb, eb)
@@ -128,8 +125,7 @@ def _ln_q_pos_column(x, q: np.ndarray):
             if hit.any():
                 pb[hit] = np.power(xb[hit], e)
         out[big] = pb - 1.0
-    shannon = np.abs(eps) <= SHANNON_TOL
-    if not shannon.any():
+    if not n_shannon:
         return out / eps
     return np.where(shannon, log_x, out / np.where(shannon, 1.0, eps))
 
@@ -137,14 +133,20 @@ def _ln_q_pos_column(x, q: np.ndarray):
 def ln_q_from_log(log_x, q: float):
     """Unchecked ``ln_q`` of x given ``log x`` for a float index q.
 
-    The log is all there is, so every cell takes the expm1 form.
-    Overflows to ``-inf`` (q > 1) where ``(1 - q) log x`` exceeds the
-    float range; callers that expect it silence the warning themselves.
+    The log is all there is, so every cell takes the expm1 form.  The
+    result is one new array (a numpy float for a scalar ``log_x``), which
+    expm1 and the division fill in place; ``log_x`` is never written, and
+    the Shannon band returns it as it is.  Overflows to ``-inf`` (q > 1)
+    where ``(1 - q) log x`` exceeds the float range; callers that expect it
+    silence the warning themselves.
     """
     eps = 1.0 - q
     if abs(eps) <= SHANNON_TOL:
         return log_x
-    return np.expm1(eps * log_x) / eps
+    out = np.asarray(eps * log_x)
+    np.expm1(out, out=out)
+    out /= eps
+    return out if out.ndim else out[()]
 
 
 def cross_term(w, a, b, q):

@@ -10,9 +10,10 @@ actually does against that ceiling.
 Everything is computed in log space: ``p`` itself underflows for blocks
 beyond a few thousand symbols, but ``L = log p`` accumulates exactly, and
 
-    ln_q(p) = expm1((1 - q) L) / (1 - q)
+    ln_q(p) = (exp((1 - q) L) - 1) / (1 - q)
 
-is evaluated from ``L`` directly by ``qcore.ln_q_from_log``.  When
+is evaluated from ``L`` directly by ``qcore.ln_q_from_log``, which keeps
+the digits that subtraction would cancel; so is every factor q-log.  When
 ``(1 - q) L`` underflows the exponential, the surprisal lands exactly on
 the q < 1 ceiling; the mathematical bound is strict, the floating-point
 one is not, and the internal guard below is therefore non-strict on
@@ -46,7 +47,7 @@ a running cumsum over every position.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -390,18 +391,7 @@ class SmbPoint:
     at_ceiling: float  # fraction of trajectories on the 1/((1-q)n) ceiling; 0 for q >= 1
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "block_mean": self.block_mean,
-            "block_sd": self.block_sd,
-            "pk_mean": self.pk_mean,
-            "t3_over_n_mean": self.t3_over_n_mean,
-            "cond_c1_rate": self.cond_c1_rate,
-            "cond_c2_rate": self.cond_c2_rate,
-            "ratio1_mean": self.ratio1_mean,
-            "ratio2_mean": self.ratio2_mean,
-            "at_ceiling": self.at_ceiling,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -532,23 +522,19 @@ def smb_probe(chain: MarkovChain, q, n_max: int, trajectories: int, seed: int = 
     # parallel to ``flat``: lflat[k * m + s] = log r[s, flat[k * m + s]],
     # the log-probability of the step from s the table takes at row k
     lflat = logr[np.tile(np.arange(m), table.flat.size // m), table.flat]
-    eps = 1.0 - qv
-    shannon = abs(eps) <= SHANNON_TOL
-    qlflat = lflat
-    if k >= 1 and not shannon:
-        # their q-logs in ln_q_from_log's expm1 form, built in place, so
-        # k >= 1 gathers its factor q-logs; an entry may overflow to inf
-        # (q > 1 and a tiny step probability) whether or not a step takes it
-        qlflat = lflat * eps
+    if k >= 1:
+        # their q-logs, one table of lflat's size, so k >= 1 gathers its
+        # factor q-logs; an entry may overflow to -inf (q > 1 and a tiny step
+        # probability) whether or not a step takes it
         with np.errstate(over="ignore"):
-            np.expm1(qlflat, out=qlflat)
-            qlflat /= eps
+            qlflat = ln_q_from_log(lflat, qv)
 
     # One scan over time in chunks of _CHUNK positions, laid out time-major
     # as (position, trajectory).  Per trajectory it carries the state, the
     # running block log-probability and the running log and q-log sums of
     # the factors, and keeps those sums only at the grid lengths.  Every
-    # array a chunk needs is allocated here, once: the steps write into it.
+    # array of a chunk's (position, trajectory) size is allocated here, once:
+    # the steps write into it (k = 0 adds only its (position, state) tables).
     grid = _grid(n_max)
     at = {}  # n -> the three running sums at length n, as ``sums`` holds them
     rngs = [make_rng(seed, stream=t) for t in range(big_t)]
@@ -592,20 +578,19 @@ def smb_probe(chain: MarkovChain, q, n_max: int, trajectories: int, seed: int = 
             # has no conditioning head
             laws = _laws(d, r, c)  # laws of positions a - 1 .. b - 1
             d = laws[-1]
-            with np.errstate(divide="ignore"):
+            # the (c, m) tables of the marginals' logs and q-logs; a q-log may
+            # overflow to -inf (q > 1 and a tiny marginal) whether or not a
+            # trajectory visits its state
+            with np.errstate(divide="ignore", over="ignore"):
                 loglaws = np.log(laws[1:])
-            # row i: log of the law of position a + i at its symbol; the
-            # step logs are copied, so lcond is free
+                qloglaws = ln_q_from_log(loglaws, qv)
+            # row i: the law of position a + i at its symbol, gathered from
+            # each table; the step logs are copied, so lcond is free
             np.add(syms[1 : c + 1], (np.arange(c) * m)[:, None], out=kb[:c])
             loglaws.take(kb[:c], out=lcond[:c], mode="clip")
             terms[:, 1] = lcond[:c]
-            fql = terms[:, 2]
-            if shannon:
-                fql[...] = lcond[:c]
-            else:  # ln_q_from_log's expm1 form, in place: the marginals change with position
-                np.multiply(lcond[:c], eps, out=fql)
-                np.expm1(fql, out=fql)
-                fql /= eps
+            qloglaws.take(kb[:c], out=lcond[:c], mode="clip")
+            terms[:, 2] = lcond[:c]
         else:
             # conditional factors of the order-k factorization: the head
             # block (positions 1..k) adds -0.0, no term

@@ -4,14 +4,33 @@ Each sums over the cells of positive weight only, the ``0 ln_q 0 = 0``
 convention taken literally, one instance at a time.  The package's
 kernels instead add an exact 0 for every zero cell, in a row stack; on
 all-positive inputs the two agree bit for bit, and zero cells only
-regroup numpy's pairwise sums.
+regroup numpy's pairwise sums.  Their q-logs come from the float-only
+``ln_q_pos`` here, not from the package's kernel.
 """
 
 import math
 
 import numpy as np
 
-from qit.qcore import SHANNON_TOL, ln_q_pos
+from qit.qcore import SHANNON_TOL
+
+
+def ln_q_pos(x, q: float):
+    """``ln_q`` of a positive array x for a float q, in its float-only form.
+
+    This is the float-q body that ``qcore.ln_q_pos`` grew from: numpy's
+    power takes the one scalar exponent ``1 - q`` here, and the package's
+    kernel, which serves q columns too, must give the same bits.
+    """
+    eps = 1.0 - q
+    if abs(eps) <= SHANNON_TOL:
+        return np.log(x)
+    y = eps * np.log(x)
+    out = np.expm1(y)
+    if y.size and y.max() > 4.0:
+        big = y > 4.0
+        out[big] = np.power(x[big], eps) - 1.0
+    return out / eps
 
 
 def entropy(t: np.ndarray, qv: float) -> float:

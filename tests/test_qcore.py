@@ -1,6 +1,7 @@
 """Scalar deformed log/exp kernel."""
 
 import math
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -10,8 +11,10 @@ from hypothesis import strategies as st
 
 from qit import QDomainError, QParam, SHANNON_TOL, exp_q, ln_q, pseudo_additivity_residual, q_value
 from qit.measures import q_entropy
-from qit.qcore import cross_term, ln_q_pos
+from qit.qcore import cross_term, ln_q_from_log, ln_q_pos
 from qit.prob import make_rng
+
+import reference
 
 U = np.finfo(float).eps
 
@@ -196,20 +199,48 @@ def test_lnq_matches_high_precision_reference():
 
 def test_q_column_matches_per_row_scalar_calls_bit_for_bit():
     # one q per row: rows in the Shannon band take log x, cells with
-    # (1-q) log x > 4 the power form, and every row equals a float-q call;
-    # q = 2, 0.5 and -1 give the exponents -1, 0.5 and 2 that numpy's power
-    # evaluates by an exact operation when the exponent is one scalar
+    # (1-q) log x > 4 the power form, and every row, and every float-q call,
+    # equals the float-only reference; q = 2, 0.5 and -1 give the exponents
+    # -1, 0.5 and 2 that numpy's power evaluates by an exact operation when
+    # the exponent is one scalar
     rng = make_rng(12)
-    qs = [1.0, 1.0 - SHANNON_TOL, 1.0 + 0.5 * SHANNON_TOL, 1.0 - 2e-12, 1.0 + 2e-12,
-          0.0, 1e-9, 0.5, 0.999, 1.5, 2.0, -1.0, *rng.uniform(0.0, 2.0, 8)]
+    qs = [1.0, 1.0 - 0.5 * SHANNON_TOL, 1.0 + 0.5 * SHANNON_TOL, 1.0 - SHANNON_TOL, 1.0 - 2e-12,
+          1.0 + 2e-12, 0.0, 1e-9, 0.5, 0.999, 1.5, 2.0, -1.0, *rng.uniform(-1.0, 3.0, 12)]
     x = np.exp(rng.uniform(math.log(1e-12), math.log(1e12), (len(qs), 400)))
     q = np.array(qs)[:, None]
     got = ln_q_pos(x, q)
     assert ((1.0 - q) * np.log(x) > 4.0).sum() > 1000  # many cells in the power branch
-    want = np.stack([ln_q_pos(row, qv) for row, qv in zip(x, qs)])
+    want = np.stack([reference.ln_q_pos(row, qv) for row, qv in zip(x, qs)])
     assert got.tobytes() == want.tobytes()
+    assert np.stack([ln_q_pos(row, qv) for row, qv in zip(x, qs)]).tobytes() == want.tobytes()
     assert got[0].tobytes() == np.log(x[0]).tobytes()
+    empty = np.empty((len(qs), 0))
+    assert ln_q_pos(empty, q).shape == empty.shape
+    for qv in qs:
+        assert ln_q_pos(empty[0], qv).tobytes() == reference.ln_q_pos(empty[0], qv).tobytes() == b""
     w = rng.uniform(0.0, 1.0, x.shape)
     y = x[::-1].copy()
     want = [cross_term(wr, xr, yr, qv) for wr, xr, yr, qv in zip(w, x, y, qs)]
     assert np.array(cross_term(w, x, y, q)).tobytes() == np.array(want).tobytes()
+
+
+def test_ln_q_from_log_is_the_expm1_form_in_one_new_array():
+    rng = make_rng(3)
+    logs = [-0.7, np.float64(2.5), np.array(-3.0), rng.uniform(-40.0, 40.0, 50), rng.uniform(-40.0, 40.0, (6, 7))]
+    for qv in (0.0, 0.3, 1.0 - 2e-12, 1.0 + 2e-12, 1.7, 2.0, -1.0):
+        for log_x in logs:
+            before = np.array(log_x, copy=True)
+            got = ln_q_from_log(log_x, qv)
+            want = np.expm1((1.0 - qv) * log_x) / (1.0 - qv)
+            assert type(got) is type(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+            assert np.array_equal(log_x, before) and got is not log_x
+    for qv in (1.0, 1.0 - 0.5 * SHANNON_TOL, 1.0 + 0.5 * SHANNON_TOL):
+        for log_x in logs:
+            assert ln_q_from_log(log_x, qv) is log_x
+    # q > 1 and a very negative log: expm1 overflows, the q-log is -inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="ignore"):
+            got = ln_q_from_log(np.array([-800.0, -1.0]), 2.0)
+    assert got[0] == -math.inf and math.isfinite(got[1])
