@@ -26,12 +26,14 @@ distribution.  Two families of results live here:
   allows.  The report takes the state laws from the one recursion
   ``_laws`` in blocks of steps and evaluates every piece on the block's
   ``(steps, m, m)`` stack of joints at once.  It flags whether the
-  doubly-stochastic premise holds, and also carries an alternative
+  doubly-stochastic premise holds, with the transition's largest row- or
+  column-sum error, and also carries an alternative
   correction term ``T_q_statement`` (same weights, second factor
   ``ln_q(J m)``), reported for comparison only: no law is asserted on it.
 """
 
 import math
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -109,9 +111,13 @@ def _laws(psi: np.ndarray, r: np.ndarray, steps: int) -> np.ndarray:
     """
     out = np.empty((steps + 1, psi.size))
     out[0] = psi
-    for k in range(steps):
-        out[k + 1] = (out[k][:, None] * r).sum(axis=0)
-        out[k + 1] /= out[k + 1].sum()
+    # bare ufunc calls into one scratch joint: the same adds, in the same
+    # order, as ``(psi[:, None] * r).sum(axis=0)`` and ``nxt.sum()``
+    joint = np.empty_like(r)
+    for col, nxt in zip(out[:-1, :, None], out[1:]):
+        np.multiply(col, r, joint)
+        np.add.reduce(joint, 0, None, nxt)
+        np.divide(nxt, np.add.reduce(nxt), nxt)
     return out
 
 
@@ -155,6 +161,16 @@ def _block_entropy(psi: np.ndarray, r: np.ndarray, cells: np.ndarray, qv: float)
     return math.inf if math.isnan(h) else h
 
 
+def _sum_error(sums: np.ndarray) -> float:
+    """Largest distance of a row or column sum in ``sums`` from 1."""
+    return float(np.maximum.reduce(np.abs(sums - 1.0), None))
+
+
+def _ds_deviation(r: np.ndarray) -> float:
+    """Largest row-sum or column-sum error of a square matrix ``r``."""
+    return max(_sum_error(np.add.reduce(r, 1)), _sum_error(np.add.reduce(r, 0)))
+
+
 def is_doubly_stochastic(r) -> bool:
     """True when both the rows and the columns of ``r`` sum to 1 within ``NORM_TOL``."""
     arr = r.transition if isinstance(r, MarkovChain) else _float_array(r, "transition matrix")
@@ -162,10 +178,7 @@ def is_doubly_stochastic(r) -> bool:
         return False
     if not np.isfinite(arr).all() or (arr < 0).any():
         return False
-    return (
-        float(np.abs(arr.sum(axis=1) - 1.0).max()) <= NORM_TOL
-        and float(np.abs(arr.sum(axis=0) - 1.0).max()) <= NORM_TOL
-    )
+    return _ds_deviation(arr) <= NORM_TOL
 
 
 def random_doubly_stochastic(m: int, rng: np.random.Generator) -> np.ndarray:
@@ -176,15 +189,19 @@ def random_doubly_stochastic(m: int, rng: np.random.Generator) -> np.ndarray:
     if m < 1:
         raise ValueError("m must be >= 1")
     a = rng.standard_exponential((m, m))
-    a /= a.sum(axis=1, keepdims=True)
+    a /= np.add.reduce(a, 1, keepdims=True)
     s = (a + a.T) / 2.0
+    # one buffer of row and column sums; the row sums that a round checks
+    # are the next round's (and the final) divisor
+    sums = np.empty((2, m))
+    rows, cols = sums[0, :, None], sums[1]
+    np.add.reduce(s, 1, None, sums[0])
     for _ in range(SINKHORN_ROUNDS):
-        s /= s.sum(axis=1, keepdims=True)
-        s /= s.sum(axis=0, keepdims=True)
-        dev = max(
-            float(np.abs(s.sum(axis=1) - 1.0).max()),
-            float(np.abs(s.sum(axis=0) - 1.0).max()),
-        )
+        s /= rows
+        s /= np.add.reduce(s, 0, None, cols)
+        np.add.reduce(s, 1, None, sums[0])
+        np.add.reduce(s, 0, None, cols)
+        dev = _sum_error(sums)
         if dev <= SINKHORN_TOL:
             break
     else:
@@ -193,7 +210,7 @@ def random_doubly_stochastic(m: int, rng: np.random.Generator) -> np.ndarray:
             last=s,
             residuals=[dev],
         )
-    s /= s.sum(axis=1, keepdims=True)
+    s /= rows
     return s
 
 
@@ -283,6 +300,9 @@ class SecondLawRow(NamedTuple):
     and ``slack = lhs - t_q`` equals the divergence between the realized
     joint and its time-reversed reference — nonnegative whenever
     ``applicable`` (the transition is doubly stochastic) is true.
+    ``ds_deviation`` is the transition's largest row-sum or column-sum
+    error (JSON only); ``applicable`` holds it to ``NORM_TOL``, and is
+    derived rather than stored, so a row keeps eight fields.
     """
 
     step: int
@@ -292,9 +312,13 @@ class SecondLawRow(NamedTuple):
     lhs: float
     slack: float
     t_q_statement: float
-    applicable: bool
+    ds_deviation: float
 
     CSV_HEADER = "step,H_q,delta_H,T_q,lhs,slack"
+
+    @property
+    def applicable(self) -> bool:
+        return self.ds_deviation <= NORM_TOL
 
     def to_csv_row(self) -> str:
         return ",".join(
@@ -303,7 +327,7 @@ class SecondLawRow(NamedTuple):
         )
 
     def to_json_dict(self) -> dict:
-        return self._asdict()
+        return {**self._asdict(), "applicable": self.applicable}
 
 
 def second_law_report(chain: MarkovChain, steps: int, q) -> list[SecondLawRow]:
@@ -320,7 +344,7 @@ def second_law_report(chain: MarkovChain, steps: int, q) -> list[SecondLawRow]:
         raise ValueError("steps must be >= 1")
     r = chain.transition
     m = chain.m
-    applicable = is_doubly_stochastic(chain)
+    dev = _ds_deviation(r)
     bracket = float(m) ** (1.0 - qv)
     block = max(1, _STEP_CELLS // m**2)
     rows = []
@@ -335,14 +359,30 @@ def second_law_report(chain: MarkovChain, steps: int, q) -> list[SecondLawRow]:
         on = joint > 0
         w = joint.reshape(len(nxt), -1)
         ratio = np.where(on, joint, 1.0) / np.where(on, nxt * r, 1.0)
-        t_q, t_q_stmt = cross_term(
-            w,
-            np.where(on, nxt * m, 1.0).reshape(w.shape),
-            np.stack([ratio, np.where(on, joint * m, 1.0)]).reshape(2, *w.shape),
-            qv,
+        t_q, t_q_stmt = np.array(
+            cross_term(
+                w,
+                np.where(on, nxt * m, 1.0).reshape(w.shape),
+                np.stack([ratio, np.where(on, joint * m, 1.0)]).reshape(2, *w.shape),
+                qv,
+            )
         )
-        rows += [
-            SecondLawRow(start + i + 1, h_q, d, t, d * bracket, d * bracket - t, s / bracket, applicable)
-            for i, (h_q, d, t, s) in enumerate(zip(h[1:].tolist(), np.diff(h).tolist(), t_q, t_q_stmt))
-        ]
+        # elementwise array operations round as the scalar ones do
+        delta = np.diff(h)
+        lhs = delta * bracket
+        rows.extend(
+            map(
+                SecondLawRow._make,
+                zip(
+                    range(start + 1, start + len(delta) + 1),
+                    h[1:].tolist(),
+                    delta.tolist(),
+                    t_q.tolist(),
+                    lhs.tolist(),
+                    (lhs - t_q).tolist(),
+                    (t_q_stmt / bracket).tolist(),
+                    repeat(dev),
+                ),
+            )
+        )
     return rows

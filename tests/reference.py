@@ -6,12 +6,18 @@ kernels instead add an exact 0 for every zero cell, in a row stack; on
 all-positive inputs the two agree bit for bit, and zero cells only
 regroup numpy's pairwise sums.  Their q-logs come from the float-only
 ``ln_q_pos`` here, not from the package's kernel.
+
+``laws`` and ``random_doubly_stochastic`` are the Markov state-law step
+and Sinkhorn sampler written with one ``.sum`` call per reduction; the
+package's bare-ufunc forms must give the same bits.
 """
 
 import math
 
 import numpy as np
 
+from qit.errors import ConvergenceError
+from qit.markov import SINKHORN_TOL
 from qit.qcore import SHANNON_TOL
 
 
@@ -54,3 +60,37 @@ def divergence(w: np.ndarray, num: np.ndarray, den: np.ndarray, qv: float) -> fl
         total += float(w[mask & ~ok].sum()) / (qv - 1.0)
     total += float((w[ok] * ln_q_pos(num[ok] / den[ok], qv)).sum())
     return total
+
+
+def laws(psi: np.ndarray, r: np.ndarray, steps: int) -> np.ndarray:
+    """State laws ``psi_0 .. psi_steps`` as rows, one ``.sum`` per reduction."""
+    out = np.empty((steps + 1, psi.size))
+    out[0] = psi
+    for k in range(steps):
+        out[k + 1] = (out[k][:, None] * r).sum(axis=0)
+        out[k + 1] /= out[k + 1].sum()
+    return out
+
+
+def random_doubly_stochastic(m: int, rng: np.random.Generator, rounds: int) -> np.ndarray:
+    """Sinkhorn scaling of symmetrized Dirichlet rows, every sum taken afresh."""
+    a = rng.standard_exponential((m, m))
+    a /= a.sum(axis=1, keepdims=True)
+    s = (a + a.T) / 2.0
+    for _ in range(rounds):
+        s /= s.sum(axis=1, keepdims=True)
+        s /= s.sum(axis=0, keepdims=True)
+        dev = max(
+            float(np.abs(s.sum(axis=1) - 1.0).max()),
+            float(np.abs(s.sum(axis=0) - 1.0).max()),
+        )
+        if dev <= SINKHORN_TOL:
+            break
+    else:
+        raise ConvergenceError(
+            f"doubly stochastic scaling did not reach {SINKHORN_TOL:g} in {rounds} rounds",
+            last=s,
+            residuals=[dev],
+        )
+    s /= s.sum(axis=1, keepdims=True)
+    return s

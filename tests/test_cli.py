@@ -176,6 +176,7 @@ def test_markov_json_format(capsys):
     assert payload["applicable"] is True
     assert len(payload["rows"]) == 3
     assert payload["rows"][0]["step"] == 1
+    assert payload["rows"][0]["ds_deviation"] == 0.0
 
 
 def test_maxent_solution_and_verification(capsys):

@@ -14,6 +14,7 @@ from qit import (
     is_doubly_stochastic,
     q_entropy_max,
     random_doubly_stochastic,
+    relative_q_entropy,
     second_law_report,
     stationary,
 )
@@ -21,7 +22,7 @@ from qit import h_q_inf, h_q_k, markov
 from qit.measures import q_entropy_chain_terms, q_entropy_joint
 from qit.prob import NORM_TOL, make_rng
 from qit.qcore import cross_term
-from reference import entropy
+from reference import entropy, laws as loop_laws, random_doubly_stochastic as loop_doubly_stochastic
 
 R_STICKY = [[0.9, 0.1], [0.1, 0.9]]
 
@@ -297,6 +298,8 @@ def test_second_law_q_validation():
 def test_second_law_non_doubly_stochastic_flagged():
     rows = second_law_report(MarkovChain([[0.5, 0.5], [0.25, 0.75]], [1.0, 0.0]), 5, 0.5)
     assert not rows[0].applicable
+    assert rows[0].ds_deviation == 0.25  # the column sums are 0.75 and 1.25
+    assert second_law_report(sticky_chain(), 1, 0.5)[0].ds_deviation == 0.0
     assert len(rows) == 5  # still computed, just not asserted
 
 
@@ -310,6 +313,7 @@ def test_second_law_row_serialization():
     assert sorted(d.keys()) == [
         "applicable",
         "delta_h",
+        "ds_deviation",
         "h_q",
         "lhs",
         "slack",
@@ -317,12 +321,13 @@ def test_second_law_row_serialization():
         "t_q",
         "t_q_statement",
     ]
+    assert d["applicable"] is True and d["ds_deviation"] == 0.0
 
 
 def _loop_second_law_report(chain, steps, q):
     """The report one step at a time, each sum over the joint's positive cells only."""
     r, m = chain.transition, chain.m
-    applicable = is_doubly_stochastic(r)
+    deviation = max(float(np.abs(r.sum(axis=1) - 1.0).max()), float(np.abs(r.sum(axis=0) - 1.0).max()))
     bracket = float(m) ** (1.0 - q)
     rows = []
     psi = chain.initial.p.copy()
@@ -338,7 +343,7 @@ def _loop_second_law_report(chain, steps, q):
         nxt_b = nxt[mask.nonzero()[1]]
         t_q, t_q_stmt = cross_term(w, nxt_b * m, np.array([w / (nxt_b * r[mask]), w * m]), q)
         lhs = delta * bracket
-        rows.append(SecondLawRow(step, h_next, delta, t_q, lhs, lhs - t_q, t_q_stmt / bracket, applicable))
+        rows.append(SecondLawRow(step, h_next, delta, t_q, lhs, lhs - t_q, t_q_stmt / bracket, deviation))
         psi, h_prev = nxt, h_next
     return rows
 
@@ -367,10 +372,60 @@ def test_second_law_with_zero_transitions_matches_the_step_loop():
         q = float(rng.uniform(0.0, 1.0))
         got = second_law_report(chain, 30, q)
         want = _loop_second_law_report(chain, 30, q)
-        assert [(g.step, g.applicable) for g in got] == [(w.step, w.applicable) for w in want]
+        assert [(g.step, g.ds_deviation, g.applicable) for g in got] == [
+            (w.step, w.ds_deviation, is_doubly_stochastic(r)) for w in want
+        ]
         for g, w in zip(got, want):
             for f in fields:
                 assert getattr(g, f) == pytest.approx(getattr(w, f), rel=0, abs=1e-13)
+
+
+def test_laws_match_the_sum_loop_bit_for_bit():
+    rng = make_rng(13)
+    for m in [*range(1, 13), 64]:
+        dense = random_doubly_stochastic(m, rng)
+        sparse = rng.dirichlet(np.ones(m), size=m) * (rng.random((m, m)) < 0.5)
+        sparse[np.arange(m), rng.integers(0, m, m)] += 0.1  # every row keeps some mass
+        sparse /= sparse.sum(axis=1, keepdims=True)
+        # a pure start gives the joint zero rows; a column-major matrix sums its columns pairwise
+        for r in (dense, sparse, np.asfortranarray(sparse)):
+            for psi in (rng.dirichlet(np.ones(m)), np.eye(m)[rng.integers(m)]):
+                for steps in (0, 1, 300):
+                    assert markov._laws(psi, r, steps).tobytes() == loop_laws(psi, r, steps).tobytes()
+
+
+def test_doubly_stochastic_sampler_matches_the_sum_loop_bit_for_bit():
+    for m in range(1, 13):
+        for seed in range(300):
+            got = random_doubly_stochastic(m, make_rng(seed))
+            assert got.tobytes() == loop_doubly_stochastic(m, make_rng(seed), markov.SINKHORN_ROUNDS).tobytes()
+
+
+def test_doubly_stochastic_sampler_failure_matches_the_sum_loop(monkeypatch):
+    monkeypatch.setattr(markov, "SINKHORN_ROUNDS", 2)
+    for m in (2, 3, 6):
+        for seed in range(20):
+            with pytest.raises(ConvergenceError, match="in 2 rounds") as got:
+                random_doubly_stochastic(m, make_rng(seed))
+            with pytest.raises(ConvergenceError, match="in 2 rounds") as want:
+                loop_doubly_stochastic(m, make_rng(seed), 2)
+            assert got.value.last.tobytes() == want.value.last.tobytes()
+            assert got.value.residuals == want.value.residuals
+
+
+def test_second_law_lhs_is_the_drop_in_divergence_from_uniform():
+    # D_q(psi || u) = ln_q m - m**(1-q) H_q(psi), so lhs = D_q(psi_(k-1) || u) - D_q(psi_k || u)
+    rng = make_rng(2026)  # the first 50 chains of gate 4
+    for _ in range(50):
+        m = int(rng.integers(2, 7))
+        r = random_doubly_stochastic(m, rng)
+        chain = MarkovChain(r, rng.dirichlet(np.ones(m)).tolist())
+        laws = markov._laws(chain.initial.p, r, 50)
+        u = np.full(m, 1.0 / m)
+        for q in (0.2, 0.5, 0.8):
+            d = [relative_q_entropy(psi, u, q) for psi in laws]
+            for row in second_law_report(chain, 50, q):
+                assert row.lhs == pytest.approx(d[row.step - 1] - d[row.step], rel=0, abs=1e-13)
 
 
 def test_second_law_memory_is_bounded_by_the_block():
