@@ -33,7 +33,7 @@ from pathlib import Path
 from .errors import ConvergenceError
 from .laws import LawId, SlackReport, all_laws, fuzz
 from .markov import MarkovChain, SecondLawRow, second_law_report
-from .maxent import MaxEntProblem, solve, verify_optimality
+from .maxent import MaxEntProblem, _levels_array, solve, verify_optimality
 from .measures import (
     conditional_mutual_q_information,
     mutual_q_information,
@@ -43,7 +43,7 @@ from .measures import (
     relative_q_entropy,
     tsallis_entropy,
 )
-from .prob import JointTable, ProbVec, _float_array
+from .prob import JointTable, ProbVec
 from .smb import smb_probe
 
 
@@ -211,7 +211,7 @@ def _cmd_maxent(args) -> int:
             raise _CliError(2, "pass either --sweep or --target-mean (with --verify), not both")
         if args.sweep < 1:
             raise _CliError(2, "--sweep must be >= 1")
-        arr = _float_array(levels, "levels")
+        arr = _levels_array(levels)
         lo, hi = float(arr.min()), float(arr.max())
         lines = [_SWEEP_HEADER]
         for i in range(args.sweep):

@@ -25,7 +25,11 @@ distribution.  Two families of results live here:
   the deformed entropy cannot decrease faster than the correction term
   allows.  The report takes the state laws from the one recursion
   ``_laws`` in blocks of steps and evaluates every piece on the block's
-  ``(steps, m, m)`` stack of joints at once.  It flags whether the
+  ``(steps, m, m)`` stack of joints at once.  Only the q-logs depend on
+  q: reports of one (chain, start, steps) share their q-free block
+  through a memo of ``_BLOCK_MEMO_CAP`` entries keyed by the contents of
+  the transition and the start, the transition's layout and ``steps``.
+  Reports longer than one block are not stored.  The report flags whether the
   doubly-stochastic premise holds, with the transition's largest row- or
   column-sum error, and also carries an alternative
   correction term ``T_q_statement`` (same weights, second factor
@@ -50,6 +54,9 @@ STATIONARY_TOL, STATIONARY_ITERS = 1e-12, 1_000_000
 #: Cells per block of ``second_law_report`` and ``MarkovChain.evolve``; their
 #: memory is O(_STEP_CELLS).
 _STEP_CELLS = 1 << 16
+#: Most q-free blocks that ``second_law_report`` keeps for later q.
+_BLOCK_MEMO_CAP = 4
+_block_memo: dict = {}
 
 
 class MarkovChain:
@@ -68,13 +75,10 @@ class MarkovChain:
                 _validate_mass(row, "transition row")
         t.setflags(write=False)
         object.__setattr__(self, "transition", t)
+        m = t.shape[0]
         if initial is None:
-            initial = ProbVec(np.full(t.shape[0], 1.0 / t.shape[0]))
-        else:
-            initial = ProbVec.coerce(initial)
-        if len(initial) != t.shape[0]:
-            raise ValueError("initial distribution length must match the state count")
-        object.__setattr__(self, "initial", initial)
+            initial = ProbVec(np.full(m, 1.0 / m))
+        object.__setattr__(self, "initial", _start_law(initial, m))
 
     def __setattr__(self, name, value):
         raise AttributeError("MarkovChain is immutable")
@@ -91,7 +95,7 @@ class MarkovChain:
         """
         if steps < 0:
             raise ValueError("steps must be >= 0")
-        psi = (self.initial if start is None else ProbVec.coerce(start)).p
+        psi = (self.initial if start is None else _start_law(start, self.m)).p
         block = max(1, _STEP_CELLS // psi.size)
         for done in range(0, steps, block):
             # a copy, so the block's laws are freed before the next block
@@ -100,6 +104,14 @@ class MarkovChain:
 
     def __repr__(self) -> str:
         return f"MarkovChain(m={self.m})"
+
+
+def _start_law(start, m: int) -> ProbVec:
+    """``start`` as a distribution over the chain's ``m`` states."""
+    start = ProbVec.coerce(start)
+    if len(start) != m:
+        raise ValueError("initial distribution length must match the state count")
+    return start
 
 
 def _laws(psi: np.ndarray, r: np.ndarray, steps: int) -> np.ndarray:
@@ -330,12 +342,60 @@ class SecondLawRow(NamedTuple):
         return {**self._asdict(), "applicable": self.applicable}
 
 
+def _law_block(psi: np.ndarray, r: np.ndarray, steps: int):
+    """The q-free arrays of one block of ``steps`` second-law steps.
+
+    Returns the laws ``psi_0 .. psi_steps``, the joints as ``(steps, m*m)``
+    weight rows ``w``, the first q-log factor ``a``, the ``(2, steps, m*m)``
+    stack ``b`` of second factors (the reference ratio for ``T_q`` and
+    ``J m`` for ``T_q_statement``) and ``_ds_deviation(r)``.
+    """
+    m = r.shape[0]
+    laws = _laws(psi, r, steps)
+    nxt = laws[1:, None, :]
+    joint = laws[:-1, :, None] * r
+    on = joint > 0
+    w = joint.reshape(steps, -1)
+    ratio = np.where(on, joint, 1.0) / np.where(on, nxt * r, 1.0)
+    a = np.where(on, nxt * m, 1.0).reshape(w.shape)
+    b = np.stack([ratio, np.where(on, joint * m, 1.0)]).reshape(2, *w.shape)
+    return laws, w, a, b, _ds_deviation(r)
+
+
+def _memo_block(psi: np.ndarray, r: np.ndarray, steps: int):
+    """``_law_block`` kept for the next q of the same (chain, start, steps).
+
+    The key is the exact contents of ``psi`` and ``r`` with the layout of
+    ``r``: a column-major transition sums its joints in another order, so
+    its arrays differ from a row-major copy's in the last bits.  Hits are
+    read-only; the least recently used entry goes past ``_BLOCK_MEMO_CAP``.
+    """
+    key = (r.strides, r.tobytes(), psi.tobytes(), steps)
+    block = _block_memo.pop(key, None)
+    if block is None:
+        block = _law_block(psi, r, steps)
+        for arr in block[:4]:
+            arr.setflags(write=False)
+        if len(_block_memo) >= _BLOCK_MEMO_CAP:
+            del _block_memo[next(iter(_block_memo))]
+    _block_memo[key] = block
+    return block
+
+
 def second_law_report(chain: MarkovChain, steps: int, q) -> list[SecondLawRow]:
     """Per-step second-law decomposition along the chain's trajectory.
 
     Asserted (slack >= 0) only for doubly stochastic transitions and
     0 <= q < 1; the report is computed for any chain in that q range and
     the ``applicable`` flag marks whether the premise holds.
+
+    Reports of one (chain, start, steps) share their q-free block: the
+    laws, joints and q-log arguments of a report of at most ``_STEP_CELLS``
+    cells are kept in a memo of ``_BLOCK_MEMO_CAP`` entries, keyed by the
+    contents of the transition and the start, the transition's memory
+    layout and ``steps``, so a q-sweep steps its chain once.  Longer
+    reports stream their blocks and store none, so memory stays
+    O(_STEP_CELLS).
     """
     qv = q_value(q)
     if not 0.0 <= qv < 1.0:
@@ -344,29 +404,18 @@ def second_law_report(chain: MarkovChain, steps: int, q) -> list[SecondLawRow]:
         raise ValueError("steps must be >= 1")
     r = chain.transition
     m = chain.m
-    dev = _ds_deviation(r)
     bracket = float(m) ** (1.0 - qv)
     block = max(1, _STEP_CELLS // m**2)
+    law_block = _memo_block if steps * m * m <= _STEP_CELLS else _law_block
     rows = []
     psi = chain.initial.p
     for start in range(0, steps, block):
-        laws = _laws(psi, r, min(block, steps - start))
-        psi, nxt = laws[-1], laws[1:, None, :]
+        laws, w, a, b, dev = law_block(psi, r, min(block, steps - start))
+        psi = laws[-1]
         # Zero cells add exact zeros; from 8 cells on they regroup numpy's
         # pairwise sums (last bits only).
         h = _entropy_rows(laws, qv)
-        joint = laws[:-1, :, None] * r
-        on = joint > 0
-        w = joint.reshape(len(nxt), -1)
-        ratio = np.where(on, joint, 1.0) / np.where(on, nxt * r, 1.0)
-        t_q, t_q_stmt = np.array(
-            cross_term(
-                w,
-                np.where(on, nxt * m, 1.0).reshape(w.shape),
-                np.stack([ratio, np.where(on, joint * m, 1.0)]).reshape(2, *w.shape),
-                qv,
-            )
-        )
+        t_q, t_q_stmt = np.array(cross_term(w, a, b, qv))
         # elementwise array operations round as the scalar ones do
         delta = np.diff(h)
         lhs = delta * bracket

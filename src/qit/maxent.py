@@ -53,6 +53,16 @@ _FRACTIONS = np.array([math.ldexp(1.0, -k) for k in range(60)])
 _CELLS = 1 << 12
 
 
+def _levels_array(levels) -> np.ndarray:
+    """``levels`` as a float array; not a non-empty finite 1-D array raises ValueError."""
+    arr = _float_array(levels, "levels")
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValueError("levels must be a non-empty 1-D array")
+    if not np.isfinite(arr).all():
+        raise ValueError("levels must be finite")
+    return arr
+
+
 @dataclass(frozen=True)
 class MaxEntProblem:
     """Levels, prescribed mean, and deformation index."""
@@ -62,11 +72,7 @@ class MaxEntProblem:
     q: float
 
     def __init__(self, levels, target_mean, q):
-        arr = _float_array(levels, "levels")
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("levels must be a non-empty 1-D array")
-        if not np.isfinite(arr).all():
-            raise ValueError("levels must be finite")
+        arr = _levels_array(levels)
         qv = q_value(q)
         if not 0.0 <= qv < 2.0:
             raise ValueError(f"the constrained solver requires 0 <= q < 2, got {qv:g}")

@@ -231,6 +231,14 @@ def test_non_numeric_json_exits_2(capsys, argv):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("levels", ["[]", "[[0,1],[2,3]]"])
+def test_maxent_sweep_checks_the_levels_first(capsys, levels):
+    assert run(["maxent", "--levels", levels, "--q", "0.5", "--sweep", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: levels must be a non-empty 1-D array\n"
+
+
 def test_maxent_sweep_csv(capsys):
     rc = run(["maxent", "--levels", "[0,1,2]", "--q", "0.5", "--sweep", "6"])
     assert rc == 0

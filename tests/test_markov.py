@@ -85,6 +85,13 @@ def test_evolve():
     assert c.evolve(1, start=[0.0, 1.0]).p == pytest.approx([0.1, 0.9], abs=1e-15)
 
 
+@pytest.mark.parametrize("start", [[0.5, 0.5], [1.0], [0.25] * 4])
+def test_evolve_rejects_a_start_of_another_length(start):
+    chain = MarkovChain(np.full((3, 3), 1.0 / 3.0))
+    with pytest.raises(ValueError, match="^initial distribution length must match the state count$"):
+        chain.evolve(2, start=start)
+
+
 def test_evolve_in_blocks_matches_one_recursion_in_bounded_memory():
     # slow mixing, so the law still moves in its last bits at every step
     r = np.eye(3) * (1 - 3e-5) + np.array([[0, 1, 2], [2, 0, 1], [1, 2, 0]]) * 1e-5
@@ -438,3 +445,116 @@ def test_second_law_memory_is_bounded_by_the_block():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20  # the whole (2000, 64, 64) stack would be 62 MB per array
+
+
+def _gate4_style_chains(n):
+    """``n`` chains of gate 4's kind, each with a random and the uniform start."""
+    rng = make_rng(21)
+    chains = []
+    for _ in range(n):
+        m = int(rng.integers(2, 7))
+        r = random_doubly_stochastic(m, rng)
+        chains.append((MarkovChain(r, rng.dirichlet(np.ones(m)).tolist()), MarkovChain(r)))
+    return chains
+
+
+def test_second_law_q_sweep_matches_the_step_loop_cold_and_warm(monkeypatch):
+    monkeypatch.setattr(markov, "_block_memo", {})
+    chains = _gate4_style_chains(20)
+    want = {}
+    for warm in (False, True):
+        for i, pair in enumerate(chains):
+            for q in (0.2, 0.5, 0.8):
+                for j, chain in enumerate(pair):  # random and uniform starts interleave
+                    if not warm:
+                        markov._block_memo.clear()
+                    got = second_law_report(chain, 50, q)
+                    key = (i, q, j)
+                    if key not in want:
+                        want[key] = _loop_second_law_report(chain, 50, q)
+                    assert got == want[key]
+    assert len(markov._block_memo) == markov._BLOCK_MEMO_CAP
+
+
+def test_second_law_memo_keeps_row_and_column_major_copies_apart(monkeypatch):
+    # the same matrix in the other layout sums its joints in another order
+    rng = make_rng(22)
+    differ = 0
+    for m in (8, 13, 24, 31):
+        r = random_doubly_stochastic(m, rng)
+        start = rng.dirichlet(np.ones(m))
+        chains = [MarkovChain(np.ascontiguousarray(r), start), MarkovChain(np.asfortranarray(r), start)]
+        assert not chains[1].transition.flags.c_contiguous
+        cold = []
+        for chain in chains:
+            monkeypatch.setattr(markov, "_block_memo", {})
+            cold.append(second_law_report(chain, 20, 0.5))
+        differ += cold[0] != cold[1]
+        for order in ((0, 1), (1, 0)):
+            monkeypatch.setattr(markov, "_block_memo", {})
+            for i in order:
+                assert second_law_report(chains[i], 20, 0.5) == cold[i]
+            assert len(markov._block_memo) == 2
+    assert differ  # a key on values alone would fail above
+
+
+def test_second_law_memo_arrays_are_read_only(monkeypatch):
+    monkeypatch.setattr(markov, "_block_memo", {})
+    second_law_report(sticky_chain([1.0, 0.0]), 5, 0.5)
+    (block,) = markov._block_memo.values()
+    laws, w, a, b, dev = block
+    assert dev == 0.0
+    for arr in (laws, w, a, b):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0.0
+
+
+def test_second_law_memo_holds_at_most_its_cap(monkeypatch):
+    monkeypatch.setattr(markov, "_block_memo", {})
+    rng = make_rng(23)
+    for _ in range(1000):
+        m = int(rng.integers(2, 5))
+        second_law_report(MarkovChain(random_doubly_stochastic(m, rng)), 3, 0.5)
+        assert len(markov._block_memo) <= markov._BLOCK_MEMO_CAP
+    assert len(markov._block_memo) == markov._BLOCK_MEMO_CAP
+
+
+def _count_laws(monkeypatch):
+    calls = []
+    laws = markov._laws
+
+    def counted(*args):
+        calls.append(args[2])
+        return laws(*args)
+
+    monkeypatch.setattr(markov, "_laws", counted)
+    return calls
+
+
+def test_second_law_q_sweep_steps_its_chain_once(monkeypatch):
+    monkeypatch.setattr(markov, "_block_memo", {})
+    calls = _count_laws(monkeypatch)
+    rng = make_rng(24)
+    chain = MarkovChain(random_doubly_stochastic(5, rng), rng.dirichlet(np.ones(5)))
+    for q in (0.2, 0.5, 0.8):
+        second_law_report(chain, 50, q)
+    assert calls == [50]
+    # another start or another length is another block
+    second_law_report(MarkovChain(chain.transition), 50, 0.5)
+    second_law_report(chain, 49, 0.5)
+    assert calls == [50, 50, 49]
+
+
+def test_second_law_multi_block_report_streams_past_the_memo(monkeypatch):
+    rng = make_rng(12)
+    chain = MarkovChain(random_doubly_stochastic(64, rng), rng.dirichlet(np.ones(64)))
+    second_law_report(sticky_chain(), 3, 0.5)
+    before = dict(markov._block_memo)
+    calls = _count_laws(monkeypatch)
+    for q in (0.2, 0.5):
+        second_law_report(chain, 2000, q)
+    block = markov._STEP_CELLS // 64**2
+    assert calls == [block] * (2000 // block) * 2
+    assert markov._block_memo.keys() == before.keys()
+    assert all(markov._block_memo[k] is v for k, v in before.items())
