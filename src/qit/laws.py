@@ -42,14 +42,21 @@ row takes the same bits in a stack of any height.
 ``fuzz`` runs a seeded campaign of random instances for one law.  Every
 trial draws from stream 0 of the master seed, in trial order (q first,
 then the instance), so a report depends only on (law, trials, q-range,
-seed, tol), and trial ``i`` is the ``i``-th draw from that stream.  The
-draws stay in that order; the evaluation is grouped by instance shape,
-one evaluator call per stack of a chunk of draws, and the slacks are
-folded back in trial order.  So ``law_slack`` on the report's
-``worst_trial`` instance and ``worst_q`` gives its ``min_slack`` exactly.
+seed, tol), and trial ``i`` is the ``i``-th draw from that stream.  q is
+``lo + (hi - lo) * rng.random()``, numpy's own formula for
+``rng.uniform(lo, hi)``, with the same bits.  Exponential draws next to
+each other in the stream may share one call, since PCG64 gives the same
+numbers however such a run is split; an integer draw (an axis length) is
+never moved across another draw, because PCG64 keeps the spare half of a
+64-bit output for the next 32-bit draw.  The draws stay in that order;
+the evaluation is grouped by instance shape, one evaluator call per stack
+of a chunk of draws, and the slacks are folded back in trial order.  So
+``law_slack`` on the report's ``worst_trial`` instance and ``worst_q``
+gives its ``min_slack`` exactly.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -253,13 +260,14 @@ def _sample_block(rng):
 
 
 def _sample_weights(rng):
-    m = _axis(rng, 2, 8)
-    return (rng.standard_exponential(m), rng.standard_exponential(m))
+    e = rng.standard_exponential((2, _axis(rng, 2, 8)))
+    return (e[0], e[1])
 
 
 def _sample_same_length_dists(rng):
-    m = _axis(rng)
-    return (_flat_dirichlet(m, rng), _flat_dirichlet(m, rng))
+    e = rng.standard_exponential((2, _axis(rng)))
+    e /= np.add.reduce(e, axis=-1, keepdims=True)  # each row a _flat_dirichlet draw
+    return (e[0], e[1])
 
 
 def _sample_dist(rng):
@@ -271,6 +279,9 @@ def _sample_markov(rng):
 
 
 def _sample_rel_pair(rng):
+    # two calls, so each array owns its cells: one (2, ...) call would hold
+    # a third array per instance, and this law's fuzz chunks already come
+    # close to a campaign's peak memory
     shape = (_axis(rng, 2, 4), _axis(rng, 2, 4))
     return (_flat_dirichlet(shape, rng), _flat_dirichlet(shape, rng))
 
@@ -438,11 +449,14 @@ def fuzz(law, trials: int, q_range=None, seed: int = 0, *, tol=None) -> SlackRep
     ----------
     law : LawId or str
     trials : int
-        Number of random instances (>= 1).
+        Number of random instances (>= 1), of any integer type; a bool
+        raises ValueError and a float TypeError (``operator.index``).
     q_range : (float, float), optional
         Sampling interval for q; it is intersected with the law's validity
         range and must leave a non-empty interval.  Defaults to the law's
-        full range.  q is drawn uniformly from [lo, hi).
+        full range.  q is drawn uniformly from [lo, hi) as
+        ``lo + (hi - lo) * rng.random()``, which is ``rng.uniform(lo, hi)``
+        bit for bit.
     seed : int
         Master seed.  All trials draw from ``make_rng(seed)`` (stream 0) in
         trial order: each trial draws its q (unless the range is a single
@@ -453,6 +467,9 @@ def fuzz(law, trials: int, q_range=None, seed: int = 0, *, tol=None) -> SlackRep
     """
     lid = LawId(law)
     spec = _REGISTRY[lid]
+    if isinstance(trials, bool):
+        raise ValueError(f"trials must be an integer count, got {trials!r}")
+    trials = operator.index(trials)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if tol is None:
@@ -480,7 +497,7 @@ def fuzz(law, trials: int, q_range=None, seed: int = 0, *, tol=None) -> SlackRep
     while done < trials:
         qs, parts, cells = [], [], 0
         while done + len(qs) < trials and cells < _FUZZ_CELLS:
-            qs.append(lo if lo == hi else float(rng.uniform(lo, hi)))
+            qs.append(lo if lo == hi else lo + (hi - lo) * rng.random())
             instance = spec.sample(rng)
             parts.append((instance,) if spec.arity == 1 else instance)
             cells += sum(a.size for a in parts[-1])

@@ -215,15 +215,26 @@ def product_dist(p, r) -> JointTable:
 def _flat_dirichlet(shape, rng: np.random.Generator) -> np.ndarray:
     """Flat-Dirichlet draw over all cells: normalized unit exponentials."""
     e = rng.standard_exponential(shape)
-    return e / np.add.reduce(e, axis=None)  # e.sum() without its Python wrapper
+    e /= np.add.reduce(e, axis=None)  # e.sum() without its Python wrapper
+    return e
 
 
 def _markov_triple(shapes, rng: np.random.Generator) -> np.ndarray:
-    """Rank-3 array p(x) p(y|x) p(z|y) of flat-Dirichlet factors."""
-    mx, my, mz = (int(s) for s in shapes)
-    px = _flat_dirichlet(mx, rng)
-    py_rows = np.stack([_flat_dirichlet(my, rng) for _ in range(mx)])
-    pz_rows = np.stack([_flat_dirichlet(mz, rng) for _ in range(my)])
+    """Rank-3 array p(x) p(y|x) p(z|y) of flat-Dirichlet factors.
+
+    The factors are drawn in one exponential call, in the order of the
+    per-factor draws (p(x), then the rows of p(y|x), then those of
+    p(z|y)), and each row is normalized by its own sum over the last axis,
+    so every factor takes the bits of a separate ``_flat_dirichlet`` draw.
+    """
+    mx, my, mz = shapes
+    e = rng.standard_exponential(mx + mx * my + my * mz)
+    px = e[:mx]
+    py_rows = e[mx : mx + mx * my].reshape(mx, my)
+    pz_rows = e[mx + mx * my :].reshape(my, mz)
+    px /= np.add.reduce(px, axis=None)
+    py_rows /= np.add.reduce(py_rows, axis=-1, keepdims=True)
+    pz_rows /= np.add.reduce(pz_rows, axis=-1, keepdims=True)
     return px[:, None, None] * py_rows[:, :, None] * pz_rows[None, :, :]
 
 
@@ -245,4 +256,7 @@ def random_markov_triple(shapes, rng: np.random.Generator) -> JointTable:
     The middle variable separates the outer two by construction, i.e.
     p(x,y,z) p(y) = p(x,y) p(y,z) holds cellwise up to roundoff.
     """
-    return JointTable(_markov_triple(shapes, rng))
+    dims = tuple(int(s) for s in shapes)
+    if len(dims) != 3 or min(dims) < 1:
+        raise ValueError(f"need three axes (x, y, z) of at least one outcome each, got {dims!r}")
+    return JointTable(_markov_triple(dims, rng))

@@ -10,6 +10,13 @@ regroup numpy's pairwise sums.  Their q-logs come from the float-only
 ``laws`` and ``random_doubly_stochastic`` are the Markov state-law step
 and Sinkhorn sampler written with one ``.sum`` call per reduction; the
 package's bare-ufunc forms must give the same bits.
+
+``SAMPLERS`` and ``uniform_q`` are the fuzz draws made one numpy call per
+draw: a separate exponential call and normalization per flat-Dirichlet
+factor (the Markov triple's rows joined by ``np.stack``), and q from
+``rng.uniform``.  The package draws adjacent exponentials of one kind in
+one call and q from ``rng.random()``; it must give the same arrays and
+leave the generator in the same state.
 """
 
 import math
@@ -94,3 +101,67 @@ def random_doubly_stochastic(m: int, rng: np.random.Generator, rounds: int) -> n
         )
     s /= s.sum(axis=1, keepdims=True)
     return s
+
+
+def uniform_q(rng: np.random.Generator, lo: float, hi: float) -> float:
+    """A fuzz trial's q: one ``rng.uniform`` call."""
+    return float(rng.uniform(lo, hi))
+
+
+def _axis(rng, lo=2, hi=6):
+    return int(rng.integers(lo, hi + 1))
+
+
+def flat_dirichlet(shape, rng: np.random.Generator) -> np.ndarray:
+    """Unit exponentials of one call over all cells, divided by their sum."""
+    e = rng.standard_exponential(shape)
+    return e / e.sum()
+
+
+def markov_triple(shapes, rng: np.random.Generator) -> np.ndarray:
+    """p(x) p(y|x) p(z|y), each factor row its own ``flat_dirichlet`` draw."""
+    mx, my, mz = shapes
+    px = flat_dirichlet(mx, rng)
+    py_rows = np.stack([flat_dirichlet(my, rng) for _ in range(mx)])
+    pz_rows = np.stack([flat_dirichlet(mz, rng) for _ in range(my)])
+    return px[:, None, None] * py_rows[:, :, None] * pz_rows[None, :, :]
+
+
+def _rank3(rng):
+    return flat_dirichlet((_axis(rng, 2, 4), _axis(rng, 2, 4), _axis(rng, 2, 4)), rng)
+
+
+def _block(rng):
+    rank = int(rng.integers(2, 5))
+    hi = 6 if rank == 2 else 3
+    return flat_dirichlet(tuple(_axis(rng, 2, hi) for _ in range(rank)), rng)
+
+
+def _weights(rng):
+    m = _axis(rng, 2, 8)
+    return (rng.standard_exponential(m), rng.standard_exponential(m))
+
+
+def _same_length(rng):
+    m = _axis(rng)
+    return (flat_dirichlet(m, rng), flat_dirichlet(m, rng))
+
+
+def _rel_pair(rng):
+    shape = (_axis(rng, 2, 4), _axis(rng, 2, 4))
+    return (flat_dirichlet(shape, rng), flat_dirichlet(shape, rng))
+
+
+#: law -> rng -> instance (an array, or a pair of arrays)
+SAMPLERS = {
+    "joint-chain": lambda rng: flat_dirichlet((_axis(rng), _axis(rng)), rng),
+    "indep-superadd": lambda rng: (flat_dirichlet(_axis(rng), rng), flat_dirichlet(_axis(rng), rng)),
+    "cond-chain": _rank3,
+    "block-chain": _block,
+    "qln-sum": _weights,
+    "dq-nonneg": _same_length,
+    "max-bound": lambda rng: flat_dirichlet(_axis(rng, 2, 8), rng),
+    "dpi": lambda rng: markov_triple((_axis(rng, 2, 4), _axis(rng, 2, 4), _axis(rng, 2, 4)), rng),
+    "info-chain-rule": _rank3,
+    "rel-chain-rule": _rel_pair,
+}

@@ -3,11 +3,13 @@
 import math
 import tracemalloc
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from qit import LawId, all_laws, fuzz, identity_residual, law_slack, prob
+from qit import laws as laws_module
 from qit.laws import (
     _REGISTRY,
     SlackReport,
@@ -36,7 +38,7 @@ from qit.prob import (
     random_markov_triple,
 )
 from qit.qcore import cross_term, ln_q, pseudo_additivity_residual
-from reference import divergence
+from reference import SAMPLERS, divergence, uniform_q
 
 
 def test_registry_enumerates_ten_laws():
@@ -652,3 +654,95 @@ def test_fuzz_reports_a_replayable_worst_trial(law):
     assert d["worst_trial"] == r.worst_trial and d["worst_q"] == r.worst_q
     assert d["worst_shape"] == [list(shape) for shape in r.worst_shape]
     assert len(r.to_csv_row().split(",")) == len(SlackReport.CSV_HEADER.split(","))
+
+
+def test_fuzz_takes_an_integer_trial_count():
+    with pytest.raises(TypeError):
+        fuzz("max-bound", 2.5)
+    for flag in (True, False):
+        with pytest.raises(ValueError, match="integer"):
+            fuzz("max-bound", flag)
+    r = fuzz("max-bound", np.int64(3), seed=2)
+    assert type(r.trials) is int and r == fuzz("max-bound", 3, seed=2)
+
+
+# ---------------------------------------------------------------------------
+# the fuzz stream: the package's samplers and q draw against the one-call-per-
+# draw forms of ``reference``, draw by draw, arrays and generator state
+
+
+@pytest.mark.parametrize("law", [law.value for law in all_laws()])
+def test_samplers_draw_the_reference_stream(law):
+    spec = _REGISTRY[LawId(law)]
+    ours, ref = make_rng(17), make_rng(17)
+    for i in range(3000):
+        # PCG64 keeps the spare half-word of a 64-bit output for the next
+        # 32-bit draw; enter every other draw with one pending, the case in
+        # which moving an integer draw across an exponential draw shows
+        while ours.bit_generator.state["has_uint32"] != i % 2:
+            ours.integers(2), ref.integers(2)
+        got, want = _arrays(spec, spec.sample(ours)), _arrays(spec, SAMPLERS[law](ref))
+        assert [(a.shape, a.tobytes()) for a in got] == [(a.shape, a.tobytes()) for a in want]
+        assert ours.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (0.0, 2.0), (0.3, 0.7), (0.1, 1.9), (0.0, 1e-3)])
+def test_q_draw_is_numpy_uniform(lo, hi):
+    # fuzz draws q as numpy's random_uniform does, low + range * next_double
+    ours, ref = make_rng(29), make_rng(29)
+    for _ in range(20_000):
+        assert lo + (hi - lo) * ours.random() == uniform_q(ref, lo, hi)
+    assert ours.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("q_range", [None, (0.3, 0.7)])
+@pytest.mark.parametrize("law", [law.value for law in all_laws()])
+def test_fuzz_matches_the_reference_stream(law, q_range):
+    spec = _REGISTRY[LawId(law)]
+    lo, hi = (spec.q_range.lo, spec.q_range.hi) if q_range is None else q_range
+    rng = make_rng(31)
+    qs, slacks = [], []
+    for _ in range(150):
+        qs.append(uniform_q(rng, lo, hi))
+        slacks.append(law_slack(law, SAMPLERS[law](rng), qs[-1]))
+    r = fuzz(law, trials=150, q_range=q_range, seed=31)
+    assert r.q_mean == sum(qs) / 150
+    assert (r.min_slack, r.worst_q) == (min(slacks), qs[slacks.index(min(slacks))])
+    assert r.mean_slack == sum(slacks) / 150
+
+
+class _CountingRng:
+    """A generator whose method calls are counted by name."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.calls = Counter()
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return method(*args, **kwargs)
+
+        return counted
+
+
+def test_fuzz_draw_calls_per_trial(monkeypatch):
+    rngs = []
+
+    def counting_rng(seed):
+        rngs.append(_CountingRng(make_rng(seed)))
+        return rngs[-1]
+
+    monkeypatch.setattr(laws_module, "make_rng", counting_rng)
+    for law in all_laws():
+        fuzz(law, trials=200, seed=9)
+    # indep-superadd draws an axis between its two distributions;
+    # rel-chain-rule keeps two calls, whose arrays own their cells
+    two_calls = (LawId.INDEP_SUPERADD, LawId.REL_CHAIN_RULE)
+    for law, rng in zip(all_laws(), rngs):
+        assert rng.calls["standard_exponential"] == 200 * (2 if law in two_calls else 1), law
+        assert rng.calls["random"] == 200 and "uniform" not in rng.calls, law
+    assert rngs[all_laws().index(LawId.DPI)].calls["integers"] == 600  # its three axes
+

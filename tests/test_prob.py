@@ -168,3 +168,27 @@ def test_markov_triple_middle_separates():
         lhs = t * py[None, :, None]
         rhs = pxy[:, :, None] * pyz[None, :, :]
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
+
+
+@pytest.mark.parametrize("shapes", [(0, 2, 2), (2, 0, 2), (2, 2, 0), (2, 2), (2, 2, 2, 2), ()])
+def test_markov_triple_rejects_bad_shapes(shapes):
+    with pytest.raises(ValueError, match=r"three axes \(x, y, z\) of at least one outcome"):
+        random_markov_triple(shapes, make_rng(1))
+
+
+def test_markov_triple_of_single_outcomes():
+    assert random_markov_triple((1, 1, 1), make_rng(1)).t.tolist() == [[[1.0]]]
+
+
+def test_row_normalization_matches_one_dimensional_sums():
+    # a stack of rows normalized by one reduction over the last axis takes
+    # the bits of each row normalized alone; numpy's pairwise sum changes
+    # form at 8 and 128 cells, so n runs past both
+    rng = make_rng(5)
+    for n in range(1, 301):
+        for rows in range(1, 9):
+            e = rng.standard_exponential((rows, n))
+            alone = [row.copy() for row in e]
+            e /= np.add.reduce(e, axis=-1, keepdims=True)
+            for row, a in zip(e, alone):
+                assert row.tobytes() == (a / np.add.reduce(a, axis=None)).tobytes()
