@@ -43,16 +43,21 @@ row takes the same bits in a stack of any height.
 trial draws from stream 0 of the master seed, in trial order (q first,
 then the instance), so a report depends only on (law, trials, q-range,
 seed, tol), and trial ``i`` is the ``i``-th draw from that stream.  q is
-``lo + (hi - lo) * rng.random()``, numpy's own formula for
-``rng.uniform(lo, hi)``, with the same bits.  Exponential draws next to
-each other in the stream may share one call, since PCG64 gives the same
-numbers however such a run is split; an integer draw (an axis length) is
-never moved across another draw, because PCG64 keeps the spare half of a
-64-bit output for the next 32-bit draw.  The draws stay in that order;
-the evaluation is grouped by instance shape, one evaluator call per stack
-of a chunk of draws, and the slacks are folded back in trial order.  So
-``law_slack`` on the report's ``worst_trial`` instance and ``worst_q``
-gives its ``min_slack`` exactly.
+``lo + (hi - lo) * next_double(state)``, numpy's own formula for
+``rng.uniform(lo, hi)``, with the same bits.  q and the integer draws
+(axis lengths, a block-chain rank) come straight from the bit
+generator's ``ctypes`` interface, without the Generator's per-call
+wrapper or its lock (the campaign's generator is its own): an integer is
+numpy's Lemire draw on ``next_uint32`` (``_axis``), which is
+``rng.integers`` bit for bit, and ``next_double`` is ``rng.random()``.
+Exponential draws next to each other in the stream may share one call,
+since PCG64 gives the same numbers however such a run is split; an
+integer draw is never moved across another draw, because PCG64 keeps the
+spare half of a 64-bit output for the next 32-bit draw.  The draws stay
+in that order; the evaluation is grouped by instance shape, one evaluator
+call per stack of a chunk of draws, and the slacks are folded back in
+trial order.  So ``law_slack`` on the report's ``worst_trial`` instance
+and ``worst_q`` gives its ``min_slack`` exactly.
 """
 
 import math
@@ -238,7 +243,22 @@ _LE2 = _QRange(0.0, 2.0, hi_closed=True)
 
 
 def _axis(rng, lo=2, hi=6):
-    return int(rng.integers(lo, hi + 1))
+    """An integer uniform on [lo, hi], ``int(rng.integers(lo, hi + 1))`` bit
+    for bit, for ``n = hi - lo + 1 < 2**32``.
+
+    This is numpy's own draw without the Generator's per-call wrapper:
+    Lemire's method on the bit generator's ``next_uint32``, and no draw
+    when ``n == 1``.
+    """
+    n = hi - lo + 1
+    if n == 1:
+        return lo
+    c = rng.bit_generator.ctypes
+    x = c.next_uint32(c.state) * n
+    threshold = (0x100000000 - n) % n
+    while x & 0xFFFFFFFF < threshold:
+        x = c.next_uint32(c.state) * n
+    return lo + (x >> 32)
 
 
 def _sample_rank2(rng):
@@ -254,7 +274,7 @@ def _sample_rank3(rng):
 
 
 def _sample_block(rng):
-    rank = int(rng.integers(2, 5))
+    rank = _axis(rng, 2, 4)
     hi = 6 if rank == 2 else 3
     return _flat_dirichlet(tuple(_axis(rng, 2, hi) for _ in range(rank)), rng)
 
@@ -455,8 +475,8 @@ def fuzz(law, trials: int, q_range=None, seed: int = 0, *, tol=None) -> SlackRep
         Sampling interval for q; it is intersected with the law's validity
         range and must leave a non-empty interval.  Defaults to the law's
         full range.  q is drawn uniformly from [lo, hi) as
-        ``lo + (hi - lo) * rng.random()``, which is ``rng.uniform(lo, hi)``
-        bit for bit.
+        ``lo + (hi - lo) * next_double(state)``, with the bit generator's
+        ``next_double``, which is ``rng.uniform(lo, hi)`` bit for bit.
     seed : int
         Master seed.  All trials draw from ``make_rng(seed)`` (stream 0) in
         trial order: each trial draws its q (unless the range is a single
@@ -488,6 +508,10 @@ def fuzz(law, trials: int, q_range=None, seed: int = 0, *, tol=None) -> SlackRep
         )
 
     rng = make_rng(seed)
+    # q is rng.random() bit for bit, without the Generator's call and lock;
+    # the campaign's generator is its own
+    c = rng.bit_generator.ctypes
+    next_double, state = c.next_double, c.state
     min_slack = math.inf
     total = 0.0
     violations = 0
@@ -497,7 +521,7 @@ def fuzz(law, trials: int, q_range=None, seed: int = 0, *, tol=None) -> SlackRep
     while done < trials:
         qs, parts, cells = [], [], 0
         while done + len(qs) < trials and cells < _FUZZ_CELLS:
-            qs.append(lo if lo == hi else lo + (hi - lo) * rng.random())
+            qs.append(lo if lo == hi else lo + (hi - lo) * next_double(state))
             instance = spec.sample(rng)
             parts.append((instance,) if spec.arity == 1 else instance)
             cells += sum(a.size for a in parts[-1])

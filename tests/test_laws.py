@@ -1,9 +1,12 @@
 """Inequality/identity registry and fuzz campaigns."""
 
 import math
-import tracemalloc
+import os
+import subprocess
+import sys
 import warnings
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -623,19 +626,29 @@ def test_each_row_of_a_mixed_stack_equals_its_one_row_evaluation(law):
         assert stacked[i : i + 1].tobytes() == _evaluate(spec, [instance], [qv]).tobytes()
 
 
+_MEMORY_PEAKS = """
+import tracemalloc
+from qit import fuzz
+peaks = []
+tracemalloc.start()
+for trials in (2_000, 20_000):
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    fuzz("block-chain", trials, seed=5)
+    peaks.append(tracemalloc.get_traced_memory()[1] - base)
+print(*peaks)
+"""
+
+
 def test_fuzz_memory_does_not_grow_with_trials():
     # block-chain draws the most cells per trial (rank 4, up to 81); draws
-    # are evaluated in chunks of a bounded number of cells
-    peaks = []
-    tracemalloc.start()
-    try:
-        for trials in (2_000, 20_000):
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            fuzz("block-chain", trials, seed=5)
-            peaks.append(tracemalloc.get_traced_memory()[1] - base)
-    finally:
-        tracemalloc.stop()
+    # are evaluated in chunks of a bounded number of cells.  The campaigns
+    # run in a fresh interpreter: tracemalloc also counts numpy's buffer
+    # cache and Python's free lists, which earlier tests leave in any state
+    src = os.path.dirname(os.path.dirname(laws_module.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", _MEMORY_PEAKS], env=env, capture_output=True, text=True, check=True)
+    peaks = [int(v) for v in out.stdout.split()]
     assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
@@ -712,20 +725,26 @@ def test_fuzz_matches_the_reference_stream(law, q_range):
 
 
 class _CountingRng:
-    """A generator whose method calls are counted by name."""
+    """A generator whose method calls are counted by name.  Its
+    ``bit_generator.ctypes`` is the real generator's interface, on the real
+    state, with its ``next_uint32`` and ``next_double`` counted too."""
 
     def __init__(self, rng):
         self._rng = rng
         self.calls = Counter()
+        c = rng.bit_generator.ctypes
+        counted = {name: self._counted(name, getattr(c, name)) for name in ("next_uint32", "next_double")}
+        self.bit_generator = SimpleNamespace(ctypes=c._replace(**counted))
 
-    def __getattr__(self, name):
-        method = getattr(self._rng, name)
-
+    def _counted(self, name, method):
         def counted(*args, **kwargs):
             self.calls[name] += 1
             return method(*args, **kwargs)
 
         return counted
+
+    def __getattr__(self, name):
+        return self._counted(name, getattr(self._rng, name))
 
 
 def test_fuzz_draw_calls_per_trial(monkeypatch):
@@ -743,6 +762,56 @@ def test_fuzz_draw_calls_per_trial(monkeypatch):
     two_calls = (LawId.INDEP_SUPERADD, LawId.REL_CHAIN_RULE)
     for law, rng in zip(all_laws(), rngs):
         assert rng.calls["standard_exponential"] == 200 * (2 if law in two_calls else 1), law
-        assert rng.calls["random"] == 200 and "uniform" not in rng.calls, law
-    assert rngs[all_laws().index(LawId.DPI)].calls["integers"] == 600  # its three axes
+        # q and the axis lengths come from the bit generator, not the Generator
+        assert rng.calls["next_double"] == 200, law
+        assert not {"integers", "random", "uniform"} & set(rng.calls), law
+    assert rngs[all_laws().index(LawId.DPI)].calls["next_uint32"] == 600  # its three axes
 
+
+# ---------------------------------------------------------------------------
+# the bit-generator draws: ``_axis`` and fuzz's q against numpy's Generator
+
+
+@pytest.mark.parametrize(
+    "lo, n, rejects",
+    # Lemire's method rejects a draw 1 time in 4 at 3 * 2**30 and about 1 in 2
+    # at 2**31 + 1; never at 2**31, which divides 2**32
+    [
+        (2, 1, False),
+        (2, 2, False),
+        (-1, 3, False),
+        (2, 5, False),
+        (0, 7, False),
+        (7, 3 << 30, True),
+        (-(1 << 31), (1 << 31) + 1, True),
+        (0, 1 << 31, False),
+    ],
+)
+def test_axis_is_numpy_integers(lo, n, rejects):
+    hi = lo + n - 1
+    ours, ref = _CountingRng(make_rng(37)), make_rng(37)
+    draws = 3000
+    for i in range(draws):
+        # enter every other draw with PCG64's spare 32-bit half-word pending
+        while ours._rng.bit_generator.state["has_uint32"] != i % 2:
+            ours._rng.integers(2), ref.integers(2)
+        got, want = laws_module._axis(ours, lo, hi), int(ref.integers(lo, hi + 1))
+        assert type(got) is int and got == want
+        assert ours._rng.bit_generator.state == ref.bit_generator.state
+    if n == 1:
+        assert ours.calls["next_uint32"] == 0
+    elif rejects:
+        assert ours.calls["next_uint32"] > draws * 1.2
+    else:
+        assert ours.calls["next_uint32"] == draws
+
+
+def test_next_double_is_numpy_random():
+    ours, ref = make_rng(41), make_rng(41)
+    c = ours.bit_generator.ctypes
+    for i in range(20_000):
+        # a pending half-word leaves the 64-bit draw alone
+        while ours.bit_generator.state["has_uint32"] != i % 2:
+            ours.integers(2), ref.integers(2)
+        assert c.next_double(c.state) == ref.random()
+        assert ours.bit_generator.state == ref.bit_generator.state
