@@ -43,7 +43,7 @@ from .measures import (
     relative_q_entropy,
     tsallis_entropy,
 )
-from .prob import JointTable, ProbVec
+from .prob import JointTable, ProbVec, _count
 from .smb import smb_probe
 
 
@@ -204,13 +204,12 @@ _SWEEP_HEADER = "target,lambda,mu,entropy,support_size"
 
 def _cmd_maxent(args) -> int:
     levels = _load_json(args.levels, "--levels")
-    if args.verify is not None and args.verify < 1:
-        raise _CliError(2, "--verify must be >= 1")
+    if args.verify is not None:
+        _count(args.verify, "--verify")
     if args.sweep is not None:
         if args.target_mean is not None or args.verify is not None:
             raise _CliError(2, "pass either --sweep or --target-mean (with --verify), not both")
-        if args.sweep < 1:
-            raise _CliError(2, "--sweep must be >= 1")
+        _count(args.sweep, "--sweep")
         arr = _levels_array(levels)
         lo, hi = float(arr.min()), float(arr.max())
         lines = [_SWEEP_HEADER]

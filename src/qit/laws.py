@@ -61,7 +61,6 @@ and ``worst_q`` gives its ``min_slack`` exactly.
 """
 
 import math
-import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -78,7 +77,7 @@ from .measures import (
     _ratio,
     _rows,
 )
-from .prob import JointTable, ProbVec, _conditional, _flat_dirichlet, _markov_triple, make_rng
+from .prob import JointTable, ProbVec, _conditional, _count, _flat_dirichlet, _markov_triple, make_rng
 from .qcore import cross_term, ln_q_pos, pseudo_additivity_residual, q_value
 
 #: Violation threshold for inequality laws.
@@ -166,7 +165,7 @@ def _mi_chain_cross(t: np.ndarray, qc: np.ndarray) -> np.ndarray:
     pyz = t.sum(axis=1)
     a = _ratio(pxz[:, :, None, :], px[:, :, None, None] * pz[:, None, None, :], t, qc)[0]
     b = _ratio(t * pz[:, None, None, :], pxz[:, :, None, :] * pyz[:, None, :, :], t, qc)[0]
-    return np.array(cross_term(_rows(t), a, b, qc))
+    return cross_term(_rows(t), a, b, qc)
 
 
 def _dpi(t: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -215,7 +214,7 @@ def _rel_chain(pair, q: np.ndarray) -> np.ndarray:
     d_marg = _divergence_rows(px, px, rx, qc)
     d_cond = _divergence_rows(p, p_cond, r_cond, qc)
     ratio_x = _ratio(px[:, :, None], rx[:, :, None], p, qc)[0]
-    cross = np.array(cross_term(_rows(p), ratio_x, _ratio(p_cond, r_cond, p, qc)[0], qc))
+    cross = cross_term(_rows(p), ratio_x, _ratio(p_cond, r_cond, p, qc)[0], qc)
     ok = ~(np.isinf(lhs) | np.isinf(d_marg) | np.isinf(d_cond))
     residual = np.full(len(p), math.inf)
     residual[ok] = lhs[ok] - d_marg[ok] - d_cond[ok] - cross[ok]
@@ -470,7 +469,7 @@ def fuzz(law, trials: int, q_range=None, seed: int = 0, *, tol=None) -> SlackRep
     law : LawId or str
     trials : int
         Number of random instances (>= 1), of any integer type; a bool
-        raises ValueError and a float TypeError (``operator.index``).
+        raises ValueError and a float TypeError (``prob._count``).
     q_range : (float, float), optional
         Sampling interval for q; it is intersected with the law's validity
         range and must leave a non-empty interval.  Defaults to the law's
@@ -478,7 +477,7 @@ def fuzz(law, trials: int, q_range=None, seed: int = 0, *, tol=None) -> SlackRep
         ``lo + (hi - lo) * next_double(state)``, with the bit generator's
         ``next_double``, which is ``rng.uniform(lo, hi)`` bit for bit.
     seed : int
-        Master seed.  All trials draw from ``make_rng(seed)`` (stream 0) in
+        Master seed (>= 0, the same integer rule).  All trials draw from ``make_rng(seed)`` (stream 0) in
         trial order: each trial draws its q (unless the range is a single
         point), then its instance through the law's sampler.
     tol : float, optional
@@ -487,11 +486,8 @@ def fuzz(law, trials: int, q_range=None, seed: int = 0, *, tol=None) -> SlackRep
     """
     lid = LawId(law)
     spec = _REGISTRY[lid]
-    if isinstance(trials, bool):
-        raise ValueError(f"trials must be an integer count, got {trials!r}")
-    trials = operator.index(trials)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    trials = _count(trials, "trials")
+    seed = _count(seed, "seed", 0)
     if tol is None:
         tol = TOL_IDENTITY if spec.identity else TOL_INEQUALITY
     if not math.isfinite(tol):
@@ -541,7 +537,7 @@ def fuzz(law, trials: int, q_range=None, seed: int = 0, *, tol=None) -> SlackRep
         min_slack=float(min_slack),
         mean_slack=float(total / trials),
         violations=violations,
-        seed=int(seed),
+        seed=seed,
         tol=float(tol),
         identity=spec.identity,
         q_lo=lo,

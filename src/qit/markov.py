@@ -26,14 +26,14 @@ distribution.  Two families of results live here:
   allows.  The report takes the state laws from the one recursion
   ``_laws`` in blocks of steps and evaluates every piece on the block's
   ``(steps, m, m)`` stack of joints at once.  Only the q-logs depend on
-  q: reports of one (chain, start, steps) share their q-free block
-  through a memo of ``_BLOCK_MEMO_CAP`` entries keyed by the contents of
-  the transition and the start, the transition's layout and ``steps``.
-  Reports longer than one block are not stored.  The report flags whether the
-  doubly-stochastic premise holds, with the transition's largest row- or
-  column-sum error, and also carries an alternative
-  correction term ``T_q_statement`` (same weights, second factor
-  ``ln_q(J m)``), reported for comparison only: no law is asserted on it.
+  q: reports of one (chain, start, steps) share their q-free blocks
+  through a memo of ``_BLOCK_MEMO_CAP`` blocks keyed by the contents of
+  the transition and the block's start, the transition's layout and the
+  block's steps.  The report flags whether the doubly-stochastic premise
+  holds, with the transition's largest row- or column-sum error, and also
+  carries an alternative correction term ``T_q_statement`` (same weights,
+  second factor ``ln_q(J m)``), reported for comparison only: no law is
+  asserted on it.
 """
 
 import math
@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .measures import _entropy_rows, _plogp
-from .prob import NORM_TOL, ProbVec, _float_array, _validate_mass
+from .prob import NORM_TOL, ProbVec, _count, _float_array, _validate_mass
 from .qcore import SHANNON_TOL, cross_term, q_value
 
 #: Sinkhorn scaling in ``random_doubly_stochastic``: row and column deviation bound, round cap.
@@ -93,8 +93,7 @@ class MarkovChain:
         The laws are stepped in blocks of ``_STEP_CELLS`` cells and only
         the last is kept, so memory is O(_STEP_CELLS) whatever ``steps``.
         """
-        if steps < 0:
-            raise ValueError("steps must be >= 0")
+        steps = _count(steps, "steps", 0)
         psi = (self.initial if start is None else _start_law(start, self.m)).p
         block = max(1, _STEP_CELLS // psi.size)
         for done in range(0, steps, block):
@@ -198,8 +197,7 @@ def random_doubly_stochastic(m: int, rng: np.random.Generator) -> np.ndarray:
     alternating row/column normalization until both deviations fall
     below ``SINKHORN_TOL`` (entries are strictly positive, so the scaling always
     converges)."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    m = _count(m, "m")
     a = rng.standard_exponential((m, m))
     a /= np.add.reduce(a, 1, keepdims=True)
     s = (a + a.T) / 2.0
@@ -295,8 +293,7 @@ def entropy_rate_approximants(chain: MarkovChain, n: int, q) -> RateApproximants
     entropy grows geometrically in ``n``, and ``block_rate`` is inf once
     it passes the float range.  Any ``n`` takes O(n m**2) time.
     """
-    if n < 1:
-        raise ValueError("block length must be >= 1")
+    n = _count(n, "block length")
     qv = q_value(q)
     psi, r = chain.initial.p, chain.transition
     cells = _chain_cells(psi, r, n, qv)
@@ -349,23 +346,9 @@ def _law_block(psi: np.ndarray, r: np.ndarray, steps: int):
     weight rows ``w``, the first q-log factor ``a``, the ``(2, steps, m*m)``
     stack ``b`` of second factors (the reference ratio for ``T_q`` and
     ``J m`` for ``T_q_statement``) and ``_ds_deviation(r)``.
-    """
-    m = r.shape[0]
-    laws = _laws(psi, r, steps)
-    nxt = laws[1:, None, :]
-    joint = laws[:-1, :, None] * r
-    on = joint > 0
-    w = joint.reshape(steps, -1)
-    ratio = np.where(on, joint, 1.0) / np.where(on, nxt * r, 1.0)
-    a = np.where(on, nxt * m, 1.0).reshape(w.shape)
-    b = np.stack([ratio, np.where(on, joint * m, 1.0)]).reshape(2, *w.shape)
-    return laws, w, a, b, _ds_deviation(r)
 
-
-def _memo_block(psi: np.ndarray, r: np.ndarray, steps: int):
-    """``_law_block`` kept for the next q of the same (chain, start, steps).
-
-    The key is the exact contents of ``psi`` and ``r`` with the layout of
+    Blocks are kept for the next q of the same (chain, start, steps).  The
+    key is the exact contents of ``psi`` and ``r`` with the layout of
     ``r``: a column-major transition sums its joints in another order, so
     its arrays differ from a row-major copy's in the last bits.  Hits are
     read-only; the least recently used entry goes past ``_BLOCK_MEMO_CAP``.
@@ -373,7 +356,16 @@ def _memo_block(psi: np.ndarray, r: np.ndarray, steps: int):
     key = (r.strides, r.tobytes(), psi.tobytes(), steps)
     block = _block_memo.pop(key, None)
     if block is None:
-        block = _law_block(psi, r, steps)
+        m = r.shape[0]
+        laws = _laws(psi, r, steps)
+        nxt = laws[1:, None, :]
+        joint = laws[:-1, :, None] * r
+        on = joint > 0
+        w = joint.reshape(steps, -1)
+        ratio = np.where(on, joint, 1.0) / np.where(on, nxt * r, 1.0)
+        a = np.where(on, nxt * m, 1.0).reshape(w.shape)
+        b = np.stack([ratio, np.where(on, joint * m, 1.0)]).reshape(2, *w.shape)
+        block = laws, w, a, b, _ds_deviation(r)
         for arr in block[:4]:
             arr.setflags(write=False)
         if len(_block_memo) >= _BLOCK_MEMO_CAP:
@@ -389,33 +381,30 @@ def second_law_report(chain: MarkovChain, steps: int, q) -> list[SecondLawRow]:
     0 <= q < 1; the report is computed for any chain in that q range and
     the ``applicable`` flag marks whether the premise holds.
 
-    Reports of one (chain, start, steps) share their q-free block: the
-    laws, joints and q-log arguments of a report of at most ``_STEP_CELLS``
-    cells are kept in a memo of ``_BLOCK_MEMO_CAP`` entries, keyed by the
-    contents of the transition and the start, the transition's memory
-    layout and ``steps``, so a q-sweep steps its chain once.  Longer
-    reports stream their blocks and store none, so memory stays
-    O(_STEP_CELLS).
+    Reports of one (chain, start, steps) share their q-free blocks: the
+    laws, joints and q-log arguments of each block of at most
+    ``_STEP_CELLS`` cells are kept in a memo of ``_BLOCK_MEMO_CAP``
+    entries, keyed by the contents of the transition and the block's
+    start, the transition's memory layout and the block's steps, so a
+    q-sweep steps its chain once.  Memory stays O(_STEP_CELLS).
     """
     qv = q_value(q)
     if not 0.0 <= qv < 1.0:
         raise ValueError(f"second-law report requires 0 <= q < 1, got {qv:g}")
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+    steps = _count(steps, "steps")
     r = chain.transition
     m = chain.m
     bracket = float(m) ** (1.0 - qv)
     block = max(1, _STEP_CELLS // m**2)
-    law_block = _memo_block if steps * m * m <= _STEP_CELLS else _law_block
     rows = []
     psi = chain.initial.p
     for start in range(0, steps, block):
-        laws, w, a, b, dev = law_block(psi, r, min(block, steps - start))
+        laws, w, a, b, dev = _law_block(psi, r, min(block, steps - start))
         psi = laws[-1]
         # Zero cells add exact zeros; from 8 cells on they regroup numpy's
         # pairwise sums (last bits only).
         h = _entropy_rows(laws, qv)
-        t_q, t_q_stmt = np.array(cross_term(w, a, b, qv))
+        t_q, t_q_stmt = cross_term(w, a, b, qv)
         # elementwise array operations round as the scalar ones do
         delta = np.diff(h)
         lhs = delta * bracket

@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .measures import _entropy_rows, _plogp
-from .prob import ProbVec, _float_array, make_rng
+from .prob import ProbVec, _count, _float_array, make_rng
 from .qcore import SHANNON_TOL, exp_q_inside, ln_q, ln_q_pos, q_value
 
 #: Removed levels must have domain margin at or below this at the solution.
@@ -352,8 +352,8 @@ def verify_optimality(solution: MaxEntSolution, trials: int = 100, seed: int = 0
     one) per block, so memory is O(m) in the levels and bounded in the
     trials.  The minimum gap over trials is the optimality margin.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    trials = _count(trials, "trials")
+    seed = _count(seed, "seed", 0)
     prob = solution.problem
     qv = prob.q
     m = prob.m
@@ -395,7 +395,7 @@ def verify_optimality(solution: MaxEntSolution, trials: int = 100, seed: int = 0
             total += gap
     return OptimalityCheck(
         trials=trials,
-        seed=int(seed),
+        seed=seed,
         min_gap=float(min_gap),
         mean_gap=float(total / trials),
         max_formula_mismatch=mismatch,

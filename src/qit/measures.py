@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .prob import JointTable, ProbVec, _other_axes
+from .prob import JointTable, ProbVec, _count, _other_axes
 from .qcore import SHANNON_TOL, ln_q, ln_q_pos, q_value
 
 # ---------------------------------------------------------------------------
@@ -209,11 +209,10 @@ def q_entropy_max(m: int, q) -> float:
     q is rejected.
     """
     qv = q_value(q)
-    if int(m) != m or m < 1:
-        raise ValueError("m must be a positive integer")
+    m = _count(m, "m")
     if qv > 2.0:
         raise ValueError("q_entropy_max requires q <= 2")
-    return float(-ln_q(1.0 / int(m), qv))
+    return float(-ln_q(1.0 / m, qv))
 
 
 def q_entropy_chain_terms(j, q) -> list[float]:

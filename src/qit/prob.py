@@ -11,12 +11,20 @@ where data comes in from outside (public functions, the CLI) and for
 public return values, and code behind that boundary passes bare arrays,
 such as the masses that ``_flat_dirichlet`` draws.
 
+Every public integer argument (a count, an order, a length, a seed or a
+stream) passes the one rule of :func:`_count`: any integer type is taken
+as a Python int, a bool raises ValueError, a non-integer (``2.5``, and
+also ``3.0``) raises TypeError, and a value below the argument's least
+value raises ValueError.  Nothing is truncated.
+
 Randomness flows through :func:`make_rng`: identical ``(seed, stream)``
 pairs reproduce identical draws across runs and platforms, because the
 generator is pinned to PCG64 seeded via ``SeedSequence(seed, spawn_key=(stream,))``.
+Seeds and streams are non-negative integers under that rule.
 """
 
 import json
+import operator
 
 import numpy as np
 
@@ -26,8 +34,22 @@ NORM_TOL = 1e-9
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Deterministic generator for a (master seed, stream id) pair."""
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(stream),))
+    ss = np.random.SeedSequence(entropy=_count(seed, "seed", 0), spawn_key=(_count(stream, "stream", 0),))
     return np.random.Generator(np.random.PCG64(ss))
+
+
+def _count(value, what: str, least: int = 1) -> int:
+    """``value`` as a Python int of at least ``least``; ``what`` names it in errors.
+
+    A bool raises ValueError, a non-integer TypeError (``operator.index``),
+    and a value below ``least`` ValueError.
+    """
+    if isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer count, got {value!r}")
+    value = operator.index(value)
+    if value < least:
+        raise ValueError(f"{what} must be >= {least}")
+    return value
 
 
 def _float_array(x, what: str) -> np.ndarray:
@@ -240,9 +262,7 @@ def _markov_triple(shapes, rng: np.random.Generator) -> np.ndarray:
 
 def random_dist(m: int, rng: np.random.Generator) -> ProbVec:
     """Flat-Dirichlet draw: normalized independent unit exponentials."""
-    if m < 1:
-        raise ValueError("need at least one outcome")
-    return ProbVec(_flat_dirichlet(m, rng))
+    return ProbVec(_flat_dirichlet(_count(m, "m"), rng))
 
 
 def random_joint(shape, rng: np.random.Generator) -> JointTable:
@@ -256,7 +276,8 @@ def random_markov_triple(shapes, rng: np.random.Generator) -> JointTable:
     The middle variable separates the outer two by construction, i.e.
     p(x,y,z) p(y) = p(x,y) p(y,z) holds cellwise up to roundoff.
     """
-    dims = tuple(int(s) for s in shapes)
-    if len(dims) != 3 or min(dims) < 1:
-        raise ValueError(f"need three axes (x, y, z) of at least one outcome each, got {dims!r}")
-    return JointTable(_markov_triple(dims, rng))
+    dims = tuple(shapes)
+    need = f"need three axes (x, y, z) of at least one outcome each, got {dims!r}"
+    if len(dims) != 3:
+        raise ValueError(need)
+    return JointTable(_markov_triple([_count(s, f"{need}; each axis") for s in dims], rng))

@@ -155,7 +155,7 @@ def cross_term(w, a, b, q):
     ``a`` and ``b`` are positive arrays that broadcast against the weights
     ``w``.  Every chain rule of the deformed measures differs from its
     classical form by one such term.  The sum runs over the last axis: a
-    float for 1-D operands, else (nested) lists with one float per row,
+    numpy float for 1-D operands, else an array with one value per row,
     as when ``w`` stacks several weight rows or ``b`` several second
     factors.  A q array is a column as in :func:`ln_q_pos`: one q per row,
     with a last axis of length 1 that the sum removes.
@@ -163,7 +163,7 @@ def cross_term(w, a, b, q):
     total = (w * ln_q_pos(a, q) * ln_q_pos(b, q)).sum(axis=-1)
     if isinstance(q, np.ndarray):
         q = q[..., 0]
-    return ((1.0 - q) * total).tolist()
+    return (1.0 - q) * total
 
 
 def ln_q(x, q):

@@ -55,7 +55,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConvergenceError, ImpossibleTrajectoryError
 from .markov import MarkovChain, _chain_cells, _chain_terms, _laws, stationary
-from .prob import make_rng
+from .prob import _count, make_rng
 from .qcore import SHANNON_TOL, ln_q_from_log, ln_q_pos, q_value
 
 
@@ -205,39 +205,40 @@ class Trajectory:
     m: int
 
     def __init__(self, symbols, m):
+        m = _count(m, "m")
         arr = np.asarray(symbols)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("a trajectory needs at least one symbol")
         if not np.issubdtype(arr.dtype, np.integer):
             raise ValueError("trajectory symbols must be integers")
         arr = arr.astype(np.int64)
-        if int(m) < 1 or arr.min() < 0 or arr.max() >= int(m):
+        if arr.min() < 0 or arr.max() >= m:
             raise ValueError("trajectory symbols must lie in [0, m)")
         arr.setflags(write=False)
         object.__setattr__(self, "symbols", arr)
-        object.__setattr__(self, "m", int(m))
+        object.__setattr__(self, "m", m)
 
     def __len__(self) -> int:
         return int(self.symbols.size)
 
 
 def sample_trajectory(chain: MarkovChain, length: int, rng: np.random.Generator) -> Trajectory:
-    """Draw ``length`` symbols, pre-drawing all uniforms in one block.
+    """Draw ``length`` symbols, one uniform per symbol.
 
-    The walk runs in chunks of ``_CHUNK`` steps, so beside the uniforms
-    and the symbols its memory is O(_CHUNK) at any length.
+    The uniforms are drawn chunk by chunk as the walk runs, ``_CHUNK``
+    steps at a time (a generator yields the same stream however its
+    draws are split), so beside the symbols its memory is O(_CHUNK) at
+    any length.
     """
-    if length < 1:
-        raise ValueError("length must be >= 1")
-    u = rng.random(length)
+    length = _count(length, "length")
     out = np.empty(length, dtype=np.int64)
-    out[0] = _advance(_cum_rows(chain.initial.p)[None, :], u[0:1])[0]
+    out[0] = _advance(_cum_rows(chain.initial.p)[None, :], rng.random(1))[0]
     table = _walk_table(_cum_rows(chain.transition))
     ws = _walk_space(1, min(_CHUNK, length - 1))
     ws.syms[0] = out[0]
     for a in range(1, length, _CHUNK):
         c = min(_CHUNK, length - a)
-        out[a : a + c] = _walk(table, u[None, a : a + c], ws)[1:, 0]
+        out[a : a + c] = _walk(table, rng.random((1, c)), ws)[1:, 0]
         ws.syms[0] = ws.syms[c]
     return Trajectory(out, chain.m)
 
@@ -290,8 +291,7 @@ def markov_k_block_log_prob_q(chain: MarkovChain, symbols, k: int, q, *, empiric
     only for its alphabet size.  ``k = 0`` uses per-position marginals.
     """
     qv = q_value(q)
-    if k < 0:
-        raise ValueError("order k must be >= 0")
+    k = _count(k, "order k", 0)
     if k >= 1 and not empirical:
         # order-1 truth: the exact head and every k-window conditional
         # reduce to one-step transition factors
@@ -339,8 +339,7 @@ def h_q_k(chain: MarkovChain, k: int, q) -> float:
     for all k >= 1; it is the chain-rule term of the pair law of the
     stationary start evolved ``k - 1`` steps, so any k is cheap.
     """
-    if k < 0:
-        raise ValueError("order k must be >= 0")
+    k = _count(k, "order k", 0)
     st, qv = stationary(chain).p, q_value(q)
     return _chain_terms(st, _chain_cells(st, chain.transition, k + 1, qv), qv)[k]
 
@@ -351,8 +350,7 @@ def h_q_inf(chain: MarkovChain, q, tol: float = 1e-10, k_max: int = 12) -> float
     Returns ``h(k*)`` for the smallest ``k*`` with
     ``|h(k*) - h(k* + 1)| <= tol``, scanning from ``k* = 0``.
     """
-    if k_max < 0:
-        raise ValueError("k_max must be >= 0")
+    k_max = _count(k_max, "k_max", 0)
     return _h_q_inf(chain.transition, stationary(chain).p, q_value(q), tol, k_max)
 
 
@@ -503,17 +501,14 @@ def smb_probe(chain: MarkovChain, q, n_max: int, trajectories: int, seed: int = 
     qv = q_value(q)
     if qv < 0:
         raise ValueError("the probe requires q >= 0")
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    if trajectories < 1:
-        raise ValueError("trajectories must be >= 1")
-    if k < 0:
-        raise ValueError("order k must be >= 0")
+    n_max = _count(n_max, "n_max")
+    big_t = _count(trajectories, "trajectories")
+    k = _count(k, "order k", 0)
+    seed = _count(seed, "seed", 0)
 
     st = stationary(chain).p
     r = chain.transition
     m = chain.m
-    big_t = trajectories
 
     table = _walk_table(_cum_rows(r))
     with np.errstate(divide="ignore"):
@@ -657,10 +652,10 @@ def smb_probe(chain: MarkovChain, q, n_max: int, trajectories: int, seed: int = 
     }
     return SmbCurve(
         q=qv,
-        k=int(k),
-        n_max=int(n_max),
+        k=k,
+        n_max=n_max,
         trajectories=big_t,
-        seed=int(seed),
+        seed=seed,
         points=tuple(points),
         h_q_k=_chain_terms(st, _chain_cells(st, r, k + 1, qv), qv)[k],
         h_q_inf=_h_q_inf(r, st, qv),

@@ -205,6 +205,7 @@ def test_maxent_solution_and_verification(capsys):
         (["--sweep", "3", "--target-mean", "1.9"], "not both"),
         (["--sweep", "3", "--verify", "100", "--target-mean", "1.9"], "not both"),
         (["--target-mean", "0.5", "--verify", "0"], "--verify must be >= 1"),
+        (["--sweep", "0"], "--sweep must be >= 1"),
     ],
 )
 def test_maxent_rejects_flags_it_would_drop(capsys, extra, message):

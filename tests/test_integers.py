@@ -1,0 +1,116 @@
+"""One integer rule for every public count, order, length, seed and stream."""
+
+import re
+
+import numpy as np
+import pytest
+
+from qit.laws import fuzz
+from qit.markov import (
+    MarkovChain,
+    entropy_rate_approximants,
+    random_doubly_stochastic,
+    second_law_report,
+)
+from qit.maxent import MaxEntProblem, solve, verify_optimality
+from qit.measures import q_entropy_max
+from qit.prob import JointTable, ProbVec, make_rng, random_dist, random_markov_triple
+from qit.smb import (
+    Trajectory,
+    h_q_inf,
+    h_q_k,
+    markov_k_block_log_prob_q,
+    sample_trajectory,
+    smb_probe,
+)
+
+STICKY = MarkovChain([[0.9, 0.1], [0.2, 0.8]])
+DOUBLY = MarkovChain([[0.7, 0.3], [0.3, 0.7]], [0.9, 0.1])
+SOLUTION = solve(MaxEntProblem([0.0, 1.0, 2.0], 0.5, 0.5))
+
+# (argument, call with the argument set to v, least value, message below it, a valid value)
+INTEGER_ARGUMENTS = [
+    ("fuzz trials", lambda v: fuzz("dpi", v, seed=3), 1, "trials must be >= 1", 3),
+    ("fuzz seed", lambda v: fuzz("dpi", 3, seed=v), 0, "seed must be >= 0", 5),
+    ("verify_optimality trials", lambda v: verify_optimality(SOLUTION, v), 1, "trials must be >= 1", 7),
+    ("verify_optimality seed", lambda v: verify_optimality(SOLUTION, 7, v), 0, "seed must be >= 0", 5),
+    ("MarkovChain.evolve steps", lambda v: STICKY.evolve(v), 0, "steps must be >= 0", 3),
+    ("random_doubly_stochastic m", lambda v: random_doubly_stochastic(v, make_rng(1)), 1, "m must be >= 1", 3),
+    ("random_dist m", lambda v: random_dist(v, make_rng(1)), 1, "m must be >= 1", 3),
+    ("q_entropy_max m", lambda v: q_entropy_max(v, 0.5), 1, "m must be >= 1", 3),
+    (
+        "entropy_rate_approximants n",
+        lambda v: entropy_rate_approximants(STICKY, v, 0.5),
+        1,
+        "block length must be >= 1",
+        4,
+    ),
+    ("second_law_report steps", lambda v: second_law_report(DOUBLY, v, 0.5), 1, "steps must be >= 1", 3),
+    ("make_rng seed", lambda v: make_rng(v), 0, "seed must be >= 0", 5),
+    ("make_rng stream", lambda v: make_rng(5, v), 0, "stream must be >= 0", 2),
+    (
+        "random_markov_triple axis",
+        lambda v: random_markov_triple((2, v, 2), make_rng(1)),
+        1,
+        "need three axes (x, y, z) of at least one outcome each",
+        3,
+    ),
+    ("Trajectory m", lambda v: Trajectory([0, 1, 0], v), 1, "m must be >= 1", 2),
+    ("sample_trajectory length", lambda v: sample_trajectory(STICKY, v, make_rng(2)), 1, "length must be >= 1", 9),
+    (
+        "markov_k_block_log_prob_q k",
+        lambda v: markov_k_block_log_prob_q(STICKY, [0, 0, 1, 1, 0], v, 0.5, empirical=True),
+        0,
+        "order k must be >= 0",
+        1,
+    ),
+    ("h_q_k k", lambda v: h_q_k(STICKY, v, 0.5), 0, "order k must be >= 0", 2),
+    ("h_q_inf k_max", lambda v: h_q_inf(STICKY, 0.5, k_max=v), 0, "k_max must be >= 0", 2),
+    ("smb_probe n_max", lambda v: smb_probe(STICKY, 0.75, v, 3, seed=1), 1, "n_max must be >= 1", 8),
+    ("smb_probe trajectories", lambda v: smb_probe(STICKY, 0.75, 8, v, seed=1), 1, "trajectories must be >= 1", 3),
+    ("smb_probe k", lambda v: smb_probe(STICKY, 0.75, 8, 3, seed=1, k=v), 0, "order k must be >= 0", 2),
+    ("smb_probe seed", lambda v: smb_probe(STICKY, 0.75, 8, 3, seed=v), 0, "seed must be >= 0", 5),
+]
+
+
+def _bits(x):
+    """A result as comparable bits: arrays by their bytes, generators by
+    their next draws, the rest by repr (which tells an np.int64 field from
+    a Python int)."""
+    if isinstance(x, np.random.Generator):
+        return x.random(4).tobytes()
+    if isinstance(x, np.ndarray):
+        return x.tobytes()
+    if isinstance(x, ProbVec):
+        return x.p.tobytes()
+    if isinstance(x, JointTable):
+        return x.t.tobytes()
+    if isinstance(x, Trajectory):
+        return x.symbols.tobytes(), repr(x.m)
+    return repr(x)
+
+
+@pytest.mark.parametrize(
+    "call, least, message, good",
+    [case[1:] for case in INTEGER_ARGUMENTS],
+    ids=[case[0] for case in INTEGER_ARGUMENTS],
+)
+def test_public_integer_arguments_follow_one_rule(call, least, message, good):
+    with pytest.raises(ValueError, match="integer"):
+        call(True)
+    with pytest.raises(TypeError):
+        call(2.5)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(least - 1)
+    assert _bits(call(np.int64(good))) == _bits(call(good))
+
+
+def test_seeds_and_axes_are_never_truncated():
+    with pytest.raises(TypeError):
+        fuzz("dpi", 3, seed=1.9)
+    with pytest.raises(TypeError):
+        make_rng(1.9)
+    with pytest.raises(TypeError):
+        random_markov_triple((2.7, 2, 2), make_rng(1))
+    with pytest.raises(TypeError):
+        q_entropy_max(3.0, 0.5)  # an integral float is not an integer either
