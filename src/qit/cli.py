@@ -43,7 +43,7 @@ from .measures import (
     relative_q_entropy,
     tsallis_entropy,
 )
-from .prob import JointTable, ProbVec, _count
+from .prob import JointTable, ProbVec, _count, _csv_float
 from .smb import smb_probe
 
 
@@ -102,17 +102,13 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.10g}"
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
 def _cmd_entropy(args) -> int:
     p = _container_arg(ProbVec, args.dist, "--dist")
     value = tsallis_entropy(p, args.q) if args.family == "tsallis" else q_entropy(p, args.q)
-    _emit(args, _fmt(value) + "\n")
+    _emit(args, _csv_float(value) + "\n")
     return 0
 
 
@@ -219,10 +215,10 @@ def _cmd_maxent(args) -> int:
             lines.append(
                 ",".join(
                     [
-                        _fmt(target),
-                        _fmt(sol.lam),
-                        _fmt(sol.mu),
-                        _fmt(sol.entropy()),
+                        _csv_float(target),
+                        _csv_float(sol.lam),
+                        _csv_float(sol.mu),
+                        _csv_float(sol.entropy()),
                         str(len(sol.support)),
                     ]
                 )

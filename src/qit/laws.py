@@ -77,7 +77,7 @@ from .measures import (
     _ratio,
     _rows,
 )
-from .prob import JointTable, ProbVec, _conditional, _count, _flat_dirichlet, _markov_triple, make_rng
+from .prob import JointTable, ProbVec, _conditional, _count, _csv_float, _flat_dirichlet, _markov_triple, make_rng
 from .qcore import cross_term, ln_q_pos, pseudo_additivity_residual, q_value
 
 #: Violation threshold for inequality laws.
@@ -436,8 +436,8 @@ class SlackReport:
             [
                 self.law,
                 str(self.trials),
-                f"{self.min_slack:.10g}",
-                f"{self.mean_slack:.10g}",
+                _csv_float(self.min_slack),
+                _csv_float(self.mean_slack),
                 str(self.violations),
                 str(self.seed),
             ]

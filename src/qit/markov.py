@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .measures import _entropy_rows, _plogp
-from .prob import NORM_TOL, ProbVec, _count, _float_array, _validate_mass
+from .prob import NORM_TOL, ProbVec, _count, _csv_float, _float_array, _validate_mass
 from .qcore import SHANNON_TOL, cross_term, q_value
 
 #: Sinkhorn scaling in ``random_doubly_stochastic``: row and column deviation bound, round cap.
@@ -332,7 +332,7 @@ class SecondLawRow(NamedTuple):
     def to_csv_row(self) -> str:
         return ",".join(
             [str(self.step)]
-            + [f"{v:.10g}" for v in (self.h_q, self.delta_h, self.t_q, self.lhs, self.slack)]
+            + [_csv_float(v) for v in (self.h_q, self.delta_h, self.t_q, self.lhs, self.slack)]
         )
 
     def to_json_dict(self) -> dict:

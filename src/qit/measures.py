@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .prob import JointTable, ProbVec, _count, _other_axes
+from .prob import JointTable, ProbVec, _axes, _count, _other_axes
 from .qcore import SHANNON_TOL, ln_q, ln_q_pos, q_value
 
 # ---------------------------------------------------------------------------
@@ -196,9 +196,7 @@ def conditional_mutual_q_information(j, q, given_axis: int = 2) -> float:
     table = JointTable.coerce(j)
     if table.rank != 3:
         raise ValueError("conditional_mutual_q_information expects a rank-3 table")
-    if not 0 <= given_axis < 3:
-        raise ValueError("given_axis must be 0, 1, or 2")
-    return float(_cmi_rows(np.moveaxis(table.t, given_axis, 2)[None], qv)[0])
+    return float(_cmi_rows(np.moveaxis(table.t, _axes(given_axis, 3, "given_axis"), 2)[None], qv)[0])
 
 
 def q_entropy_max(m: int, q) -> float:

@@ -15,7 +15,10 @@ Every public integer argument (a count, an order, a length, a seed or a
 stream) passes the one rule of :func:`_count`: any integer type is taken
 as a Python int, a bool raises ValueError, a non-integer (``2.5``, and
 also ``3.0``) raises TypeError, and a value below the argument's least
-value raises ValueError.  Nothing is truncated.
+value raises ValueError.  Nothing is truncated.  Every table axis argument
+passes :func:`_axes`: one axis or a non-empty sequence of axes, each under
+that rule with least 0 and below the table's rank, or a ValueError
+``"given_axes 3 invalid for rank 3"``.
 
 Randomness flows through :func:`make_rng`: identical ``(seed, stream)``
 pairs reproduce identical draws across runs and platforms, because the
@@ -50,6 +53,19 @@ def _count(value, what: str, least: int = 1) -> int:
     if value < least:
         raise ValueError(f"{what} must be >= {least}")
     return value
+
+
+def _axes(value, rank: int, what: str) -> tuple:
+    """One axis or a non-empty sequence of them, each a :func:`_count` (least 0) below ``rank``."""
+    axes = tuple(_count(a, what, 0) for a in ((value,) if np.ndim(value) == 0 else value))
+    if not axes or max(axes) >= rank:
+        raise ValueError(f"{what} {value!r} invalid for rank {rank}")
+    return axes
+
+
+def _csv_float(v: float) -> str:
+    """A float as every CSV report writes it (``%.10g``)."""
+    return f"{v:.10g}"
 
 
 def _float_array(x, what: str) -> np.ndarray:
@@ -162,16 +178,13 @@ class JointTable:
 
     def marginal(self, axis: int) -> ProbVec:
         """Distribution of the variable on ``axis`` (sum over the others)."""
-        axes = tuple(a for a in range(self.rank) if a != axis)
-        return ProbVec(self.t.sum(axis=axes))
+        return ProbVec(self.marginal_array(axis))
 
     def marginal_array(self, keep_axes) -> np.ndarray:
         """Joint mass of a subset of axes, as a bare array (axis order kept)."""
-        keep = (keep_axes,) if isinstance(keep_axes, int) else tuple(keep_axes)
+        keep = _axes(keep_axes, self.rank, "axis")
         drop = tuple(a for a in range(self.rank) if a not in keep)
-        out = self.t.sum(axis=drop) if drop else self.t
-        # np.sum may reorder nothing here: remaining axes keep relative order.
-        return out
+        return self.t.sum(axis=drop) if drop else self.t
 
     def conditional(self, given_axes) -> np.ndarray:
         """Conditional table p(rest | given).
@@ -202,9 +215,7 @@ class JointTable:
 
 def _other_axes(rank: int, given_axes) -> tuple:
     """Axes left after conditioning a rank-``rank`` table on ``given_axes``."""
-    given = (given_axes,) if isinstance(given_axes, int) else tuple(given_axes)
-    if not given or not all(0 <= a < rank for a in given):
-        raise ValueError(f"given_axes {given!r} invalid for rank {rank}")
+    given = _axes(given_axes, rank, "given_axes")
     other = tuple(a for a in range(rank) if a not in given)
     if not other:
         raise ValueError("conditioning on every axis leaves nothing to condition")
@@ -267,7 +278,7 @@ def random_dist(m: int, rng: np.random.Generator) -> ProbVec:
 
 def random_joint(shape, rng: np.random.Generator) -> JointTable:
     """Flat-Dirichlet draw over all cells of the given shape."""
-    return JointTable(_flat_dirichlet(shape, rng))
+    return JointTable(_flat_dirichlet(tuple(_count(s, "random_joint axis length") for s in shape), rng))
 
 
 def random_markov_triple(shapes, rng: np.random.Generator) -> JointTable:

@@ -69,6 +69,10 @@ class QParam:
 
 
 def _finite_q(q) -> float:
+    if isinstance(q, (bool, np.bool_)):
+        raise ValueError(f"entropic index must be a real number, got {q!r}")
+    if isinstance(q, (str, bytes)):
+        raise TypeError(f"entropic index must be a real number, got {q!r}")
     qv = float(q)
     if not math.isfinite(qv):
         raise ValueError(f"entropic index must be finite, got {qv!r}")

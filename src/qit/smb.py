@@ -55,7 +55,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConvergenceError, ImpossibleTrajectoryError
 from .markov import MarkovChain, _chain_cells, _chain_terms, _laws, stationary
-from .prob import _count, make_rng
+from .prob import _count, _csv_float, make_rng
 from .qcore import SHANNON_TOL, ln_q_from_log, ln_q_pos, q_value
 
 
@@ -401,11 +401,11 @@ class SmbCurve:
     n_max: int
     trajectories: int
     seed: int
-    points: tuple
     h_q_k: float
     h_q_inf: float
     surprisal_sup: float  # sup of -ln_q(p) over events; inf for q >= 1
     flags: dict
+    points: tuple
 
     CSV_HEADER = (
         "n,block_mean,block_sd,pk_mean,t3_over_n_mean,"
@@ -427,22 +427,11 @@ class SmbCurve:
                 self.h_q_k,
                 self.h_q_inf,
             )
-            lines.append(",".join([str(pt.n)] + [f"{v:.10g}" for v in values]))
+            lines.append(",".join([str(pt.n)] + [_csv_float(v) for v in values]))
         return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "k": self.k,
-            "n_max": self.n_max,
-            "trajectories": self.trajectories,
-            "seed": self.seed,
-            "h_q_k": self.h_q_k,
-            "h_q_inf": self.h_q_inf,
-            "surprisal_sup": self.surprisal_sup,
-            "flags": dict(self.flags),
-            "points": [pt.to_json_dict() for pt in self.points],
-        }
+        return {**asdict(self), "points": [pt.to_json_dict() for pt in self.points]}
 
 
 def _grid(n_max: int) -> list:
@@ -656,9 +645,9 @@ def smb_probe(chain: MarkovChain, q, n_max: int, trajectories: int, seed: int = 
         n_max=n_max,
         trajectories=big_t,
         seed=seed,
-        points=tuple(points),
         h_q_k=_chain_terms(st, _chain_cells(st, r, k + 1, qv), qv)[k],
         h_q_inf=_h_q_inf(r, st, qv),
         surprisal_sup=(1.0 / (1.0 - qv) if qv < 1.0 - SHANNON_TOL else math.inf),
         flags=flags,
+        points=tuple(points),
     )

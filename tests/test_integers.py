@@ -1,4 +1,5 @@
-"""One integer rule for every public count, order, length, seed and stream."""
+"""One integer rule for every public count, order, length, seed, stream and
+table axis, and one rule for the entropic index q."""
 
 import re
 
@@ -13,8 +14,24 @@ from qit.markov import (
     second_law_report,
 )
 from qit.maxent import MaxEntProblem, solve, verify_optimality
-from qit.measures import q_entropy_max
-from qit.prob import JointTable, ProbVec, make_rng, random_dist, random_markov_triple
+from qit.measures import (
+    conditional_mutual_q_information,
+    q_entropy,
+    q_entropy_conditional,
+    q_entropy_max,
+    relative_q_entropy_conditional,
+)
+from qit.prob import (
+    JointTable,
+    ProbVec,
+    conditional,
+    make_rng,
+    marginal,
+    random_dist,
+    random_joint,
+    random_markov_triple,
+)
+from qit.qcore import QParam, ln_q
 from qit.smb import (
     Trajectory,
     h_q_inf,
@@ -27,6 +44,28 @@ from qit.smb import (
 STICKY = MarkovChain([[0.9, 0.1], [0.2, 0.8]])
 DOUBLY = MarkovChain([[0.7, 0.3], [0.3, 0.7]], [0.9, 0.1])
 SOLUTION = solve(MaxEntProblem([0.0, 1.0, 2.0], 0.5, 0.5))
+J3 = random_joint((2, 3, 2), make_rng(4))
+R3 = random_joint((2, 3, 2), make_rng(5))
+
+# (argument, call with the axis argument of the rank-3 table set to v, its name in messages)
+AXIS_ARGUMENTS = [
+    ("JointTable.marginal axis", lambda v: J3.marginal(v), "axis"),
+    ("JointTable.marginal_array keep_axes", lambda v: J3.marginal_array(v), "axis"),
+    ("JointTable.conditional given_axes", lambda v: J3.conditional(v), "given_axes"),
+    ("prob.marginal axis", lambda v: marginal(J3, v), "axis"),
+    ("prob.conditional given_axes", lambda v: conditional(J3, v), "given_axes"),
+    ("q_entropy_conditional given_axes", lambda v: q_entropy_conditional(J3, v, 0.5), "given_axes"),
+    (
+        "relative_q_entropy_conditional given_axes",
+        lambda v: relative_q_entropy_conditional(J3, R3, v, 0.5),
+        "given_axes",
+    ),
+    (
+        "conditional_mutual_q_information given_axis",
+        lambda v: conditional_mutual_q_information(J3, 0.5, given_axis=v),
+        "given_axis",
+    ),
+]
 
 # (argument, call with the argument set to v, least value, message below it, a valid value)
 INTEGER_ARGUMENTS = [
@@ -70,7 +109,14 @@ INTEGER_ARGUMENTS = [
     ("smb_probe trajectories", lambda v: smb_probe(STICKY, 0.75, 8, v, seed=1), 1, "trajectories must be >= 1", 3),
     ("smb_probe k", lambda v: smb_probe(STICKY, 0.75, 8, 3, seed=1, k=v), 0, "order k must be >= 0", 2),
     ("smb_probe seed", lambda v: smb_probe(STICKY, 0.75, 8, 3, seed=v), 0, "seed must be >= 0", 5),
-]
+    (
+        "random_joint axis length",
+        lambda v: random_joint((2, v), make_rng(1)),
+        1,
+        "random_joint axis length must be >= 1",
+        3,
+    ),
+] + [(name, call, 0, f"{what} must be >= 0", 1) for name, call, what in AXIS_ARGUMENTS]
 
 
 def _bits(x):
@@ -114,3 +160,38 @@ def test_seeds_and_axes_are_never_truncated():
         random_markov_triple((2.7, 2, 2), make_rng(1))
     with pytest.raises(TypeError):
         q_entropy_max(3.0, 0.5)  # an integral float is not an integer either
+
+
+@pytest.mark.parametrize(
+    "call, what", [case[1:] for case in AXIS_ARGUMENTS], ids=[case[0] for case in AXIS_ARGUMENTS]
+)
+def test_axes_lie_below_the_rank_and_come_as_an_int_or_a_sequence(call, what):
+    with pytest.raises(ValueError, match=re.escape(f"{what} 3 invalid for rank 3")):
+        call(3)
+    with pytest.raises(ValueError, match=re.escape(f"{what} () invalid for rank 3")):
+        call(())
+    assert _bits(call((np.int64(1),))) == _bits(call(1))
+
+
+def test_a_tuple_of_numpy_axes_gives_the_bits_of_plain_ints():
+    pair = (np.int64(0), np.int64(2))
+    assert _bits(J3.marginal_array(pair)) == _bits(J3.marginal_array((0, 2)))
+    assert _bits(J3.conditional(pair)) == _bits(J3.conditional((0, 2)))
+    assert _bits(q_entropy_conditional(J3, pair, 0.5)) == _bits(q_entropy_conditional(J3, (0, 2), 0.5))
+    with pytest.raises(ValueError, match=re.escape("axis (0, 7) invalid for rank 3")):
+        J3.marginal_array((0, 7))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda q: q_entropy([0.25, 0.75], q), lambda q: ln_q(0.3, q), lambda q: QParam(q).q],
+    ids=["q_entropy", "ln_q", "QParam"],
+)
+def test_the_entropic_index_is_a_real_number(call):
+    for flag in (True, np.True_):
+        with pytest.raises(ValueError, match="entropic index"):
+            call(flag)
+    for text in ("0.5", b"0.5"):
+        with pytest.raises(TypeError, match="entropic index"):
+            call(text)
+    assert _bits(call(np.float64(0.5))) == _bits(call(0.5))
