@@ -351,6 +351,14 @@ def verify_optimality(solution: MaxEntSolution, trials: int = 100, seed: int = 0
     a time and scored a block at a time, ``_CELLS // m`` of them (at least
     one) per block, so memory is O(m) in the levels and bounded in the
     trials.  The minimum gap over trials is the optimality margin.
+
+    A row draws its m exponentials, then its m vertex indices with the bits
+    of ``Generator.integers(pairs, size=m)``.  While numpy's 32-bit Lemire
+    step is expected to reject under 1/16 of a half per block, rows take
+    raw PCG64 words (``random_raw``), carrying a left-over half as PCG64's
+    pending half-word, and the Lemire step runs once per block; a block with
+    a rejected half is redrawn from its saved generator state.  Otherwise
+    each row calls ``Generator.integers``.
     """
     trials = _count(trials, "trials")
     seed = _count(seed, "seed", 0)
@@ -370,15 +378,39 @@ def verify_optimality(solution: MaxEntSolution, trials: int = 100, seed: int = 0
     min_gap = math.inf
     total = 0.0
     mismatch = 0.0 if full_support else None
+    bg = rng.bit_generator
     block = max(1, _CELLS // m)
+    reject = (2**32 - pairs) % pairs if 1 < pairs < 2**32 else 2**32  # Lemire rejects a half below
+    raw = 16 * block * m * reject < 2**32  # under 1/16 of a rejected half expected per block
     for start in range(0, trials, block):
         b = min(block, trials - start)
         w = np.empty((b, m))
-        k = np.empty((b, m), dtype=np.int64)
-        for n in range(b):
-            rng.standard_exponential(out=w[n])
-            if pairs:
-                k[n] = rng.integers(pairs, size=m)
+        k = None
+        if raw:
+            state = bg.state
+            c = state["has_uint32"]  # PCG64's pending half opens the block's halves
+            words = np.empty(1 + (b * m + 1) // 2, dtype="<u8")
+            words[0] = state["uinteger"] << 32
+            drawn = 1
+            for n in range(b):
+                rng.standard_exponential(out=w[n])
+                end = 1 + ((n + 1) * m - c + 1) // 2  # the words that row n's m halves need
+                words[drawn:end] = bg.random_raw(end - drawn)
+                drawn = end
+            x = words.view("<u4")[2 - c : 2 - c + b * m].astype(np.uint64) * pairs
+            if ((x & 0xFFFFFFFF) < reject).any():
+                bg.state = state  # a rejected half shifts every later one: redraw the block
+            else:
+                k = (x >> 32).view(np.int64).reshape(b, m)
+                state = bg.state  # the state row-by-row draws leave, for the next block
+                state["has_uint32"], state["uinteger"] = (b * m - c) % 2, int(words[drawn - 1] >> 32)
+                bg.state = state
+        if k is None:
+            k = np.empty((b, m), dtype=np.int64)
+            for n in range(b):
+                rng.standard_exponential(out=w[n])
+                if pairs:
+                    k[n] = rng.integers(pairs, size=m)
         w /= w.sum(axis=1, keepdims=True)  # each row sum as the 1-D sum of that row
         f = _competitor_block(w, k, e, t, lo, hi)
         plogp = _plogp(f, qv)

@@ -196,7 +196,7 @@ def conditional_mutual_q_information(j, q, given_axis: int = 2) -> float:
     table = JointTable.coerce(j)
     if table.rank != 3:
         raise ValueError("conditional_mutual_q_information expects a rank-3 table")
-    return float(_cmi_rows(np.moveaxis(table.t, _axes(given_axis, 3, "given_axis"), 2)[None], qv)[0])
+    return float(_cmi_rows(np.moveaxis(table.t, _axes(given_axis, 3, "given_axis", one=True), 2)[None], qv)[0])
 
 
 def q_entropy_max(m: int, q) -> float:

@@ -55,10 +55,11 @@ def _count(value, what: str, least: int = 1) -> int:
     return value
 
 
-def _axes(value, rank: int, what: str) -> tuple:
-    """One axis or a non-empty sequence of them, each a :func:`_count` (least 0) below ``rank``."""
+def _axes(value, rank: int, what: str, one: bool = False) -> tuple:
+    """One axis or a non-empty sequence of them (of one axis if ``one``), each a
+    :func:`_count` (least 0) below ``rank``."""
     axes = tuple(_count(a, what, 0) for a in ((value,) if np.ndim(value) == 0 else value))
-    if not axes or max(axes) >= rank:
+    if not axes or max(axes) >= rank or (one and len(axes) > 1):
         raise ValueError(f"{what} {value!r} invalid for rank {rank}")
     return axes
 
@@ -178,7 +179,7 @@ class JointTable:
 
     def marginal(self, axis: int) -> ProbVec:
         """Distribution of the variable on ``axis`` (sum over the others)."""
-        return ProbVec(self.marginal_array(axis))
+        return ProbVec(self.marginal_array(_axes(axis, self.rank, "axis", one=True)))
 
     def marginal_array(self, keep_axes) -> np.ndarray:
         """Joint mass of a subset of axes, as a bare array (axis order kept)."""

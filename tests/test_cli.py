@@ -1,5 +1,6 @@
 """Command-line surface: formats, exit codes, seeding, determinism."""
 
+import hashlib
 import json
 import shutil
 import subprocess
@@ -196,6 +197,25 @@ def test_maxent_solution_and_verification(capsys):
     assert run(["maxent", "--levels", "[0,1,2]", "--target-mean", "0.05", "--q", "0.5"]) == 0
     sol = json.loads(capsys.readouterr().out)["solution"]
     assert (sol["support"], sol["dropped"]) == ([0, 1], [2])
+
+
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (  # gate 8's maxent campaign
+            ["--levels", "[0,1,2]", "--target-mean", "0.5", "--q", "0.5", "--verify", "100"],
+            "47ecdc155658d86e49b45094e378b46b932bd1f5cd5b2f0a7151af4f6c407cc9",
+        ),
+        (  # five levels cut to two, so competitors have zero cells; odd m and trials
+            ["--levels", "[0,1,2,3,4]", "--target-mean", "3.92", "--q", "0.3", "--verify", "101"],
+            "6d6e144a771f3ba0ae931f8927fe47f3a1c9323961c623764f3bede837073607",
+        ),
+    ],
+)
+def test_maxent_verification_bytes_match_their_pin(capsys, args, digest):
+    assert run(["maxent", *args, "--seed", "7", "--deterministic"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(

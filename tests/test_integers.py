@@ -183,6 +183,20 @@ def test_a_tuple_of_numpy_axes_gives_the_bits_of_plain_ints():
 
 
 @pytest.mark.parametrize(
+    "call, what",
+    [
+        (lambda v: J3.marginal(v), "axis"),
+        (lambda v: conditional_mutual_q_information(J3, 0.5, given_axis=v), "given_axis"),
+    ],
+    ids=["JointTable.marginal", "conditional_mutual_q_information"],
+)
+def test_a_one_axis_argument_takes_no_second_axis(call, what):
+    with pytest.raises(ValueError, match=re.escape(f"{what} (0, 1) invalid for rank 3")):
+        call((0, 1))
+    assert _bits(call([2])) == _bits(call(2))
+
+
+@pytest.mark.parametrize(
     "call",
     [lambda q: q_entropy([0.25, 0.75], q), lambda q: ln_q(0.3, q), lambda q: QParam(q).q],
     ids=["q_entropy", "ln_q", "QParam"],

@@ -510,3 +510,49 @@ def test_verify_blocks_span_the_default_budget():
     assert _bits(check.min_gap, check.mean_gap, check.max_formula_mismatch) == _bits(
         *_verify_loop(sol, trials, 4)
     )
+
+
+class _DrawSpy(np.random.Generator):
+    """Counts rows of exponentials and ``integers`` calls; a block drawn twice
+    draws its exponentials twice, and only the row-by-row path calls ``integers``."""
+
+    rows = calls = 0
+
+    def standard_exponential(self, *args, **kwargs):
+        type(self).rows += 1
+        return super().standard_exponential(*args, **kwargs)
+
+    def integers(self, *args, **kwargs):
+        type(self).calls += 1
+        return super().integers(*args, **kwargs)
+
+
+@pytest.mark.parametrize("m, target", [(977, 488.5), (747, 369.5)])
+def test_a_rejected_half_replays_its_block_bit_for_bit(monkeypatch, m, target):
+    # 238632 and 139490 vertices: numpy's Lemire draw rejects about 1.6e-5 of
+    # its 32-bit halves, about 0.062 and 0.061 per block, just under the 1/16
+    # that takes the raw-word draw, so some blocks of 200 trials replay; blocks
+    # of 5 rows of 747 are odd, so a half is carried into and out of them
+    sol = solve(MaxEntProblem(np.arange(m, dtype=float), target, 0.5))
+    monkeypatch.setattr(maxent, "make_rng", lambda seed: _DrawSpy(make_rng(seed).bit_generator))
+    for seed in (1, 2):
+        _DrawSpy.rows = _DrawSpy.calls = 0
+        check = verify_optimality(sol, trials=200, seed=seed)
+        assert 0 < _DrawSpy.calls < 200  # some blocks replayed, not all
+        assert _DrawSpy.rows == 200 + _DrawSpy.calls  # a replayed row is drawn twice
+        assert _bits(check.min_gap, check.mean_gap, check.max_formula_mismatch) == _bits(
+            *_verify_loop(sol, 200, seed)
+        )
+
+
+def test_many_expected_rejections_draw_row_by_row_once(monkeypatch):
+    # 250000 vertices: about 0.20 rejected halves per block of 4 rows of 1000,
+    # over 1/16, so every row calls Generator.integers and no block is drawn twice
+    sol = solve(MaxEntProblem(np.arange(1000, dtype=float), 499.5, 0.5))
+    monkeypatch.setattr(maxent, "make_rng", lambda seed: _DrawSpy(make_rng(seed).bit_generator))
+    _DrawSpy.rows = _DrawSpy.calls = 0
+    check = verify_optimality(sol, trials=21, seed=3)
+    assert _DrawSpy.rows == _DrawSpy.calls == 21
+    assert _bits(check.min_gap, check.mean_gap, check.max_formula_mismatch) == _bits(
+        *_verify_loop(sol, 21, 3)
+    )
