@@ -354,7 +354,7 @@ def _value(spec: LawSpec, instance, qv: float) -> float:
         arrays.append(arr)
     if spec.matched and arrays[0].shape != arrays[1].shape:
         raise ValueError(f"{spec.law} expects two arrays of one shape")
-    return _grouped_values(spec, [qv], [tuple(arrays)])[0]
+    return _grouped_values(spec, [qv], [tuple(arrays)], [tuple(a.shape for a in arrays)])[0]
 
 
 def identity_residual(identity: str, instance, q) -> float:
@@ -515,17 +515,19 @@ def fuzz(law, trials: int, q_range=None, seed: int = 0, *, tol=None) -> SlackRep
     worst = (None, None, None)
     done = 0
     while done < trials:
-        qs, parts, cells = [], [], 0
+        qs, parts, shapes, cells = [], [], [], 0
         while done + len(qs) < trials and cells < _FUZZ_CELLS:
             qs.append(lo if lo == hi else lo + (hi - lo) * next_double(state))
             instance = spec.sample(rng)
             parts.append((instance,) if spec.arity == 1 else instance)
-            cells += sum(a.size for a in parts[-1])
-        for i, value in enumerate(_grouped_values(spec, qs, parts)):
+            # each instance's shapes, taken once: its cells and its group key
+            shapes.append(tuple([a.shape for a in parts[-1]]))
+            cells += sum(map(math.prod, shapes[-1]))
+        for i, value in enumerate(_grouped_values(spec, qs, parts, shapes)):
             slack = -abs(value) if spec.identity else value
             if slack < min_slack:
                 min_slack = slack
-                worst = (done + i, qs[i], tuple(a.shape for a in parts[i]))
+                worst = (done + i, qs[i], shapes[i])
             total += slack
             if slack < -tol:
                 violations += 1
@@ -549,12 +551,13 @@ def fuzz(law, trials: int, q_range=None, seed: int = 0, *, tol=None) -> SlackRep
     )
 
 
-def _grouped_values(spec: LawSpec, qs: list, parts: list) -> list:
+def _grouped_values(spec: LawSpec, qs: list, parts: list, shapes: list) -> list:
     """``spec.evaluate`` of each q and instance (a tuple of its arrays), in
-    order, evaluated by one call per instance shape."""
+    order, evaluated by one call per instance shape (``shapes[i]``, the
+    tuple of the shapes of ``parts[i]``)."""
     groups = {}
-    for i, arrays in enumerate(parts):
-        groups.setdefault(tuple(a.shape for a in arrays), []).append(i)
+    for i, key in enumerate(shapes):
+        groups.setdefault(key, []).append(i)
     values = [0.0] * len(parts)
     for idx in groups.values():
         stacks = tuple(np.stack(column) for column in zip(*(parts[i] for i in idx)))

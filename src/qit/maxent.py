@@ -293,13 +293,14 @@ def solve(problem: MaxEntProblem) -> MaxEntSolution:
         residuals=(float(resid[0]), float(resid[1])),
         dropped=dropped,
     )
-    removed = np.setdiff1d(np.arange(m), np.asarray(active))
-    if removed.size and float(solution.domain_margins()[removed].max()) > KKT_MARGIN_TOL:
-        raise ConvergenceError(
-            "support reduction is inconsistent: a removed level has positive margin",
-            last=(solution.lam, solution.mu),
-            residuals=list(solution.domain_margins()[removed]),
-        )
+    if dropped:
+        margins = solution.domain_margins()[sorted(dropped)]
+        if float(margins.max()) > KKT_MARGIN_TOL:
+            raise ConvergenceError(
+                "support reduction is inconsistent: a removed level has positive margin",
+                last=(solution.lam, solution.mu),
+                residuals=list(margins),
+            )
     return solution
 
 

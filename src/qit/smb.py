@@ -41,9 +41,12 @@ for every draw of a chunk at once, how many distinct cumulative columns
 lie below it (Chen & Asau 1974), and each step is then one gather from a
 table of next states (``_walk_table``, built once per probe) over row
 views built once with the workspace.  The time scan writes into that one
-workspace, so no chunk allocates an array of its size, and it keeps its
-running sums with one in-order reduce per grid length in the chunk, not
-a running cumsum over every position.
+workspace, so no chunk allocates an array of its size.  A table parallel
+to the next states holds each step's three running-sum terms and a pad,
+a 32-byte row (numpy gathers rows of 32 bytes on a fast copy path, not
+of 24), so one gather a chunk lays every term in the rows of the sums,
+which one in-order reduce per grid length in the chunk keeps, not a
+running cumsum over every position.
 """
 
 import math
@@ -503,15 +506,15 @@ def smb_probe(chain: MarkovChain, q, n_max: int, trajectories: int, seed: int = 
     with np.errstate(divide="ignore"):
         logr = np.log(r)
         logd1 = np.log(_laws(st, r, 1)[1])
-    # parallel to ``flat``: lflat[k * m + s] = log r[s, flat[k * m + s]],
-    # the log-probability of the step from s the table takes at row k
+    # parallel to ``flat``: the step's log-probability lflat[k * m + s] =
+    # log r[s, flat[k * m + s]] twice, its q-log (k >= 1; -inf where it
+    # overflows, taken or not) and a zero pad, 32 bytes a row to gather
     lflat = logr[np.tile(np.arange(m), table.flat.size // m), table.flat]
+    steps = np.zeros((lflat.size, 4))
+    steps[:, 0] = steps[:, 1] = lflat
     if k >= 1:
-        # their q-logs, one table of lflat's size, so k >= 1 gathers its
-        # factor q-logs; an entry may overflow to -inf (q > 1 and a tiny step
-        # probability) whether or not a step takes it
         with np.errstate(over="ignore"):
-            qlflat = ln_q_from_log(lflat, qv)
+            steps[:, 2] = ln_q_from_log(lflat, qv)
 
     # One scan over time in chunks of _CHUNK positions, laid out time-major
     # as (position, trajectory).  Per trajectory it carries the state, the
@@ -520,7 +523,7 @@ def smb_probe(chain: MarkovChain, q, n_max: int, trajectories: int, seed: int = 
     # array of a chunk's (position, trajectory) size is allocated here, once:
     # the steps write into it (k = 0 adds only its (position, state) tables).
     grid = _grid(n_max)
-    at = {}  # n -> the three running sums at length n, as ``sums`` holds them
+    at = {}  # n -> the three running sums at length n, a (3, T) array
     rngs = [make_rng(seed, stream=t) for t in range(big_t)]
     width = min(_CHUNK, n_max)
     u = np.empty((big_t, width))  # row t: the draws of trajectory t
@@ -528,17 +531,17 @@ def smb_probe(chain: MarkovChain, q, n_max: int, trajectories: int, seed: int = 
     ws = _walk_space(big_t, width)
     syms, kb = ws.syms, ws.kb
     lcond = ws.scratch  # free once each walk returns
-    # sums[i, j]: the running sum at position a - 1 + i of the block
-    # log-probability (j = 0), the factor logs (1) and the factor q-logs
-    # (2); row 0 carries the sums so far, -0.0 at first (-0.0 + x == x: an
-    # empty sum that changes no bits).  Reducing the rows from the carry
-    # with initial -0.0 adds them one at a time in order, so chunk after
-    # chunk this rounds as one cumsum over the whole sequence would.  The
-    # three sums sit side by side on purpose: numpy sums a reduced axis
-    # pairwise when it is the innermost loop, as it would be for a lone
-    # column (T = 1), and pairwise sums round differently.
-    sums = np.full((width + 1, 3, big_t), -0.0)
-    acc = np.empty((3, big_t))
+    # sums[i, t, j]: trajectory t's running sum at position a - 1 + i of the
+    # block log-probability (j = 0), the factor logs (1), the factor q-logs
+    # (2) and the pad (3); row 0 carries the sums so far, -0.0 at first
+    # (-0.0 + x == x: an empty sum that changes no bits).  Reducing the rows
+    # from the carry with initial -0.0 adds them one at a time in order, so
+    # chunk after chunk this rounds as one cumsum over the whole sequence
+    # would.  The columns stay innermost on purpose: numpy sums a reduced
+    # axis pairwise when it is the innermost loop, as the rows would be
+    # for a lone trajectory (T = 1), and pairwise sums round differently.
+    sums = np.full((width + 1, big_t, 4), -0.0)
+    acc = np.empty((big_t, 4))
     syms[0] = _advance(np.broadcast_to(_cum_rows(st), (big_t, m)), np.concatenate([g.random(1) for g in rngs]))
     d = st
     for a in range(1, n_max + 1, _CHUNK):
@@ -549,13 +552,12 @@ def smb_probe(chain: MarkovChain, q, n_max: int, trajectories: int, seed: int = 
         for rand, row in draws:
             rand(out=row)
         _walk(table, u[:, :c], ws)  # syms[i]: position a - 1 + i
-        lflat.take(kb[:c], out=lcond[:c], mode="clip")  # row i: log r[x_{a+i-1} -> x_{a+i}]
         terms = sums[1 : c + 1]
-        terms[:, 0] = lcond[:c]
+        steps.take(kb[:c], axis=0, out=terms, mode="clip")  # row i: the step x_{a+i-1} -> x_{a+i}
         if a == 1:  # the block's first factor is the marginal of position 1
             head_l = logd1[syms[1]]
-            logr1 = lcond[0].copy()
-            terms[0, 0] = head_l
+            logr1 = terms[0, :, 0].copy()
+            terms[0, :, 0] = head_l
 
         if k == 0:
             # the k = 0 factorization multiplies per-position marginals and
@@ -569,20 +571,16 @@ def smb_probe(chain: MarkovChain, q, n_max: int, trajectories: int, seed: int = 
                 loglaws = np.log(laws[1:])
                 qloglaws = ln_q_from_log(loglaws, qv)
             # row i: the law of position a + i at its symbol, gathered from
-            # each table; the step logs are copied, so lcond is free
+            # each table over the step terms in columns 1 and 2
             np.add(syms[1 : c + 1], (np.arange(c) * m)[:, None], out=kb[:c])
             loglaws.take(kb[:c], out=lcond[:c], mode="clip")
-            terms[:, 1] = lcond[:c]
+            terms[:, :, 1] = lcond[:c]
             qloglaws.take(kb[:c], out=lcond[:c], mode="clip")
-            terms[:, 2] = lcond[:c]
+            terms[:, :, 2] = lcond[:c]
         else:
             # conditional factors of the order-k factorization: the head
             # block (positions 1..k) adds -0.0, no term
-            h = min(max(k + 1 - a, 0), c)
-            terms[:h, 1:] = -0.0
-            terms[h:, 1] = lcond[h:c]
-            qlflat.take(kb[:c], out=lcond[:c], mode="clip")
-            terms[h:, 2] = lcond[h:c]
+            terms[: min(max(k + 1 - a, 0), c), :, 1:3] = -0.0
 
         # the running sums at the grid lengths inside the chunk, then at its
         # end; each reduce starts from the row the one before wrote
@@ -592,9 +590,9 @@ def smb_probe(chain: MarkovChain, q, n_max: int, trajectories: int, seed: int = 
             start = n - a + 1
             sums[start] = acc
             if n in grid:
-                at[n] = acc.copy()
+                at[n] = acc[:, :3].T.copy()
         # a zero factor's -inf stays in every later running sum
-        if not np.isfinite(acc[0]).all():
+        if not np.isfinite(acc[:, 0]).all():
             raise ImpossibleTrajectoryError("sampled a transition of probability zero")
         syms[0], sums[0] = syms[c], acc
 

@@ -225,6 +225,22 @@ def test_newton_iteration_cap_raises_convergence_error(monkeypatch):
         solve(MaxEntProblem([0.0, 1.0, 2.0], 0.7, 1.0))
 
 
+def test_a_removed_level_with_positive_margin_raises(monkeypatch):
+    # a support that cuts two levels which belong in it: the solution on
+    # the rest leaves them a positive margin, so solve refuses it
+    monkeypatch.setattr(maxent, "_supports", lambda eps, target, qv: [(np.array([0, 3]), (2, 1))])
+    problem = MaxEntProblem([0.0, 1.0, 2.0, 3.0], 1.0, 0.5)
+    with pytest.raises(ConvergenceError) as info:
+        solve(problem)
+    exc = info.value
+    assert str(exc) == "support reduction is inconsistent: a removed level has positive margin"
+    lam, mu = exc.last
+    margins = 1.0 + 0.5 * maxent._arguments(lam, mu, problem.levels, 0.5)
+    # in ascending level order, whatever order the cut dropped them in
+    assert exc.residuals == [margins[1], margins[2]]
+    assert margins[1] > margins[2] > KKT_MARGIN_TOL
+
+
 def test_multiplier_decreases_with_target_mean():
     targets = [0.25, 0.5, 0.75, 1.0, 1.25, 1.5]
     mus = [solve(MaxEntProblem([0.0, 1.0, 2.0], t, 0.5)).mu for t in targets]

@@ -24,7 +24,7 @@ from qit import (
     smb_probe,
     t3_residual,
 )
-from qit.markov import stationary
+from qit.markov import _laws, stationary
 from qit.prob import make_rng
 from qit.qcore import ln_q, ln_q_from_log
 
@@ -506,6 +506,53 @@ def test_probe_trajectories_replay_in_isolation(monkeypatch):
     for t in range(5):
         alone = sample_trajectory(start, 601, make_rng(201, t)).symbols
         assert np.array_equal(probe[:, t], alone)
+
+
+def _replayed_sums(chain, q, k, n_max, big_t, seed):
+    """Per trajectory, the probe's running sums of the block log, the factor
+    logs and the factor q-logs at each length, added one float at a time."""
+    st, r = stationary(chain), chain.transition
+    logr = np.log(r)
+    law = _laws(st.p, r, n_max)  # the marginal laws of positions 0 .. n_max
+    loglaw = np.log(law)
+    qlogr, qloglaw = ln_q_from_log(logr, q), ln_q_from_log(loglaw, q)
+    sums = []
+    for t in range(big_t):
+        x = sample_trajectory(MarkovChain(r, st), n_max + 1, make_rng(seed, t)).symbols.tolist()
+        lb = fl = fq = -0.0
+        row = []
+        for i in range(1, n_max + 1):
+            # the block's first factor is the marginal of position 1
+            lb += float(loglaw[1, x[1]] if i == 1 else logr[x[i - 1], x[i]])
+            if k == 0:  # per-position marginals
+                fl += float(loglaw[i, x[i]])
+                fq += float(qloglaw[i, x[i]])
+            elif i > k:  # the conditionals after the head block
+                fl += float(logr[x[i - 1], x[i]])
+                fq += float(qlogr[x[i - 1], x[i]])
+            row.append((lb, fl, fq))
+        sums.append(row)
+    return sums
+
+
+@pytest.mark.parametrize("q", [0.6, 1.0, 1.2])
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_probe_sums_run_left_to_right(q, k):
+    # the probe's running sums round as a left-to-right float loop over
+    # positions would, for a lone trajectory and for a few, across chunks
+    for chain in (STICKY, THREE):
+        for big_t in (1, 3):
+            for n_max in (255, 257, 513):
+                curve = smb_probe(chain, q, n_max, big_t, seed=29, k=k)
+                sums = _replayed_sums(chain, q, k, n_max, big_t, 29)
+                for pt in curve.points:
+                    n = pt.n
+                    lb, fl, fq = (np.array(v) for v in zip(*(row[n - 1] for row in sums)))
+                    lk = fl if k == 0 else lb
+                    t3 = ln_q_from_log(fl, q) - fq if n > k else np.zeros(big_t)
+                    assert pt.block_mean == float((-ln_q_from_log(lb, q) / n).mean())
+                    assert pt.pk_mean == float((-ln_q_from_log(lk, q) / n).mean())
+                    assert pt.t3_over_n_mean == float(t3.mean() / n)
 
 
 def test_probe_validation_and_serialization():
