@@ -53,16 +53,26 @@ numpy's Lemire draw on ``next_uint32`` (``_axis``), which is
 Exponential draws next to each other in the stream may share one call,
 since PCG64 gives the same numbers however such a run is split; an
 integer draw is never moved across another draw, because PCG64 keeps the
-spare half of a 64-bit output for the next 32-bit draw.  The draws stay
-in that order; the evaluation is grouped by instance shape, one evaluator
-call per stack of a chunk of draws, and the slacks are folded back in
-trial order.  So ``law_slack`` on the report's ``worst_trial`` instance
-and ``worst_q`` gives its ``min_slack`` exactly.
+spare half of a 64-bit output for the next 32-bit draw.
+
+A trial's instance comes in two steps.  The law's raw draw (``draw``)
+makes the draws above and leaves the unit exponentials as drawn, with the
+finished instance's shapes as its key.  A chunk of draws is grouped by
+that key, and each group is stacked and finished in one call
+(``finish``): each row divided by its sum over all its cells, or for dpi
+each factor row by its own sum and the factors multiplied
+(``prob._markov_rows``); qln-sum keeps its weights as drawn.  Each row
+takes the bits it takes finished alone, and ``LawSpec.sample`` is the
+finish of a stack of one.  Then one evaluator call per group gives the
+slacks, which are folded back in trial order.  So ``law_slack`` on the
+report's ``worst_trial`` instance and ``worst_q`` gives its ``min_slack``
+exactly.
 """
 
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -77,8 +87,18 @@ from .measures import (
     _ratio,
     _rows,
 )
-from .prob import JointTable, ProbVec, _conditional, _count, _csv_float, _flat_dirichlet, _markov_triple, make_rng
-from .qcore import cross_term, ln_q_pos, pseudo_additivity_residual, q_value
+from .prob import (
+    JointTable,
+    ProbVec,
+    _conditional,
+    _count,
+    _csv_float,
+    _flat_dirichlet_rows,
+    _markov_factors,
+    _markov_rows,
+    make_rng,
+)
+from .qcore import _real, cross_term, ln_q_pos, pseudo_additivity_residual, q_value
 
 #: Violation threshold for inequality laws.
 TOL_INEQUALITY = 1e-9
@@ -260,49 +280,72 @@ def _axis(rng, lo=2, hi=6):
     return lo + (x >> 32)
 
 
-def _sample_rank2(rng):
-    return _flat_dirichlet((_axis(rng), _axis(rng)), rng)
+# raw draws: rng -> (the instance's arrays of unit exponentials, the
+# finished instance's shapes), which are its group key and its cells
 
 
-def _sample_pair_dists(rng):
-    return (_flat_dirichlet(_axis(rng), rng), _flat_dirichlet(_axis(rng), rng))
+def _draw_rank2(rng):
+    shape = (_axis(rng), _axis(rng))
+    return (rng.standard_exponential(shape),), (shape,)
 
 
-def _sample_rank3(rng):
-    return _flat_dirichlet((_axis(rng, 2, 4), _axis(rng, 2, 4), _axis(rng, 2, 4)), rng)
+def _draw_pair_dists(rng):
+    p = rng.standard_exponential(_axis(rng))
+    r = rng.standard_exponential(_axis(rng))
+    return (p, r), (p.shape, r.shape)
 
 
-def _sample_block(rng):
+def _draw_rank3(rng):
+    shape = (_axis(rng, 2, 4), _axis(rng, 2, 4), _axis(rng, 2, 4))
+    return (rng.standard_exponential(shape),), (shape,)
+
+
+def _draw_block(rng):
     rank = _axis(rng, 2, 4)
     hi = 6 if rank == 2 else 3
-    return _flat_dirichlet(tuple(_axis(rng, 2, hi) for _ in range(rank)), rng)
+    shape = tuple([_axis(rng, 2, hi) for _ in range(rank)])
+    return (rng.standard_exponential(shape),), (shape,)
 
 
-def _sample_weights(rng):
-    e = rng.standard_exponential((2, _axis(rng, 2, 8)))
-    return (e[0], e[1])
+def _draw_pair(rng, hi):
+    """Two arrays of one length in [2, hi] from one exponential call."""
+    n = _axis(rng, 2, hi)
+    e = rng.standard_exponential((2, n))
+    return (e[0], e[1]), ((n,), (n,))
 
 
-def _sample_same_length_dists(rng):
-    e = rng.standard_exponential((2, _axis(rng)))
-    e /= np.add.reduce(e, axis=-1, keepdims=True)  # each row a _flat_dirichlet draw
-    return (e[0], e[1])
+def _draw_dist(rng):
+    e = rng.standard_exponential(_axis(rng, 2, 8))
+    return (e,), (e.shape,)
 
 
-def _sample_dist(rng):
-    return _flat_dirichlet(_axis(rng, 2, 8), rng)
+def _draw_markov(rng):
+    shape = (_axis(rng, 2, 4), _axis(rng, 2, 4), _axis(rng, 2, 4))
+    return _markov_factors(shape, rng), (shape,)
 
 
-def _sample_markov(rng):
-    return _markov_triple((_axis(rng, 2, 4), _axis(rng, 2, 4), _axis(rng, 2, 4)), rng)
-
-
-def _sample_rel_pair(rng):
+def _draw_rel_pair(rng):
     # two calls, so each array owns its cells: one (2, ...) call would hold
     # a third array per instance, and this law's fuzz chunks already come
     # close to a campaign's peak memory
     shape = (_axis(rng, 2, 4), _axis(rng, 2, 4))
-    return (_flat_dirichlet(shape, rng), _flat_dirichlet(shape, rng))
+    return (rng.standard_exponential(shape), rng.standard_exponential(shape)), (shape, shape)
+
+
+# stack finishes: the tuple of a group's stacked raw arrays -> the tuple of
+# its instance stacks, one per array of the instance
+
+
+def _normalized(stacks):
+    return tuple([_flat_dirichlet_rows(s) for s in stacks])
+
+
+def _markov(stacks):
+    return (_markov_rows(*stacks),)
+
+
+def _as_drawn(stacks):
+    return stacks
 
 
 @dataclass(frozen=True)
@@ -312,26 +355,37 @@ class LawSpec:
     identity: bool
     arity: int  # an instance is one array, or a pair
     ranks: tuple  # accepted ranks: 1 is a distribution, 2 to 4 a joint table
-    sample: Callable  # rng -> instance of bare arrays
+    draw: Callable  # rng -> (raw arrays, finished shapes)
+    finish: Callable  # tuple of raw (B, ...) stacks -> tuple of instance stacks
     # (stack or pair of stacks, (B,) q) -> (B,) slacks for inequalities, signed residuals for identities
     evaluate: Callable
     matched: bool = False  # the pair shares one shape
     normalized: bool = True  # False: rank-1 arrays are free nonnegative weights
 
+    def sample(self, rng):
+        """One finished instance of bare arrays: the finish of a stack of one draw."""
+        arrays = self.finish(tuple([a[None] for a in self.draw(rng)[0]]))
+        return arrays[0][0] if self.arity == 1 else tuple([a[0] for a in arrays])
+
 
 _REGISTRY: dict[LawId, LawSpec] = {
     spec.law: spec
     for spec in [
-        LawSpec(LawId.JOINT_CHAIN, _SUB1, False, 1, (2,), _sample_rank2, _block_chain),
-        LawSpec(LawId.INDEP_SUPERADD, _SUB1, False, 2, (1,), _sample_pair_dists, _indep_superadd),
-        LawSpec(LawId.COND_CHAIN, _SUB1, False, 1, (3,), _sample_rank3, _cond_chain),
-        LawSpec(LawId.BLOCK_CHAIN, _SUB1, False, 1, (2, 3, 4), _sample_block, _block_chain),
-        LawSpec(LawId.QLN_SUM, _LE2, False, 2, (1,), _sample_weights, _qln_sum, matched=True, normalized=False),
-        LawSpec(LawId.DQ_NONNEG, _LE2, False, 2, (1,), _sample_same_length_dists, _dq_nonneg, matched=True),
-        LawSpec(LawId.MAX_BOUND, _LE2, False, 1, (1,), _sample_dist, _max_bound),
-        LawSpec(LawId.DPI, _SUB1, False, 1, (3,), _sample_markov, _dpi),
-        LawSpec(LawId.INFO_CHAIN_RULE, _SUB1, True, 1, (3,), _sample_rank3, _info_chain),
-        LawSpec(LawId.REL_CHAIN_RULE, _SUB1, True, 2, (2,), _sample_rel_pair, _rel_chain, matched=True),
+        LawSpec(LawId.JOINT_CHAIN, _SUB1, False, 1, (2,), _draw_rank2, _normalized, _block_chain),
+        LawSpec(LawId.INDEP_SUPERADD, _SUB1, False, 2, (1,), _draw_pair_dists, _normalized, _indep_superadd),
+        LawSpec(LawId.COND_CHAIN, _SUB1, False, 1, (3,), _draw_rank3, _normalized, _cond_chain),
+        LawSpec(LawId.BLOCK_CHAIN, _SUB1, False, 1, (2, 3, 4), _draw_block, _normalized, _block_chain),
+        LawSpec(
+            LawId.QLN_SUM, _LE2, False, 2, (1,), partial(_draw_pair, hi=8), _as_drawn, _qln_sum,
+            matched=True, normalized=False,
+        ),
+        LawSpec(
+            LawId.DQ_NONNEG, _LE2, False, 2, (1,), partial(_draw_pair, hi=6), _normalized, _dq_nonneg, matched=True
+        ),
+        LawSpec(LawId.MAX_BOUND, _LE2, False, 1, (1,), _draw_dist, _normalized, _max_bound),
+        LawSpec(LawId.DPI, _SUB1, False, 1, (3,), _draw_markov, _markov, _dpi),
+        LawSpec(LawId.INFO_CHAIN_RULE, _SUB1, True, 1, (3,), _draw_rank3, _normalized, _info_chain),
+        LawSpec(LawId.REL_CHAIN_RULE, _SUB1, True, 2, (2,), _draw_rel_pair, _normalized, _rel_chain, matched=True),
     ]
 }
 
@@ -471,9 +525,11 @@ def fuzz(law, trials: int, q_range=None, seed: int = 0, *, tol=None) -> SlackRep
         Number of random instances (>= 1), of any integer type; a bool
         raises ValueError and a float TypeError (``prob._count``).
     q_range : (float, float), optional
-        Sampling interval for q; it is intersected with the law's validity
-        range and must leave a non-empty interval.  Defaults to the law's
-        full range.  q is drawn uniformly from [lo, hi) as
+        Sampling interval for q, a pair of real numbers under the type rule
+        of the entropic index (a bool raises ValueError, a str or bytes
+        TypeError); an infinite bound is no bound.  It is intersected with
+        the law's validity range and must leave a non-empty interval.
+        Defaults to the law's full range.  q is drawn uniformly from [lo, hi) as
         ``lo + (hi - lo) * next_double(state)``, with the bit generator's
         ``next_double``, which is ``rng.uniform(lo, hi)`` bit for bit.
     seed : int
@@ -481,8 +537,8 @@ def fuzz(law, trials: int, q_range=None, seed: int = 0, *, tol=None) -> SlackRep
         trial order: each trial draws its q (unless the range is a single
         point), then its instance through the law's sampler.
     tol : float, optional
-        Violation threshold; defaults to 1e-9 for inequalities and 1e-10
-        for identities.
+        Violation threshold, finite, under the same type rule; defaults to
+        1e-9 for inequalities and 1e-10 for identities.
     """
     lid = LawId(law)
     spec = _REGISTRY[lid]
@@ -490,10 +546,18 @@ def fuzz(law, trials: int, q_range=None, seed: int = 0, *, tol=None) -> SlackRep
     seed = _count(seed, "seed", 0)
     if tol is None:
         tol = TOL_IDENTITY if spec.identity else TOL_INEQUALITY
+    tol = _real(tol, "tol")
     if not math.isfinite(tol):
         raise ValueError(f"tol must be finite, got {tol!r}")
 
-    lo, hi = (spec.q_range.lo, spec.q_range.hi) if q_range is None else map(float, q_range)
+    if q_range is None:
+        lo, hi = spec.q_range.lo, spec.q_range.hi
+    else:
+        try:
+            lo, hi = q_range
+        except (TypeError, ValueError):
+            raise ValueError(f"q_range must be a pair (lo, hi), got {q_range!r}") from None
+        lo, hi = _real(lo, "q-range bound"), _real(hi, "q-range bound")
     if math.isnan(lo) or math.isnan(hi):
         raise ValueError(f"q-range bounds must be numbers, got {lo!r} and {hi!r}")
     lo = max(lo, spec.q_range.lo)
@@ -514,16 +578,16 @@ def fuzz(law, trials: int, q_range=None, seed: int = 0, *, tol=None) -> SlackRep
     q_total = 0.0
     worst = (None, None, None)
     done = 0
+    draw = spec.draw
     while done < trials:
-        qs, parts, shapes, cells = [], [], [], 0
+        qs, raws, shapes, cells = [], [], [], 0
         while done + len(qs) < trials and cells < _FUZZ_CELLS:
             qs.append(lo if lo == hi else lo + (hi - lo) * next_double(state))
-            instance = spec.sample(rng)
-            parts.append((instance,) if spec.arity == 1 else instance)
-            # each instance's shapes, taken once: its cells and its group key
-            shapes.append(tuple([a.shape for a in parts[-1]]))
-            cells += sum(map(math.prod, shapes[-1]))
-        for i, value in enumerate(_grouped_values(spec, qs, parts, shapes)):
+            raw, shape = draw(rng)
+            raws.append(raw)
+            shapes.append(shape)
+            cells += sum(map(math.prod, shape))
+        for i, value in enumerate(_grouped_values(spec, qs, raws, shapes, spec.finish)):
             slack = -abs(value) if spec.identity else value
             if slack < min_slack:
                 min_slack = slack
@@ -540,7 +604,7 @@ def fuzz(law, trials: int, q_range=None, seed: int = 0, *, tol=None) -> SlackRep
         mean_slack=float(total / trials),
         violations=violations,
         seed=seed,
-        tol=float(tol),
+        tol=tol,
         identity=spec.identity,
         q_lo=lo,
         q_hi=hi,
@@ -551,16 +615,18 @@ def fuzz(law, trials: int, q_range=None, seed: int = 0, *, tol=None) -> SlackRep
     )
 
 
-def _grouped_values(spec: LawSpec, qs: list, parts: list, shapes: list) -> list:
+def _grouped_values(spec: LawSpec, qs: list, parts: list, shapes: list, finish=_as_drawn) -> list:
     """``spec.evaluate`` of each q and instance (a tuple of its arrays), in
     order, evaluated by one call per instance shape (``shapes[i]``, the
-    tuple of the shapes of ``parts[i]``)."""
+    tuple of the shapes of the finished ``parts[i]``).  Each group's
+    stacked arrays go through ``finish`` first: a campaign's raw draws
+    through ``spec.finish``."""
     groups = {}
     for i, key in enumerate(shapes):
         groups.setdefault(key, []).append(i)
     values = [0.0] * len(parts)
     for idx in groups.values():
-        stacks = tuple(np.stack(column) for column in zip(*(parts[i] for i in idx)))
+        stacks = finish(tuple([np.stack(column) for column in zip(*(parts[i] for i in idx))]))
         batch = stacks[0] if spec.arity == 1 else stacks
         out = spec.evaluate(batch, np.array([qs[i] for i in idx])).tolist()
         for i, value in zip(idx, out):

@@ -248,28 +248,46 @@ def product_dist(p, r) -> JointTable:
 
 def _flat_dirichlet(shape, rng: np.random.Generator) -> np.ndarray:
     """Flat-Dirichlet draw over all cells: normalized unit exponentials."""
-    e = rng.standard_exponential(shape)
-    e /= np.add.reduce(e, axis=None)  # e.sum() without its Python wrapper
+    return _flat_dirichlet_rows(rng.standard_exponential(shape)[None])[0]
+
+
+def _flat_dirichlet_rows(e: np.ndarray) -> np.ndarray:
+    """A ``(B, *shape)`` stack of unit exponentials, each row divided in
+    place by its sum over all its cells: ``B`` flat-Dirichlet draws.
+
+    A row's sum is ``np.add.reduce`` over its cells, the sum of the same
+    row drawn alone, so a row takes the same bits in a stack of any height.
+    """
+    e /= np.add.reduce(e.reshape(len(e), -1), axis=1).reshape((-1,) + (1,) * (e.ndim - 1))
     return e
 
 
-def _markov_triple(shapes, rng: np.random.Generator) -> np.ndarray:
-    """Rank-3 array p(x) p(y|x) p(z|y) of flat-Dirichlet factors.
-
-    The factors are drawn in one exponential call, in the order of the
-    per-factor draws (p(x), then the rows of p(y|x), then those of
-    p(z|y)), and each row is normalized by its own sum over the last axis,
-    so every factor takes the bits of a separate ``_flat_dirichlet`` draw.
-    """
+def _markov_factors(shapes, rng: np.random.Generator) -> tuple:
+    """The unit exponentials of p(x), p(y|x) and p(z|y), as ``(mx,)``,
+    ``(mx, my)`` and ``(my, mz)`` views of one exponential call, in the
+    order of the per-factor draws (p(x), then the rows of p(y|x), then
+    those of p(z|y))."""
     mx, my, mz = shapes
     e = rng.standard_exponential(mx + mx * my + my * mz)
-    px = e[:mx]
-    py_rows = e[mx : mx + mx * my].reshape(mx, my)
-    pz_rows = e[mx + mx * my :].reshape(my, mz)
-    px /= np.add.reduce(px, axis=None)
-    py_rows /= np.add.reduce(py_rows, axis=-1, keepdims=True)
-    pz_rows /= np.add.reduce(pz_rows, axis=-1, keepdims=True)
-    return px[:, None, None] * py_rows[:, :, None] * pz_rows[None, :, :]
+    return e[:mx], e[mx : mx + mx * my].reshape(mx, my), e[mx + mx * my :].reshape(my, mz)
+
+
+def _markov_rows(px: np.ndarray, py: np.ndarray, pz: np.ndarray) -> np.ndarray:
+    """``(B, mx, my, mz)`` stack p(x) p(y|x) p(z|y) of ``(B, mx)``,
+    ``(B, mx, my)`` and ``(B, my, mz)`` stacks of :func:`_markov_factors`.
+
+    Each row of each factor is divided in place by its own sum over the
+    last axis, so every factor takes the bits of a separate
+    ``_flat_dirichlet`` draw, in a stack of any height.
+    """
+    for f in (px, py, pz):
+        f /= np.add.reduce(f, axis=-1, keepdims=True)
+    return px[:, :, None, None] * py[:, :, :, None] * pz[:, None, :, :]
+
+
+def _markov_triple(shapes, rng: np.random.Generator) -> np.ndarray:
+    """Rank-3 array p(x) p(y|x) p(z|y) of flat-Dirichlet factors."""
+    return _markov_rows(*(f[None] for f in _markov_factors(shapes, rng)))[0]
 
 
 def random_dist(m: int, rng: np.random.Generator) -> ProbVec:

@@ -68,12 +68,18 @@ class QParam:
         return abs(self.q - 1.0) <= SHANNON_TOL
 
 
+def _real(x, what: str) -> float:
+    """``float(x)``; a bool raises ValueError and a str or bytes TypeError,
+    each naming ``what``."""
+    if isinstance(x, (bool, np.bool_)):
+        raise ValueError(f"{what} must be a real number, got {x!r}")
+    if isinstance(x, (str, bytes)):
+        raise TypeError(f"{what} must be a real number, got {x!r}")
+    return float(x)
+
+
 def _finite_q(q) -> float:
-    if isinstance(q, (bool, np.bool_)):
-        raise ValueError(f"entropic index must be a real number, got {q!r}")
-    if isinstance(q, (str, bytes)):
-        raise TypeError(f"entropic index must be a real number, got {q!r}")
-    qv = float(q)
+    qv = _real(q, "entropic index")
     if not math.isfinite(qv):
         raise ValueError(f"entropic index must be finite, got {qv!r}")
     return qv

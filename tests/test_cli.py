@@ -95,6 +95,26 @@ def test_fuzz_csv_pins_every_law(capsys):
     ]
 
 
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (
+            ["--trials", "1000", "--seed", "7"],
+            "eec7bffbac79838e6eeae3554371ed0e78fe8b583cfb20f9282a0bf4e71a22af",
+        ),
+        (
+            ["--trials", "300", "--seed", "11", "--q-range", "0.3", "0.7"],
+            "f5f9a1ce4226c02f076673361dc1e1dd436a53ec76dabd3dcecf5634e88f2b6d",
+        ),
+    ],
+)
+def test_fuzz_json_bytes_match_their_pin(capsys, args, digest):
+    # full precision: a last-bit move in any slack, q mean or worst shape shows
+    assert run(["fuzz", "--law", "all", *args, "--format", "json", "--deterministic"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_fuzz_all_covers_every_law(capsys):
     rc = run(["fuzz", "--law", "all", "--trials", "5", "--seed", "0"])
     assert rc == 0

@@ -1,6 +1,7 @@
 """One integer rule for every public count, order, length, seed, stream and
-table axis, and one rule for the entropic index q."""
+table axis, and one rule for the entropic index q and fuzz's float arguments."""
 
+import math
 import re
 
 import numpy as np
@@ -209,3 +210,34 @@ def test_the_entropic_index_is_a_real_number(call):
         with pytest.raises(TypeError, match="entropic index"):
             call(text)
     assert _bits(call(np.float64(0.5))) == _bits(call(0.5))
+
+
+# (argument, fuzz with that float argument set to v)
+FUZZ_FLOAT_ARGUMENTS = [
+    ("fuzz q-range low", lambda v: fuzz("joint-chain", 3, (v, 0.5), seed=2)),
+    ("fuzz q-range high", lambda v: fuzz("joint-chain", 3, (0.1, v), seed=2)),
+    ("fuzz tol", lambda v: fuzz("joint-chain", 3, seed=2, tol=v)),
+]
+
+
+@pytest.mark.parametrize(
+    "call", [case[1] for case in FUZZ_FLOAT_ARGUMENTS], ids=[case[0] for case in FUZZ_FLOAT_ARGUMENTS]
+)
+def test_fuzz_float_arguments_take_the_rule_of_q(call):
+    for flag in (True, False, np.True_):
+        with pytest.raises(ValueError, match="real number"):
+            call(flag)
+    for text in ("0.3", b"0.3"):
+        with pytest.raises(TypeError, match="real number"):
+            call(text)
+    assert _bits(call(np.float64(0.3))) == _bits(call(0.3))
+
+
+def test_fuzz_q_range_is_a_pair():
+    for q_range in (0.5, np.float64(0.5), (0.1,), (0.1, 0.2, 0.3)):
+        with pytest.raises(ValueError, match=re.escape(f"q_range must be a pair (lo, hi), got {q_range!r}")):
+            fuzz("joint-chain", 3, q_range)
+    # an infinite bound is no bound, and a NaN bound keeps its own message
+    assert fuzz("joint-chain", 3, (-math.inf, math.inf), seed=2) == fuzz("joint-chain", 3, seed=2)
+    with pytest.raises(ValueError, match="q-range bounds must be numbers"):
+        fuzz("joint-chain", 3, (math.nan, 0.5))

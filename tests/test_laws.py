@@ -699,6 +699,35 @@ def test_samplers_draw_the_reference_stream(law):
         assert ours.bit_generator.state == ref.bit_generator.state
 
 
+@pytest.mark.parametrize("law", [law.value for law in all_laws()])
+def test_grouped_finish_gives_the_bits_of_each_sample(law):
+    # a campaign draws raw exponentials, stacks them by the finished
+    # instance's shapes and finishes each stack in one call; every row must
+    # take the bits of ``spec.sample``, the finish of a stack of one
+    spec = _REGISTRY[LawId(law)]
+    ours, twin = make_rng(37), make_rng(37)
+    raws, groups, want = [], {}, []
+    for i in range(1500):
+        raw, shapes = spec.draw(ours)
+        instance = spec.sample(twin)
+        assert shapes == _shapes(spec, instance)  # a campaign's cells, group key and worst_shape
+        want.append(_arrays(spec, instance))
+        assert ours.bit_generator.state == twin.bit_generator.state
+        raws.append(raw)
+        groups.setdefault(shapes, []).append(i)
+    assert len(groups) == _SHAPES[law]
+    if law == "dpi":  # 18 exponentials each, in factors of other shapes
+        assert {((3, 3, 2),), ((2, 4, 2),)} <= set(groups)
+    for height in (1, 2, 7, 1500):
+        for idx in groups.values():
+            for start in range(0, len(idx), height):
+                block = idx[start : start + height]
+                stacks = spec.finish(tuple(np.stack(column) for column in zip(*(raws[i] for i in block))))
+                for row, i in enumerate(block):
+                    got = [s[row] for s in stacks]
+                    assert [(a.shape, a.tobytes()) for a in got] == [(a.shape, a.tobytes()) for a in want[i]]
+
+
 @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (0.0, 2.0), (0.3, 0.7), (0.1, 1.9), (0.0, 1e-3)])
 def test_q_draw_is_numpy_uniform(lo, hi):
     # fuzz draws q as numpy's random_uniform does, low + range * next_double

@@ -2,6 +2,9 @@
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -733,3 +736,30 @@ def test_probe_memory_does_not_grow_with_length():
             tracemalloc.stop()
     assert peaks[1] < 1.5 * peaks[0]
     assert peaks[1] < 4 * 2**20
+
+
+_NO_NUMPY_MA = """
+import sys
+from qit import MarkovChain, fuzz, markov_k_block_log_prob_q, sample_trajectory, second_law_report, smb_probe
+from qit.maxent import MaxEntProblem, solve, verify_optimality
+from qit.prob import make_rng
+chain = MarkovChain([[0.9, 0.1], [0.2, 0.8]])
+fuzz("dpi", 20, seed=1)
+second_law_report(MarkovChain([[0.7, 0.3], [0.3, 0.7]], [0.9, 0.1]), 5, 0.5)
+for k in (0, 1):
+    smb_probe(chain, 0.75, 64, 4, seed=2, k=k)
+verify_optimality(solve(MaxEntProblem([0.0, 1.0, 2.0], 0.05, 0.5)), 20, 3)  # drops level 2
+symbols = sample_trajectory(chain, 40, make_rng(4)).symbols
+for k in (0, 1, 2):
+    markov_k_block_log_prob_q(chain, symbols, k, 0.5, empirical=True)
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_the_package_work_never_imports_numpy_ma():
+    # numpy.ma costs about 2 MB and 14 ms to import; np.setdiff1d pulled it
+    # in once.  A fresh interpreter, since another test may have imported it
+    src = os.path.dirname(os.path.dirname(smb.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", _NO_NUMPY_MA], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False"]
