@@ -43,7 +43,7 @@ from .measures import (
     relative_q_entropy,
     tsallis_entropy,
 )
-from .prob import JointTable, ProbVec, _count, _csv_float
+from .prob import JointTable, ProbVec, _count, _csv_row
 from .smb import smb_probe
 
 
@@ -108,7 +108,7 @@ def _emit(args, text: str) -> None:
 def _cmd_entropy(args) -> int:
     p = _container_arg(ProbVec, args.dist, "--dist")
     value = tsallis_entropy(p, args.q) if args.family == "tsallis" else q_entropy(p, args.q)
-    _emit(args, _csv_float(value) + "\n")
+    _emit(args, _csv_row([value]) + "\n")
     return 0
 
 
@@ -212,17 +212,7 @@ def _cmd_maxent(args) -> int:
         for i in range(args.sweep):
             target = lo + (hi - lo) * (i + 1) / (args.sweep + 1)
             sol = solve(MaxEntProblem(levels, target, args.q))
-            lines.append(
-                ",".join(
-                    [
-                        _csv_float(target),
-                        _csv_float(sol.lam),
-                        _csv_float(sol.mu),
-                        _csv_float(sol.entropy()),
-                        str(len(sol.support)),
-                    ]
-                )
-            )
+            lines.append(_csv_row((target, sol.lam, sol.mu, sol.entropy(), len(sol.support))))
         _emit(args, "\n".join(lines) + "\n")
         return 0
     if args.target_mean is None:
@@ -314,7 +304,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("smb", help="trajectory surprisal probe")
     p.add_argument("--transition", required=True, help="JSON row-stochastic matrix or @file")
-    p.add_argument("--initial", help="JSON start distribution (replaced by the stationary law)")
+    p.add_argument(
+        "--initial",
+        help="JSON start distribution; the probe starts from the stationary law it leads to, "
+        "which for a reducible chain depends on it (default uniform)",
+    )
     p.add_argument("--q", type=float, required=True)
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--trajectories", type=int, required=True)

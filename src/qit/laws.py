@@ -92,7 +92,7 @@ from .prob import (
     ProbVec,
     _conditional,
     _count,
-    _csv_float,
+    _csv_row,
     _flat_dirichlet_rows,
     _markov_factors,
     _markov_rows,
@@ -486,16 +486,7 @@ class SlackReport:
         return self.violations == 0
 
     def to_csv_row(self) -> str:
-        return ",".join(
-            [
-                self.law,
-                str(self.trials),
-                _csv_float(self.min_slack),
-                _csv_float(self.mean_slack),
-                str(self.violations),
-                str(self.seed),
-            ]
-        )
+        return _csv_row((self.law, self.trials, self.min_slack, self.mean_slack, self.violations, self.seed))
 
     def to_json_dict(self) -> dict:
         return {

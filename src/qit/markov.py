@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .measures import _entropy_rows, _plogp
-from .prob import NORM_TOL, ProbVec, _count, _csv_float, _float_array, _validate_mass
+from .prob import NORM_TOL, ProbVec, _count, _csv_row, _float_array, _validate_mass
 from .qcore import SHANNON_TOL, cross_term, q_value
 
 #: Sinkhorn scaling in ``random_doubly_stochastic``: row and column deviation bound, round cap.
@@ -330,10 +330,7 @@ class SecondLawRow(NamedTuple):
         return self.ds_deviation <= NORM_TOL
 
     def to_csv_row(self) -> str:
-        return ",".join(
-            [str(self.step)]
-            + [_csv_float(v) for v in (self.h_q, self.delta_h, self.t_q, self.lhs, self.slack)]
-        )
+        return _csv_row(self[:6])  # step .. slack, the CSV_HEADER fields
 
     def to_json_dict(self) -> dict:
         return {**self._asdict(), "applicable": self.applicable}

@@ -64,9 +64,9 @@ def _axes(value, rank: int, what: str, one: bool = False) -> tuple:
     return axes
 
 
-def _csv_float(v: float) -> str:
-    """A float as every CSV report writes it (``%.10g``)."""
-    return f"{v:.10g}"
+def _csv_row(values) -> str:
+    """One line of a CSV report: each float ``%.10g``, anything else ``str``."""
+    return ",".join(f"{v:.10g}" if isinstance(v, float) else str(v) for v in values)
 
 
 def _float_array(x, what: str) -> np.ndarray:

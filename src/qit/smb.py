@@ -56,9 +56,9 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConvergenceError, ImpossibleTrajectoryError
+from .errors import ImpossibleTrajectoryError
 from .markov import MarkovChain, _chain_cells, _chain_terms, _laws, stationary
-from .prob import _count, _csv_float, make_rng
+from .prob import _count, _csv_row, make_rng
 from .qcore import SHANNON_TOL, ln_q_from_log, ln_q_pos, q_value
 
 
@@ -340,34 +340,25 @@ def h_q_k(chain: MarkovChain, k: int, q) -> float:
     The entropy of one more symbol given ``k`` predecessors, under the
     stationary law of the chain.  For an order-1 chain this is constant
     for all k >= 1; it is the chain-rule term of the pair law of the
-    stationary start evolved ``k - 1`` steps, so any k is cheap.
+    stationary start evolved ``k - 1`` steps, which costs O(k m^2) time
+    and O(k m) memory on m states.
     """
     k = _count(k, "order k", 0)
-    st, qv = stationary(chain).p, q_value(q)
-    return _chain_terms(st, _chain_cells(st, chain.transition, k + 1, qv), qv)[k]
+    return _h_q_k(chain.transition, stationary(chain).p, k, q_value(q))
 
 
-def h_q_inf(chain: MarkovChain, q, tol: float = 1e-10, k_max: int = 12) -> float:
-    """First plateau of the ``h_q_k`` sequence.
+def h_q_inf(chain: MarkovChain, q) -> float:
+    """Entropy rate ``H_q(X_2 | X_1)`` of the chain from its stationary law.
 
-    Returns ``h(k*)`` for the smallest ``k*`` with
-    ``|h(k*) - h(k* + 1)| <= tol``, scanning from ``k* = 0``.
+    Every order k >= 1 gives this value for an order-1 chain, so it is
+    ``h_q_k(chain, 1, q)``, bit for bit.
     """
-    k_max = _count(k_max, "k_max", 0)
-    return _h_q_inf(chain.transition, stationary(chain).p, q_value(q), tol, k_max)
+    return _h_q_k(chain.transition, stationary(chain).p, 1, q_value(q))
 
 
-def _h_q_inf(r: np.ndarray, st: np.ndarray, qv: float, tol: float = 1e-10, k_max: int = 12) -> float:
-    """``h_q_inf`` of the transition ``r`` with stationary law ``st``."""
-    h = _chain_terms(st, _chain_cells(st, r, k_max + 2, qv), qv)  # h[k] = h_q_k(k) for k <= k_max + 1
-    for k in range(k_max + 1):
-        if abs(h[k] - h[k + 1]) <= tol:
-            return h[k]
-    raise ConvergenceError(
-        f"conditional-rate sequence did not plateau within k <= {k_max}",
-        last=h[-1],
-        residuals=[abs(h[-2] - h[-1])],
-    )
+def _h_q_k(r: np.ndarray, st: np.ndarray, k: int, qv: float) -> float:
+    """``h_q_k`` of order ``k`` for the transition ``r`` with stationary law ``st``."""
+    return _chain_terms(st, _chain_cells(st, r, k + 1, qv), qv)[k]
 
 
 @dataclass(frozen=True)
@@ -419,6 +410,7 @@ class SmbCurve:
         lines = [self.CSV_HEADER]
         for pt in self.points:
             values = (
+                pt.n,
                 pt.block_mean,
                 pt.block_sd,
                 pt.pk_mean,
@@ -430,7 +422,7 @@ class SmbCurve:
                 self.h_q_k,
                 self.h_q_inf,
             )
-            lines.append(",".join([str(pt.n)] + [_csv_float(v) for v in values]))
+            lines.append(_csv_row(values))
         return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:
@@ -643,8 +635,8 @@ def smb_probe(chain: MarkovChain, q, n_max: int, trajectories: int, seed: int = 
         n_max=n_max,
         trajectories=big_t,
         seed=seed,
-        h_q_k=_chain_terms(st, _chain_cells(st, r, k + 1, qv), qv)[k],
-        h_q_inf=_h_q_inf(r, st, qv),
+        h_q_k=_h_q_k(r, st, k, qv),
+        h_q_inf=_h_q_k(r, st, 1, qv),
         surprisal_sup=(1.0 / (1.0 - qv) if qv < 1.0 - SHANNON_TOL else math.inf),
         flags=flags,
         points=tuple(points),

@@ -26,6 +26,9 @@ def test_entropy_reads_dist_from_file(tmp_path, capsys):
     f.write_text("[0.25, 0.25, 0.25, 0.25]")
     assert run(["entropy", "--dist", f"@{f}", "--q", "0.5"]) == 0
     assert capsys.readouterr().out == "1\n"
+    missing = tmp_path / "missing.json"
+    assert run(["entropy", "--dist", f"@{missing}", "--q", "0.5"]) == 2
+    assert f"--dist: cannot read {missing}" in capsys.readouterr().err
 
 
 def test_malformed_json_reports_position(capsys):
@@ -302,6 +305,21 @@ def test_smb_csv_to_file(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == SmbCurve.CSV_HEADER
     assert len(lines) == 6  # n in {1, 2, 4, 8, 16}
+
+
+def test_smb_initial_picks_the_stationary_law_of_a_reducible_chain(capsys):
+    # states {0, 1} and {2} are closed classes: the stationary law the probe
+    # starts from is the one the search reaches from --initial
+    rows = {}
+    for initial in ("[1,0,0]", "[0,0,1]"):
+        rc = run([
+            "smb", "--transition", "[[0.5,0.5,0],[0.5,0.5,0],[0,0,1]]", "--initial", initial,
+            "--q", "0.75", "--n-max", "4", "--trajectories", "3",
+        ])
+        assert rc == 0
+        rows[initial] = capsys.readouterr().out.splitlines()[1].split(",")
+    assert rows["[1,0,0]"][1] == "0.636414339"  # block_mean at n = 1: a fair coin
+    assert rows["[0,0,1]"][1] == "0"  # state 2 forever
 
 
 def test_deterministic_reruns_are_byte_identical(tmp_path):

@@ -35,7 +35,6 @@ from qit.prob import (
 from qit.qcore import QParam, ln_q
 from qit.smb import (
     Trajectory,
-    h_q_inf,
     h_q_k,
     markov_k_block_log_prob_q,
     sample_trajectory,
@@ -105,7 +104,6 @@ INTEGER_ARGUMENTS = [
         1,
     ),
     ("h_q_k k", lambda v: h_q_k(STICKY, v, 0.5), 0, "order k must be >= 0", 2),
-    ("h_q_inf k_max", lambda v: h_q_inf(STICKY, 0.5, k_max=v), 0, "k_max must be >= 0", 2),
     ("smb_probe n_max", lambda v: smb_probe(STICKY, 0.75, v, 3, seed=1), 1, "n_max must be >= 1", 8),
     ("smb_probe trajectories", lambda v: smb_probe(STICKY, 0.75, 8, v, seed=1), 1, "trajectories must be >= 1", 3),
     ("smb_probe k", lambda v: smb_probe(STICKY, 0.75, 8, 3, seed=1, k=v), 0, "order k must be >= 0", 2),

@@ -306,6 +306,14 @@ def test_law_slack_rejects_bad_instances(law):
         law_slack(law, rank5, q)
     with pytest.raises(ValueError):
         law_slack(law, _map_first(_VALID[law], _negative_cell), q)
+    spec = _REGISTRY[LawId(law)]
+    if spec.arity == 2:
+        with pytest.raises(ValueError, match="expects a pair of arrays"):
+            law_slack(law, _VALID[law][:1], q)
+    if spec.matched:
+        longer = _map_first(_VALID[law], lambda a: np.concatenate([a, np.zeros_like(a)]))
+        with pytest.raises(ValueError, match="two arrays of one shape"):
+            law_slack(law, longer, q)
     doubled = _map_first(_VALID[law], lambda a: 2.0 * a)
     if law == "qln-sum":
         law_slack(law, doubled, q)  # free weights need no normalization

@@ -306,6 +306,15 @@ def test_cut_runs_from_the_far_end_with_equal_levels_by_index(side):
     assert sol.dropped == (0, 2, 5)
 
 
+def test_a_level_with_none_below_it_has_no_cut_mean():
+    # the five equal lowest levels have no level strictly below them, so the
+    # cut search reads their cut mean as -inf and keeps the full support
+    sol = solve(MaxEntProblem([0, 0, 0, 0, 0, 1, 2], 0.1, 0.5))
+    assert sol.support == tuple(range(7))
+    assert sol.dropped == ()
+    assert max(sol.residuals) <= 1e-10
+
+
 def test_far_edge_target_takes_one_newton_run():
     # cutting one level per Newton stall took 6961 steps here
     levels = _jittered_levels(39)

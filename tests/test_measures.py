@@ -149,6 +149,8 @@ def test_conditional_mutual_information():
         assert abs(conditional_mutual_q_information(tri, qv, given_axis=1)) <= 1e-12
     with pytest.raises(ValueError):
         conditional_mutual_q_information(j, 0.5, given_axis=3)
+    with pytest.raises(ValueError, match="rank-3 table"):
+        conditional_mutual_q_information(random_joint((2, 3), rng), 0.5)
 
 
 def test_chain_terms_match_brute_force():
@@ -200,6 +202,8 @@ def test_relative_conditional_divergence():
     # reference with an empty conditional cell where p has mass
     rz = JointTable([[0.5, 0.0, 0.0], [0.1, 0.2, 0.2]])
     assert relative_q_entropy_conditional(pj, rz, 0, 0.5) == math.inf
+    with pytest.raises(ValueError, match="equal-shape"):
+        relative_q_entropy_conditional(pj, random_joint((3, 2), rng), 0, q)
 
 
 def _compacted_pairs(p, r, t, tr, qv):

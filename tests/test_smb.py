@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from qit import (
-    ConvergenceError,
     ImpossibleTrajectoryError,
     MarkovChain,
     SmbCurve,
@@ -214,6 +213,8 @@ def test_block_log_prob_rejects_impossible_blocks():
         block_log_prob_q(sure, [1, 1], 0.5)  # zero initial weight
     with pytest.raises(ValueError):
         block_log_prob_q(STICKY, [0, 2], 0.5)  # alphabet mismatch
+    with pytest.raises(ValueError, match="trajectory alphabet size 2 != chain size 3"):
+        block_log_prob_q(THREE, Trajectory([0, 1], 2), 0.5)
     # the error names the first zero factor of the block
     no_repeats = MarkovChain([[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]])
     with pytest.raises(ImpossibleTrajectoryError, match="transition 1 -> 1"):
@@ -339,15 +340,27 @@ def test_conditional_rate_sequence():
     assert h_q_inf(STICKY, 1.0) == pytest.approx(0.3250829733914482, abs=1e-12)
     with pytest.raises(ValueError):
         h_q_k(STICKY, -1, 0.5)
-    with pytest.raises(ValueError, match="k_max must be >= 0"):
-        h_q_inf(STICKY, 0.5, k_max=-1)
-    with pytest.raises(ConvergenceError):
-        h_q_inf(STICKY, 0.5, tol=1e-15, k_max=0)
-    # the error reports the last gap |h(k_max) - h(k_max + 1)|
-    with pytest.raises(ConvergenceError) as exc:
-        h_q_inf(STICKY, 0.5, tol=1e-30, k_max=0)
-    assert exc.value.residuals == [abs(h0 - h1)]
-    assert exc.value.residuals[0] == pytest.approx(0.357, abs=1e-3)
+    # h_q_inf takes the chain and q only
+    with pytest.raises(TypeError):
+        h_q_inf(STICKY, 0.5, tol=1e-10)
+    with pytest.raises(TypeError):
+        h_q_inf(STICKY, 0.5, k_max=12)
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_h_q_inf_is_h_q_k_of_order_one(m):
+    # the rate of an order-1 chain from its stationary law is H_q(X_2 | X_1)
+    rng = make_rng(29, m)
+    for _ in range(20):
+        r = rng.dirichlet(np.full(m, 0.4), size=m)
+        r[rng.random((m, m)) < 0.2] = 0.0
+        r[np.arange(m), rng.integers(m, size=m)] += 1e-3  # no row is all zero
+        chain = MarkovChain(r / r.sum(axis=1, keepdims=True))
+        q = float(rng.uniform(0.0, 2.0))
+        assert h_q_inf(chain, q).hex() == h_q_k(chain, 1, q).hex()
+    # the probe reports the one rate in both of its columns at k = 1
+    curve = smb_probe(_pin_chain(m), 1.2, 8, 3, seed=1)
+    assert curve.h_q_inf.hex() == curve.h_q_k.hex() == h_q_k(_pin_chain(m), 1, 1.2).hex()
 
 
 def test_h_q_k_past_the_block_cell_budget():
