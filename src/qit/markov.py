@@ -28,11 +28,11 @@ distribution.  Two families of results live here:
   ``(steps, m, m)`` stack of joints at once.  Only the q-logs depend on
   q: reports of one (chain, start, steps) share their q-free blocks
   through a memo of ``_BLOCK_MEMO_CAP`` blocks keyed by the contents of
-  the transition and the block's start, the transition's layout and the
-  block's steps.  The report flags whether the doubly-stochastic premise
-  holds, with the transition's largest row- or column-sum error, and also
-  carries an alternative correction term ``T_q_statement`` (same weights,
-  second factor ``ln_q(J m)``), reported for comparison only: no law is
+  the transition and the block's start and the block's steps.  The
+  report flags whether the doubly-stochastic premise holds, with the
+  transition's largest row- or column-sum error, and also carries an
+  alternative correction term ``T_q_statement`` (same weights, second
+  factor ``ln_q(J m)``), reported for comparison only: no law is
   asserted on it.
 """
 
@@ -145,7 +145,7 @@ def _chain_cells(psi: np.ndarray, r: np.ndarray, n: int, qv: float) -> np.ndarra
 def _chain_terms(psi: np.ndarray, cells: np.ndarray, qv: float) -> list[float]:
     """Chain-rule terms ``[H_q(X_1), H_q(X_2 | X_1), ..]`` of the first
     ``len(cells) + 1`` symbols from their chain-rule cells."""
-    return _entropy_rows(psi[None], qv).tolist() + (-cells.sum(axis=1)).tolist()
+    return _entropy_rows(psi[None], qv).tolist() + (0.0 - cells.sum(axis=1)).tolist()
 
 
 @np.errstate(over="ignore", invalid="ignore")  # q > 1: H_q grows past the float range
@@ -166,7 +166,7 @@ def _block_entropy(psi: np.ndarray, r: np.ndarray, cells: np.ndarray, qv: float)
     d = _plogp(psi, qv)
     for row in cells:
         d = d @ rs + row
-    h = -float(d.sum())
+    h = 0.0 - float(d.sum())
     # past the float range d holds -inf, which a zero transition turns
     # into -inf * 0 = nan; the sum is beyond the range either way
     return math.inf if math.isnan(h) else h
@@ -344,13 +344,11 @@ def _law_block(psi: np.ndarray, r: np.ndarray, steps: int):
     stack ``b`` of second factors (the reference ratio for ``T_q`` and
     ``J m`` for ``T_q_statement``) and ``_ds_deviation(r)``.
 
-    Blocks are kept for the next q of the same (chain, start, steps).  The
-    key is the exact contents of ``psi`` and ``r`` with the layout of
-    ``r``: a column-major transition sums its joints in another order, so
-    its arrays differ from a row-major copy's in the last bits.  Hits are
-    read-only; the least recently used entry goes past ``_BLOCK_MEMO_CAP``.
+    Blocks are kept for the next q of the same (chain, start, steps),
+    keyed by the exact contents of ``r`` and ``psi``.  Hits are read-only;
+    the least recently used entry goes past ``_BLOCK_MEMO_CAP``.
     """
-    key = (r.strides, r.tobytes(), psi.tobytes(), steps)
+    key = (r.tobytes(), psi.tobytes(), steps)
     block = _block_memo.pop(key, None)
     if block is None:
         m = r.shape[0]
@@ -382,8 +380,8 @@ def second_law_report(chain: MarkovChain, steps: int, q) -> list[SecondLawRow]:
     laws, joints and q-log arguments of each block of at most
     ``_STEP_CELLS`` cells are kept in a memo of ``_BLOCK_MEMO_CAP``
     entries, keyed by the contents of the transition and the block's
-    start, the transition's memory layout and the block's steps, so a
-    q-sweep steps its chain once.  Memory stays O(_STEP_CELLS).
+    start and the block's steps, so a q-sweep steps its chain once.
+    Memory stays O(_STEP_CELLS).
     """
     qv = q_value(q)
     if not 0.0 <= qv < 1.0:

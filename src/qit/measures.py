@@ -32,6 +32,7 @@ from .qcore import SHANNON_TOL, ln_q, ln_q_pos, q_value
 # Every sum runs over the cells of a row in C order, so each row takes the
 # same bits in a stack of any height; with every cell positive the rows
 # equal the q-log sums over the compacted positive cells, bit for bit.
+# Negations are written ``0.0 - x``, so a zero entropy is +0, never -0.
 
 
 def _rows(a: np.ndarray) -> np.ndarray:
@@ -45,7 +46,7 @@ def _plogp(x: np.ndarray, q) -> np.ndarray:
 
 
 def _entropy_rows(t: np.ndarray, q) -> np.ndarray:
-    return -_plogp(_rows(t), q).sum(axis=-1)
+    return 0.0 - _plogp(_rows(t), q).sum(axis=-1)
 
 
 def _ratio(num, den, w: np.ndarray, q):
@@ -77,7 +78,7 @@ def _divergence_rows(w: np.ndarray, num, den, q) -> np.ndarray:
 
 def _cond_entropy_rows(t: np.ndarray, other: tuple, q) -> np.ndarray:
     """Entropy of the ``other`` axes given the rest: ``-sum t ln_q(t / t.sum(other))``."""
-    return -_divergence_rows(t, t, t.sum(axis=other, keepdims=True), q)
+    return 0.0 - _divergence_rows(t, t, t.sum(axis=other, keepdims=True), q)
 
 
 def _mi_rows(t: np.ndarray, q) -> np.ndarray:
@@ -106,7 +107,7 @@ def _chain_terms_rows(t: np.ndarray, q) -> list:
     prev = None  # marginal of the first i axes
     for i in range(n):
         cur = t.sum(axis=tuple(range(i + 2, n + 1)))
-        terms.append(_entropy_rows(cur, q) if i == 0 else -_divergence_rows(cur, cur, prev[..., None], q))
+        terms.append(_entropy_rows(cur, q) if i == 0 else 0.0 - _divergence_rows(cur, cur, prev[..., None], q))
         prev = cur
     return terms
 
@@ -120,7 +121,7 @@ def tsallis_entropy(p, q) -> float:
     qv = q_value(q)
     x = ProbVec.coerce(p).p
     x = np.where(x > 0, x, 1.0)  # a zero cell adds 1**q * ln_q(1) = 0
-    return float(-(np.power(x, qv) * ln_q_pos(x, qv)).sum())
+    return float(0.0 - (np.power(x, qv) * ln_q_pos(x, qv)).sum())
 
 
 def q_entropy(p, q) -> float:

@@ -18,7 +18,8 @@ also ``3.0``) raises TypeError, and a value below the argument's least
 value raises ValueError.  Nothing is truncated.  Every table axis argument
 passes :func:`_axes`: one axis or a non-empty sequence of axes, each under
 that rule with least 0 and below the table's rank, or a ValueError
-``"given_axes 3 invalid for rank 3"``.
+``"given_axes 3 invalid for rank 3"``.  Every container stores a C-order
+copy of its input, so no result depends on the caller's memory layout.
 
 Randomness flows through :func:`make_rng`: identical ``(seed, stream)``
 pairs reproduce identical draws across runs and platforms, because the
@@ -70,9 +71,9 @@ def _csv_row(values) -> str:
 
 
 def _float_array(x, what: str) -> np.ndarray:
-    """``np.array(x, dtype=float)``; non-numeric input raises ValueError naming ``what``."""
+    """``np.array(x, dtype=float, order="C")``; non-numeric input raises ValueError naming ``what``."""
     try:
-        return np.array(x, dtype=float)
+        return np.array(x, dtype=float, order="C")
     except TypeError as exc:
         raise ValueError(f"{what} must be numeric: {exc}") from None
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import shutil
 import subprocess
 
@@ -29,6 +30,25 @@ def test_entropy_reads_dist_from_file(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     assert run(["entropy", "--dist", f"@{missing}", "--q", "0.5"]) == 2
     assert f"--dist: cannot read {missing}" in capsys.readouterr().err
+
+
+def test_zero_entropies_print_as_zero(capsys):
+    # a sure outcome has entropy +0, which prints "0", never "-0"
+    assert run(["entropy", "--dist", "[1,0]", "--q", "0.5"]) == 0
+    assert capsys.readouterr().out == "0\n"
+    rc = run(["markov", "--transition", "[[1,0],[0,1]]", "--initial", "[1,0]", "--steps", "2", "--q", "0.5"])
+    assert rc == 0
+    assert capsys.readouterr().out.splitlines()[1:] == ["1,0,0,0,0,0", "2,0,0,0,0,0"]
+    rc = run([
+        "smb", "--transition", "[[0.5,0.5,0],[0.5,0.5,0],[0,0,1]]", "--initial", "[0,0,1]",
+        "--q", "0.75", "--n-max", "4", "--trajectories", "3",
+    ])
+    assert rc == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 3 and all(row.endswith(",1,1,1,1,0,0") for row in rows)
+    assert run(["measures", "--joint", "[[0.5,0],[0,0.5]]", "--q", "0.8"]) == 0
+    h2 = json.loads(capsys.readouterr().out)["chain_terms"][1]
+    assert h2 == 0.0 and math.copysign(1.0, h2) == 1.0
 
 
 def test_malformed_json_reports_position(capsys):

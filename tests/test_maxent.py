@@ -44,6 +44,9 @@ def test_problem_validation():
         MaxEntProblem([], 0.0, 0.5)
     with pytest.raises(ValueError):
         MaxEntProblem([0.0, math.inf], 0.5, 0.5)
+    for target in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="target mean must be finite"):
+            MaxEntProblem([0.0, 1.0], target, 0.5)
 
 
 def test_flat_levels_give_uniform_in_closed_form():

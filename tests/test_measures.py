@@ -41,6 +41,22 @@ def test_entropy_trivial_cases():
         assert tsallis_entropy([0.0, 1.0], q) == 0.0
 
 
+def test_zero_entropies_are_positive_zero():
+    # 0.0 - x, not -x: a sure outcome gives +0, which prints "0", never "-0"
+    sure = JointTable([[0.5, 0.0], [0.0, 0.5]])  # each axis fixes the other
+    for q in (0.0, 0.5, 1.0, 1.5, 2.0):
+        zeros = [
+            q_entropy([1.0, 0.0], q),
+            tsallis_entropy([1.0, 0.0], q),
+            q_entropy_joint([[1.0, 0.0], [0.0, 0.0]], q),
+            q_entropy_conditional(sure, 0, q),
+            *q_entropy_chain_terms(sure, q)[1:],
+            *q_entropy_chain_terms(np.full((1, 2, 1), 0.5), q)[::2],
+        ]
+        assert [math.copysign(1.0, z) for z in zeros] == [1.0] * 7
+        assert zeros == [0.0] * 7
+
+
 def test_entropy_max_bound():
     assert q_entropy_max(2, 0.5) == pytest.approx(0.5857864376269049, abs=1e-15)
     assert q_entropy_max(2, 2.0) == pytest.approx(1.0, abs=1e-15)

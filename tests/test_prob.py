@@ -49,6 +49,14 @@ def test_probvec_immutable():
         v.p[0] = 0.9  # numpy write flag cleared
 
 
+def test_joint_table_immutable():
+    j = JointTable([[0.25, 0.25], [0.25, 0.25]])
+    with pytest.raises(AttributeError, match="immutable"):
+        j.t = np.eye(2) / 2
+    with pytest.raises(ValueError):
+        j.t[0, 0] = 0.5  # numpy write flag cleared
+
+
 def test_probvec_normalized_and_coerce():
     v = ProbVec.normalized([2.0, 6.0])
     assert v.p.tolist() == [0.25, 0.75]
@@ -69,6 +77,9 @@ def test_probvec_json_roundtrip():
     assert w.labels == v.labels
     with pytest.raises(ValueError):
         ProbVec.from_json_dict({"q": [1.0]})
+    u = ProbVec.from_json(json.dumps(d))
+    assert u.p.tolist() == v.p.tolist() and u.labels == v.labels
+    assert ProbVec.from_json('{"p": [0.5, 0.5]}').labels is None
 
 
 def test_joint_table_rank_bounds():
@@ -78,6 +89,8 @@ def test_joint_table_rank_bounds():
         JointTable(np.full((2, 2, 2, 2, 2), 1 / 32))  # rank 5
     with pytest.raises(ValueError):
         JointTable([[0.5, 0.6], [0.2, 0.2]])  # sums to 1.5
+    with pytest.raises(ValueError, match="axes must be non-empty"):
+        JointTable(np.zeros((2, 0)))
     t = JointTable(np.full((2, 3, 2, 2), 1 / 24))
     assert t.rank == 4 and t.shape == (2, 3, 2, 2)
 
