@@ -72,8 +72,7 @@ def _load_json(text: str, what: str):
 
 def _container_arg(cls, text: str, what: str):
     """A ``ProbVec`` or ``JointTable`` from a JSON array or its JSON object form."""
-    data = _load_json(text, what)
-    return cls.from_json_dict(data) if isinstance(data, dict) else cls(data)
+    return cls.from_json_dict(_load_json(text, what))
 
 
 def _resolve_seed(args) -> int:

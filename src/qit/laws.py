@@ -428,16 +428,6 @@ def identity_residual(identity: str, instance, q) -> float:
     return abs(_value(_REGISTRY[law], instance, qv))
 
 
-def law_q_range(law) -> tuple[float, float, bool]:
-    spec = _REGISTRY[LawId(law)]
-    r = spec.q_range
-    return (r.lo, r.hi, r.hi_closed)
-
-
-def law_is_identity(law) -> bool:
-    return _REGISTRY[LawId(law)].identity
-
-
 def law_slack(law, instance, q) -> float:
     """Slack of one law on one instance; the law asserts slack >= 0.
 

@@ -70,6 +70,17 @@ def _csv_row(values) -> str:
     return ",".join(f"{v:.10g}" if isinstance(v, float) else str(v) for v in values)
 
 
+def _json_form(data, key: str, what: str) -> dict:
+    """A container's parsed JSON as its object form: a bare array becomes
+    ``{key: data}``; an object without ``key``, or any other value, raises
+    ValueError."""
+    if isinstance(data, list):
+        return {key: data}
+    if isinstance(data, dict) and key in data:
+        return data
+    raise ValueError(f'{what} JSON must be an array or an object with a "{key}" array, got {type(data).__name__}')
+
+
 def _float_array(x, what: str) -> np.ndarray:
     """``np.array(x, dtype=float, order="C")``; non-numeric input raises ValueError naming ``what``."""
     try:
@@ -138,10 +149,13 @@ class ProbVec:
         return d
 
     @classmethod
-    def from_json_dict(cls, d: dict) -> "ProbVec":
-        if "p" not in d:
-            raise ValueError('distribution JSON must contain a "p" array')
-        return cls(d["p"], d.get("labels"))
+    def from_json_dict(cls, d) -> "ProbVec":
+        """From the object form ``{"p": [...], "labels": [...]}`` or a bare ``p`` array."""
+        d = _json_form(d, "p", "distribution")
+        labels = d.get("labels")
+        if labels is not None and not isinstance(labels, list):
+            raise ValueError(f'distribution JSON "labels" must be an array, got {type(labels).__name__}')
+        return cls(d["p"], labels)
 
     @classmethod
     def from_json(cls, text: str) -> "ProbVec":
@@ -205,10 +219,9 @@ class JointTable:
         return {"table": self.t.tolist()}
 
     @classmethod
-    def from_json_dict(cls, d: dict) -> "JointTable":
-        if "table" not in d:
-            raise ValueError('joint-table JSON must contain a "table" array')
-        return cls(d["table"])
+    def from_json_dict(cls, d) -> "JointTable":
+        """From the object form ``{"table": [...]}`` or a bare nested array."""
+        return cls(_json_form(d, "table", "joint-table")["table"])
 
     @classmethod
     def from_json(cls, text: str) -> "JointTable":

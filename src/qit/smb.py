@@ -46,7 +46,10 @@ to the next states holds each step's three running-sum terms and a pad,
 a 32-byte row (numpy gathers rows of 32 bytes on a fast copy path, not
 of 24), so one gather a chunk lays every term in the rows of the sums,
 which one in-order reduce per grid length in the chunk keeps, not a
-running cumsum over every position.
+running cumsum over every position.  Every order k reads its factors from
+that table: a transition for k >= 1, and for k = 0 the law of the step's
+next state, which is the one-step law of the stationary start at every
+position.
 """
 
 import math
@@ -140,7 +143,7 @@ class _WalkSpace(NamedTuple):
 
     syms: np.ndarray  # (w + 1, T): row 0 the state carried in, row i after step i
     kb: np.ndarray  # (w, T): step i's index ``j * m + syms[i]`` into ``flat``
-    scratch: np.ndarray  # (w, T) floats: the values a pass tests; free between walks
+    scratch: np.ndarray  # (w, T) floats: the values a pass tests
     passed: np.ndarray  # (w, T) bools: the draws past those values
     steps: list  # the row views (kb[i], syms[i], syms[i + 1]) of step i
 
@@ -462,7 +465,9 @@ def smb_probe(chain: MarkovChain, q, n_max: int, trajectories: int, seed: int = 
     its marginal.  ``c1`` checks that the one-step conditional dominates
     the whole-block probability, ``c2`` that the block probability
     dominates its order-``k`` approximation; their rates are fractions of
-    trajectories.  Standard deviations are population (ddof = 0).
+    trajectories.  The order-0 approximation multiplies, at every block
+    symbol, the law of position 1, which the stationary start gives every
+    position.  Standard deviations are population (ddof = 0).
 
     ``t3_over_n_mean`` is the mean interaction residual of the
     factorization in use — the q-log of the product of its non-head
@@ -497,23 +502,28 @@ def smb_probe(chain: MarkovChain, q, n_max: int, trajectories: int, seed: int = 
     table = _walk_table(_cum_rows(r))
     with np.errstate(divide="ignore"):
         logr = np.log(r)
+        # the one-step law of the stationary start: the law of the block's
+        # head and, for the order-0 factors, of every block position
         logd1 = np.log(_laws(st, r, 1)[1])
-    # parallel to ``flat``: the step's log-probability lflat[k * m + s] =
-    # log r[s, flat[k * m + s]] twice, its q-log (k >= 1; -inf where it
-    # overflows, taken or not) and a zero pad, 32 bytes a row to gather
+    # parallel to ``flat``: the step's log-probability lflat[j * m + s] =
+    # log r[s, flat[j * m + s]], its factor's log (the same at k >= 1; at
+    # k = 0 the one-step law at the next state), the factor's q-log (-inf
+    # where it overflows, taken or not) and a zero pad, 32 bytes a row to
+    # gather
     lflat = logr[np.tile(np.arange(m), table.flat.size // m), table.flat]
+    factor = logd1[table.flat] if k == 0 else lflat
     steps = np.zeros((lflat.size, 4))
-    steps[:, 0] = steps[:, 1] = lflat
-    if k >= 1:
-        with np.errstate(over="ignore"):
-            steps[:, 2] = ln_q_from_log(lflat, qv)
+    steps[:, 0] = lflat
+    steps[:, 1] = factor
+    with np.errstate(over="ignore"):
+        steps[:, 2] = ln_q_from_log(factor, qv)
 
     # One scan over time in chunks of _CHUNK positions, laid out time-major
     # as (position, trajectory).  Per trajectory it carries the state, the
     # running block log-probability and the running log and q-log sums of
     # the factors, and keeps those sums only at the grid lengths.  Every
-    # array of a chunk's (position, trajectory) size is allocated here, once:
-    # the steps write into it (k = 0 adds only its (position, state) tables).
+    # array of a chunk's (position, trajectory) size is allocated here, once,
+    # and the steps write into it at every order.
     grid = _grid(n_max)
     at = {}  # n -> the three running sums at length n, a (3, T) array
     rngs = [make_rng(seed, stream=t) for t in range(big_t)]
@@ -522,7 +532,6 @@ def smb_probe(chain: MarkovChain, q, n_max: int, trajectories: int, seed: int = 
     draws = [(g.random, u[t]) for t, g in enumerate(rngs)]
     ws = _walk_space(big_t, width)
     syms, kb = ws.syms, ws.kb
-    lcond = ws.scratch  # free once each walk returns
     # sums[i, t, j]: trajectory t's running sum at position a - 1 + i of the
     # block log-probability (j = 0), the factor logs (1), the factor q-logs
     # (2) and the pad (3); row 0 carries the sums so far, -0.0 at first
@@ -535,7 +544,6 @@ def smb_probe(chain: MarkovChain, q, n_max: int, trajectories: int, seed: int = 
     sums = np.full((width + 1, big_t, 4), -0.0)
     acc = np.empty((big_t, 4))
     syms[0] = _advance(np.broadcast_to(_cum_rows(st), (big_t, m)), np.concatenate([g.random(1) for g in rngs]))
-    d = st
     for a in range(1, n_max + 1, _CHUNK):
         b = min(a + _CHUNK, n_max + 1)  # this chunk holds positions a .. b - 1
         c = b - a
@@ -550,29 +558,9 @@ def smb_probe(chain: MarkovChain, q, n_max: int, trajectories: int, seed: int = 
             head_l = logd1[syms[1]]
             logr1 = terms[0, :, 0].copy()
             terms[0, :, 0] = head_l
-
-        if k == 0:
-            # the k = 0 factorization multiplies per-position marginals and
-            # has no conditioning head
-            laws = _laws(d, r, c)  # laws of positions a - 1 .. b - 1
-            d = laws[-1]
-            # the (c, m) tables of the marginals' logs and q-logs; a q-log may
-            # overflow to -inf (q > 1 and a tiny marginal) whether or not a
-            # trajectory visits its state
-            with np.errstate(divide="ignore", over="ignore"):
-                loglaws = np.log(laws[1:])
-                qloglaws = ln_q_from_log(loglaws, qv)
-            # row i: the law of position a + i at its symbol, gathered from
-            # each table over the step terms in columns 1 and 2
-            np.add(syms[1 : c + 1], (np.arange(c) * m)[:, None], out=kb[:c])
-            loglaws.take(kb[:c], out=lcond[:c], mode="clip")
-            terms[:, :, 1] = lcond[:c]
-            qloglaws.take(kb[:c], out=lcond[:c], mode="clip")
-            terms[:, :, 2] = lcond[:c]
-        else:
-            # conditional factors of the order-k factorization: the head
-            # block (positions 1..k) adds -0.0, no term
-            terms[: min(max(k + 1 - a, 0), c), :, 1:3] = -0.0
+        # the head block of the order-k factorization (positions 1..k; none
+        # at k = 0) adds -0.0, no factor
+        terms[: min(max(k + 1 - a, 0), c), :, 1:3] = -0.0
 
         # the running sums at the grid lengths inside the chunk, then at its
         # end; each reduce starts from the row the one before wrote

@@ -58,6 +58,16 @@ def test_malformed_json_reports_position(capsys):
     assert "invalid JSON at line 1, column 6" in err
 
 
+@pytest.mark.parametrize("text", ["5", '"p"', "null", '{"q":[1]}'])
+@pytest.mark.parametrize("argv,key", [(["entropy", "--dist"], "p"), (["measures", "--joint"], "table")])
+def test_container_json_of_the_wrong_form_exits_2(capsys, argv, key, text):
+    assert run(argv + [text, "--q", "0.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and f'an object with a "{key}" array' in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_domain_errors_exit_2(capsys):
     assert run(["entropy", "--dist", "[0.5,0.6]", "--q", "0.5"]) == 2  # mass 1.1
     assert "error:" in capsys.readouterr().err

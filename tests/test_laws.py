@@ -18,8 +18,6 @@ from qit.laws import (
     SlackReport,
     TOL_IDENTITY,
     TOL_INEQUALITY,
-    law_is_identity,
-    law_q_range,
 )
 from qit.measures import (
     conditional_mutual_q_information,
@@ -49,16 +47,21 @@ def test_registry_enumerates_ten_laws():
     assert len(laws) == 10
     assert LawId("dpi") is LawId.DPI
     assert str(LawId.QLN_SUM) == "qln-sum"
-    assert law_is_identity(LawId.INFO_CHAIN_RULE)
-    assert law_is_identity("rel-chain-rule")
-    assert not law_is_identity("joint-chain")
+    assert _REGISTRY[LawId.INFO_CHAIN_RULE].identity
+    assert _REGISTRY[LawId("rel-chain-rule")].identity
+    assert not _REGISTRY[LawId("joint-chain")].identity
+
+
+def _q_range(law):
+    r = _REGISTRY[LawId(law)].q_range
+    return (r.lo, r.hi, r.hi_closed)
 
 
 def test_q_ranges():
-    assert law_q_range("joint-chain") == (0.0, 1.0, False)
-    assert law_q_range("dpi") == (0.0, 1.0, False)
-    assert law_q_range("qln-sum") == (0.0, 2.0, True)
-    assert law_q_range("max-bound") == (0.0, 2.0, True)
+    assert _q_range("joint-chain") == (0.0, 1.0, False)
+    assert _q_range("dpi") == (0.0, 1.0, False)
+    assert _q_range("qln-sum") == (0.0, 2.0, True)
+    assert _q_range("max-bound") == (0.0, 2.0, True)
     # outside the documented range the law is not asserted at all
     with pytest.raises(ValueError):
         law_slack("joint-chain", [[0.25, 0.25], [0.25, 0.25]], 1.0)

@@ -80,6 +80,10 @@ def test_probvec_json_roundtrip():
     u = ProbVec.from_json(json.dumps(d))
     assert u.p.tolist() == v.p.tolist() and u.labels == v.labels
     assert ProbVec.from_json('{"p": [0.5, 0.5]}').labels is None
+    # labels are an array too: a string is not split into characters
+    for labels in ("5", '"xy"', "{}"):
+        with pytest.raises(ValueError, match='"labels" must be an array'):
+            ProbVec.from_json(f'{{"p": [0.5, 0.5], "labels": {labels}}}')
 
 
 def test_joint_table_rank_bounds():
@@ -145,6 +149,23 @@ def test_joint_json_roundtrip():
     assert again.t.tolist() == j.t.tolist()
     with pytest.raises(ValueError):
         JointTable.from_json_dict({"p": [0.5, 0.5]})
+
+
+@pytest.mark.parametrize(
+    "cls,key,array",
+    [(ProbVec, "p", [0.25, 0.75]), (JointTable, "table", [[0.25, 0.25], [0.5, 0.0]])],
+)
+def test_container_json_reader(cls, key, array):
+    # the object form and a bare array read alike
+    for text in (json.dumps({key: array}), json.dumps(array)):
+        assert cls.from_json(text).to_json_dict()[key] == array
+        assert cls.from_json_dict(json.loads(text)).to_json_dict()[key] == array
+    # any other JSON value is a ValueError naming the form, never a TypeError
+    for text in ("5", '"p"', '"table"', "null", "true", '{"q": [1.0]}'):
+        with pytest.raises(ValueError, match=f'an array or an object with a "{key}" array'):
+            cls.from_json(text)
+        with pytest.raises(ValueError, match=f'an array or an object with a "{key}" array'):
+            cls.from_json_dict(json.loads(text))
 
 
 def test_make_rng_reproducible():

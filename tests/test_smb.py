@@ -529,8 +529,7 @@ def _replayed_sums(chain, q, k, n_max, big_t, seed):
     logs and the factor q-logs at each length, added one float at a time."""
     st, r = stationary(chain), chain.transition
     logr = np.log(r)
-    law = _laws(st.p, r, n_max)  # the marginal laws of positions 0 .. n_max
-    loglaw = np.log(law)
+    loglaw = np.log(_laws(st.p, r, 1))  # the laws of positions 0 and 1
     qlogr, qloglaw = ln_q_from_log(logr, q), ln_q_from_log(loglaw, q)
     sums = []
     for t in range(big_t):
@@ -540,9 +539,9 @@ def _replayed_sums(chain, q, k, n_max, big_t, seed):
         for i in range(1, n_max + 1):
             # the block's first factor is the marginal of position 1
             lb += float(loglaw[1, x[1]] if i == 1 else logr[x[i - 1], x[i]])
-            if k == 0:  # per-position marginals
-                fl += float(loglaw[i, x[i]])
-                fq += float(qloglaw[i, x[i]])
+            if k == 0:  # the one-step law, the law of every position
+                fl += float(loglaw[1, x[i]])
+                fq += float(qloglaw[1, x[i]])
             elif i > k:  # the conditionals after the head block
                 fl += float(logr[x[i - 1], x[i]])
                 fq += float(qlogr[x[i - 1], x[i]])
@@ -654,21 +653,59 @@ def _pin_chain(m):
     return MarkovChain(w / w.sum(axis=1, keepdims=True))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # k = 0, q > 1: exp and square overflow
-def test_probe_json_repr_pin():
-    # The CSV pins print 10 significant digits; the reprs of the JSON
-    # dicts print every bit.  The grid straddles the 256-position chunks,
-    # runs one, a few and many trajectories, and takes q on both sides of
-    # 1 and within SHANNON_TOL of it.  Pinned on the probe that allocated
-    # fresh arrays for every chunk.
+PIN_CHAINS = (STICKY, THREE, _pin_chain(4), _pin_chain(5), _pin_chain(6))
+
+
+def _json_repr_sha256(ks):
+    """sha256 of the reprs of the probes' JSON dicts over a grid, at the orders ``ks``.
+
+    The CSV pins print 10 significant digits; the reprs of the JSON dicts
+    print every bit.  The grid straddles the 256-position chunks, runs one,
+    a few and many trajectories, and takes q on both sides of 1 and within
+    SHANNON_TOL of it.
+    """
     h = hashlib.sha256()
-    for chain in (STICKY, THREE, _pin_chain(4), _pin_chain(5), _pin_chain(6)):
-        for k in (0, 1, 2):
+    for chain in PIN_CHAINS:
+        for k in ks:
             for q in (0.3, 0.75, 1 - 1e-13, 1.0, 1.3):
                 for n_max in (1, 255, 256, 257, 600):
                     for big_t in (1, 5, 200):
                         h.update(repr(smb_probe(chain, q, n_max, big_t, seed=17, k=k).to_json_dict()).encode())
-    assert h.hexdigest() == "1718059126d2db69e9ebe40b60b00799e29138de6a1c4b643a33a547777a7a16"
+    return h.hexdigest()
+
+
+def test_probe_json_repr_pin():
+    # pinned on the probe that allocated fresh arrays for every chunk
+    assert _json_repr_sha256((1, 2)) == "0ad8d0ab7b30a51fc61a839815e8fccb429362afaca60ad6262a92159a5d2a98"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # k = 0, q > 1: exp and square overflow
+def test_probe_json_repr_pin_order_zero():
+    # pinned on the probe whose order-0 factors come from the one-step law
+    # in its step table
+    assert _json_repr_sha256((0,)) == "5ce95dd55c5107dc3d623bc38c5b78607adfbb0071986a8fa9534e758c1c4e08"
+
+
+def test_order_zero_probe_evolves_the_laws_once(monkeypatch):
+    # every block position has the one-step law of the stationary start,
+    # so a probe over three chunks takes it once, not once per chunk
+    calls = []
+    laws = smb._laws
+    monkeypatch.setattr(smb, "_laws", lambda *args: calls.append(args[2]) or laws(*args))
+    smb_probe(THREE, 0.75, 600, 5, seed=3, k=0)
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("chain", PIN_CHAINS[1:], ids=["three", "pin4", "pin5", "pin6"])
+@pytest.mark.parametrize("q", [0.3, 0.75, 1.3])
+def test_order_zero_block_of_one_is_its_own_approximation(chain, q):
+    # a block of one symbol has one factor, the law of position 1, at every
+    # order; the probe's order-0 factor is that same float, bit for bit, so
+    # a table of the stationary law, a few ulps off it, fails here
+    pt = smb_probe(chain, q, 1, 200, seed=5, k=0).points[0]
+    assert pt.pk_mean == pt.block_mean
+    assert pt.cond_c2_rate == 1.0
+    assert pt.ratio2_mean == 1.0
 
 
 def test_block_sd_is_finite_where_block_mean_is():
