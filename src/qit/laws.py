@@ -56,17 +56,21 @@ integer draw is never moved across another draw, because PCG64 keeps the
 spare half of a 64-bit output for the next 32-bit draw.
 
 A trial's instance comes in two steps.  The law's raw draw (``draw``)
-makes the draws above and leaves the unit exponentials as drawn, with the
-finished instance's shapes as its key.  A chunk of draws is grouped by
-that key, and each group is stacked and finished in one call
-(``finish``): each row divided by its sum over all its cells, or for dpi
-each factor row by its own sum and the factors multiplied
-(``prob._markov_rows``); qln-sum keeps its weights as drawn.  Each row
-takes the bits it takes finished alone, and ``LawSpec.sample`` is the
-finish of a stack of one.  Then one evaluator call per group gives the
-slacks, which are folded back in trial order.  So ``law_slack`` on the
-report's ``worst_trial`` instance and ``worst_q`` gives its ``min_slack``
-exactly.
+makes the draws above and writes the unit exponentials as drawn onto a
+flat float buffer, the campaign's tape, with
+``standard_exponential(out=...)``, which fills a slice with the numbers
+``standard_exponential(shape)`` returns; the draw returns the finished
+instance's shapes as its key.  A chunk ends once its draws fill
+``_FUZZ_CELLS`` tape cells.  Its draws are grouped by key, and each group
+is gathered off the tape by one index per array (``prob._gather``) and
+finished in one call (``finish``): each row divided by its sum over all
+its cells, or for dpi each factor row by its own sum and the factors
+multiplied (``prob._markov_rows``); qln-sum keeps its weights as drawn.
+Each row takes the bits it takes finished alone, and ``LawSpec.sample``
+is the finish of a tape of one draw.  Then one evaluator call per group
+gives the slacks, which are folded back in trial order.  So ``law_slack``
+on the report's ``worst_trial`` instance and ``worst_q`` gives its
+``min_slack`` exactly; it puts the instance on a tape of its own cells.
 """
 
 import math
@@ -94,7 +98,8 @@ from .prob import (
     _count,
     _csv_row,
     _flat_dirichlet_rows,
-    _markov_factors,
+    _gather,
+    _markov_parts,
     _markov_rows,
     make_rng,
 )
@@ -104,8 +109,10 @@ from .qcore import _real, cross_term, ln_q_pos, pseudo_additivity_residual, q_va
 TOL_INEQUALITY = 1e-9
 #: Violation threshold for exact identities.
 TOL_IDENTITY = 1e-10
-#: Cells a fuzz campaign draws before it evaluates them; bounds its peak memory.
+#: Tape cells a fuzz campaign draws before it evaluates them; bounds its peak memory.
 _FUZZ_CELLS = 1 << 15
+#: The most tape cells one draw writes: block-chain at rank 4, 3**4.
+_MOST_CELLS = 81
 
 
 class LawId(str, Enum):
@@ -280,72 +287,74 @@ def _axis(rng, lo=2, hi=6):
     return lo + (x >> 32)
 
 
-# raw draws: rng -> (the instance's arrays of unit exponentials, the
-# finished instance's shapes), which are its group key and its cells
+# raw draws: (rng, tape, pos) -> (the finished instance's shapes, which are
+# its group key, and the tape position after its cells).  A draw makes its
+# axis draws, then writes its unit exponentials onto ``tape[pos:]`` with
+# ``standard_exponential(out=...)``, the fill of ``standard_exponential(shape)``
 
 
-def _draw_rank2(rng):
+def _onto(rng, tape, pos, n):
+    """``n`` unit exponentials onto ``tape`` from ``pos``; the position after them."""
+    rng.standard_exponential(out=tape[pos : pos + n])
+    return pos + n
+
+
+def _draw_rank2(rng, tape, pos):
     shape = (_axis(rng), _axis(rng))
-    return (rng.standard_exponential(shape),), (shape,)
+    return (shape,), _onto(rng, tape, pos, shape[0] * shape[1])
 
 
-def _draw_pair_dists(rng):
-    p = rng.standard_exponential(_axis(rng))
-    r = rng.standard_exponential(_axis(rng))
-    return (p, r), (p.shape, r.shape)
+def _draw_pair_dists(rng, tape, pos):
+    m = _axis(rng)
+    pos = _onto(rng, tape, pos, m)
+    n = _axis(rng)
+    return ((m,), (n,)), _onto(rng, tape, pos, n)
 
 
-def _draw_rank3(rng):
+def _draw_rank3(rng, tape, pos):
     shape = (_axis(rng, 2, 4), _axis(rng, 2, 4), _axis(rng, 2, 4))
-    return (rng.standard_exponential(shape),), (shape,)
+    return (shape,), _onto(rng, tape, pos, math.prod(shape))
 
 
-def _draw_block(rng):
+def _draw_block(rng, tape, pos):
     rank = _axis(rng, 2, 4)
     hi = 6 if rank == 2 else 3
     shape = tuple([_axis(rng, 2, hi) for _ in range(rank)])
-    return (rng.standard_exponential(shape),), (shape,)
+    return (shape,), _onto(rng, tape, pos, math.prod(shape))
 
 
-def _draw_pair(rng, hi):
-    """Two arrays of one length in [2, hi] from one exponential call."""
+def _draw_pair(rng, tape, pos, hi):
+    """Two arrays of one length in [2, hi]."""
     n = _axis(rng, 2, hi)
-    e = rng.standard_exponential((2, n))
-    return (e[0], e[1]), ((n,), (n,))
+    return ((n,), (n,)), _onto(rng, tape, pos, 2 * n)
 
 
-def _draw_dist(rng):
-    e = rng.standard_exponential(_axis(rng, 2, 8))
-    return (e,), (e.shape,)
+def _draw_dist(rng, tape, pos):
+    n = _axis(rng, 2, 8)
+    return ((n,),), _onto(rng, tape, pos, n)
 
 
-def _draw_markov(rng):
+def _draw_markov(rng, tape, pos):
     shape = (_axis(rng, 2, 4), _axis(rng, 2, 4), _axis(rng, 2, 4))
-    return _markov_factors(shape, rng), (shape,)
+    return (shape,), _onto(rng, tape, pos, sum(map(math.prod, _markov_parts(shape))))
 
 
-def _draw_rel_pair(rng):
-    # two calls, so each array owns its cells: one (2, ...) call would hold
-    # a third array per instance, and this law's fuzz chunks already come
-    # close to a campaign's peak memory
+def _draw_rel_pair(rng, tape, pos):
     shape = (_axis(rng, 2, 4), _axis(rng, 2, 4))
-    return (rng.standard_exponential(shape), rng.standard_exponential(shape)), (shape, shape)
+    return (shape, shape), _onto(rng, tape, pos, 2 * shape[0] * shape[1])
 
 
-# stack finishes: the tuple of a group's stacked raw arrays -> the tuple of
-# its instance stacks, one per array of the instance
+# finishes: (tape, (B,) positions, group key) -> the tuple of the group's
+# instance stacks, one per array of the instance.  ``_gather`` is the finish
+# of arrays as drawn
 
 
-def _normalized(stacks):
-    return tuple([_flat_dirichlet_rows(s) for s in stacks])
+def _normalized(tape, at, key):
+    return tuple([_flat_dirichlet_rows(s) for s in _gather(tape, at, key)])
 
 
-def _markov(stacks):
-    return (_markov_rows(*stacks),)
-
-
-def _as_drawn(stacks):
-    return stacks
+def _markov(tape, at, key):
+    return (_markov_rows(*_gather(tape, at, _markov_parts(*key))),)
 
 
 @dataclass(frozen=True)
@@ -355,16 +364,17 @@ class LawSpec:
     identity: bool
     arity: int  # an instance is one array, or a pair
     ranks: tuple  # accepted ranks: 1 is a distribution, 2 to 4 a joint table
-    draw: Callable  # rng -> (raw arrays, finished shapes)
-    finish: Callable  # tuple of raw (B, ...) stacks -> tuple of instance stacks
+    draw: Callable  # (rng, tape, pos) -> (finished shapes, tape position after the draw)
+    finish: Callable  # (tape, (B,) positions, finished shapes) -> tuple of instance stacks
     # (stack or pair of stacks, (B,) q) -> (B,) slacks for inequalities, signed residuals for identities
     evaluate: Callable
     matched: bool = False  # the pair shares one shape
     normalized: bool = True  # False: rank-1 arrays are free nonnegative weights
 
     def sample(self, rng):
-        """One finished instance of bare arrays: the finish of a stack of one draw."""
-        arrays = self.finish(tuple([a[None] for a in self.draw(rng)[0]]))
+        """One finished instance of bare arrays: the finish of a tape of one draw."""
+        tape = np.empty(_MOST_CELLS)
+        arrays = self.finish(tape, [0], self.draw(rng, tape, 0)[0])
         return arrays[0][0] if self.arity == 1 else tuple([a[0] for a in arrays])
 
 
@@ -376,7 +386,7 @@ _REGISTRY: dict[LawId, LawSpec] = {
         LawSpec(LawId.COND_CHAIN, _SUB1, False, 1, (3,), _draw_rank3, _normalized, _cond_chain),
         LawSpec(LawId.BLOCK_CHAIN, _SUB1, False, 1, (2, 3, 4), _draw_block, _normalized, _block_chain),
         LawSpec(
-            LawId.QLN_SUM, _LE2, False, 2, (1,), partial(_draw_pair, hi=8), _as_drawn, _qln_sum,
+            LawId.QLN_SUM, _LE2, False, 2, (1,), partial(_draw_pair, hi=8), _gather, _qln_sum,
             matched=True, normalized=False,
         ),
         LawSpec(
@@ -408,7 +418,8 @@ def _value(spec: LawSpec, instance, qv: float) -> float:
         arrays.append(arr)
     if spec.matched and arrays[0].shape != arrays[1].shape:
         raise ValueError(f"{spec.law} expects two arrays of one shape")
-    return _grouped_values(spec, [qv], [tuple(arrays)], [tuple(a.shape for a in arrays)])[0]
+    tape = np.concatenate([a.ravel() for a in arrays])
+    return _grouped_values(spec, [qv], tape, [0], [tuple(a.shape for a in arrays)])[0]
 
 
 def identity_residual(identity: str, instance, q) -> float:
@@ -560,15 +571,16 @@ def fuzz(law, trials: int, q_range=None, seed: int = 0, *, tol=None) -> SlackRep
     worst = (None, None, None)
     done = 0
     draw = spec.draw
+    # a chunk's last draw starts below _FUZZ_CELLS and writes at most _MOST_CELLS
+    tape = np.empty(_FUZZ_CELLS + _MOST_CELLS)
     while done < trials:
-        qs, raws, shapes, cells = [], [], [], 0
-        while done + len(qs) < trials and cells < _FUZZ_CELLS:
+        qs, starts, shapes, pos = [], [], [], 0
+        while done + len(qs) < trials and pos < _FUZZ_CELLS:
             qs.append(lo if lo == hi else lo + (hi - lo) * next_double(state))
-            raw, shape = draw(rng)
-            raws.append(raw)
+            starts.append(pos)
+            shape, pos = draw(rng, tape, pos)
             shapes.append(shape)
-            cells += sum(map(math.prod, shape))
-        for i, value in enumerate(_grouped_values(spec, qs, raws, shapes, spec.finish)):
+        for i, value in enumerate(_grouped_values(spec, qs, tape, starts, shapes, spec.finish)):
             slack = -abs(value) if spec.identity else value
             if slack < min_slack:
                 min_slack = slack
@@ -596,23 +608,21 @@ def fuzz(law, trials: int, q_range=None, seed: int = 0, *, tol=None) -> SlackRep
     )
 
 
-def _grouped_values(spec: LawSpec, qs: list, parts: list, shapes: list, finish=_as_drawn) -> list:
-    """``spec.evaluate`` of each q and instance (a tuple of its arrays), in
-    order, evaluated by one call per instance shape (``shapes[i]``, the
-    tuple of the shapes of the finished ``parts[i]``).  Each group's
-    stacked arrays go through ``finish`` first: a campaign's raw draws
-    through ``spec.finish``."""
+def _grouped_values(spec: LawSpec, qs: list, tape: np.ndarray, starts: list, shapes: list, finish=_gather) -> list:
+    """``spec.evaluate`` of each q and instance, in order, evaluated by one
+    call per instance shape (``shapes[i]``, the tuple of the shapes of the
+    finished instance, whose cells lie on ``tape`` from ``starts[i]``).  Each
+    group's stacks come off the tape through ``finish``: arrays as they lie
+    by default, a campaign's raw draws through ``spec.finish``."""
     groups = {}
     for i, key in enumerate(shapes):
         groups.setdefault(key, []).append(i)
-    values = [0.0] * len(parts)
-    for idx in groups.values():
-        stacks = finish(tuple([np.stack(column) for column in zip(*(parts[i] for i in idx))]))
-        batch = stacks[0] if spec.arity == 1 else stacks
-        out = spec.evaluate(batch, np.array([qs[i] for i in idx])).tolist()
-        for i, value in zip(idx, out):
-            values[i] = value
-    return values
+    starts, qs = np.array(starts), np.array(qs)
+    values = np.empty(len(shapes))
+    for key, idx in groups.items():
+        stacks = finish(tape, starts[idx], key)
+        values[idx] = spec.evaluate(stacks[0] if spec.arity == 1 else stacks, qs[idx])
+    return values.tolist()
 
 
 def all_laws() -> list[LawId]:

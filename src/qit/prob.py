@@ -28,6 +28,7 @@ Seeds and streams are non-negative integers under that rule.
 """
 
 import json
+import math
 import operator
 
 import numpy as np
@@ -276,19 +277,32 @@ def _flat_dirichlet_rows(e: np.ndarray) -> np.ndarray:
     return e
 
 
-def _markov_factors(shapes, rng: np.random.Generator) -> tuple:
-    """The unit exponentials of p(x), p(y|x) and p(z|y), as ``(mx,)``,
-    ``(mx, my)`` and ``(my, mz)`` views of one exponential call, in the
-    order of the per-factor draws (p(x), then the rows of p(y|x), then
-    those of p(z|y))."""
+def _gather(tape: np.ndarray, at, shapes) -> tuple:
+    """The C-order ``(B, *shape)`` stacks of arrays of ``shapes`` that lie
+    one after another on the flat ``tape`` from each of the B positions
+    ``at``: one fancy index per shape."""
+    at = np.asarray(at)[:, None]
+    stacks, offset = [], 0
+    for shape in shapes:
+        n = math.prod(shape)
+        stacks.append(tape[at + np.arange(offset, offset + n)].reshape(len(at), *shape))
+        offset += n
+    return tuple(stacks)
+
+
+def _markov_parts(shapes) -> tuple:
+    """The shapes ``(mx,)``, ``(mx, my)`` and ``(my, mz)`` of the factors
+    p(x), p(y|x) and p(z|y) of a ``(mx, my, mz)`` table, in the order of
+    their per-factor draws: p(x), then the rows of p(y|x), then those of
+    p(z|y), as one run of unit exponentials."""
     mx, my, mz = shapes
-    e = rng.standard_exponential(mx + mx * my + my * mz)
-    return e[:mx], e[mx : mx + mx * my].reshape(mx, my), e[mx + mx * my :].reshape(my, mz)
+    return (mx,), (mx, my), (my, mz)
 
 
 def _markov_rows(px: np.ndarray, py: np.ndarray, pz: np.ndarray) -> np.ndarray:
     """``(B, mx, my, mz)`` stack p(x) p(y|x) p(z|y) of ``(B, mx)``,
-    ``(B, mx, my)`` and ``(B, my, mz)`` stacks of :func:`_markov_factors`.
+    ``(B, mx, my)`` and ``(B, my, mz)`` stacks of unit exponentials laid
+    out by :func:`_markov_parts`.
 
     Each row of each factor is divided in place by its own sum over the
     last axis, so every factor takes the bits of a separate
@@ -297,11 +311,6 @@ def _markov_rows(px: np.ndarray, py: np.ndarray, pz: np.ndarray) -> np.ndarray:
     for f in (px, py, pz):
         f /= np.add.reduce(f, axis=-1, keepdims=True)
     return px[:, :, None, None] * py[:, :, :, None] * pz[:, None, :, :]
-
-
-def _markov_triple(shapes, rng: np.random.Generator) -> np.ndarray:
-    """Rank-3 array p(x) p(y|x) p(z|y) of flat-Dirichlet factors."""
-    return _markov_rows(*(f[None] for f in _markov_factors(shapes, rng)))[0]
 
 
 def random_dist(m: int, rng: np.random.Generator) -> ProbVec:
@@ -324,4 +333,6 @@ def random_markov_triple(shapes, rng: np.random.Generator) -> JointTable:
     need = f"need three axes (x, y, z) of at least one outcome each, got {dims!r}"
     if len(dims) != 3:
         raise ValueError(need)
-    return JointTable(_markov_triple([_count(s, f"{need}; each axis") for s in dims], rng))
+    parts = _markov_parts([_count(s, f"{need}; each axis") for s in dims])
+    tape = rng.standard_exponential(sum(map(math.prod, parts)))
+    return JointTable(_markov_rows(*_gather(tape, [0], parts))[0])

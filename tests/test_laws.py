@@ -640,27 +640,56 @@ def test_each_row_of_a_mixed_stack_equals_its_one_row_evaluation(law):
 _MEMORY_PEAKS = """
 import tracemalloc
 from qit import fuzz
-peaks = []
 tracemalloc.start()
-for trials in (2_000, 20_000):
-    tracemalloc.reset_peak()
-    base = tracemalloc.get_traced_memory()[0]
-    fuzz("block-chain", trials, seed=5)
-    peaks.append(tracemalloc.get_traced_memory()[1] - base)
-print(*peaks)
+for law in ("block-chain", "dpi"):
+    peaks = []
+    for trials in (2_000, 20_000):
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fuzz(law, trials, seed=5)
+        peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    print(*peaks)
 """
 
 
 def test_fuzz_memory_does_not_grow_with_trials():
-    # block-chain draws the most cells per trial (rank 4, up to 81); draws
-    # are evaluated in chunks of a bounded number of cells.  The campaigns
-    # run in a fresh interpreter: tracemalloc also counts numpy's buffer
-    # cache and Python's free lists, which earlier tests leave in any state
+    # draws are evaluated in chunks of a bounded number of tape cells.
+    # block-chain draws the most cells per trial (rank 4, up to 81); dpi
+    # draws 10 to 36 tape cells per trial, while its finished stacks hold 8
+    # to 64 cells per instance.  The campaigns run in a fresh interpreter:
+    # tracemalloc also counts numpy's buffer cache and Python's free lists,
+    # which earlier tests leave in any state
     src = os.path.dirname(os.path.dirname(laws_module.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", _MEMORY_PEAKS], env=env, capture_output=True, text=True, check=True)
-    peaks = [int(v) for v in out.stdout.split()]
-    assert peaks[1] <= 1.5 * peaks[0], peaks
+    for law, line in zip(("block-chain", "dpi"), out.stdout.splitlines(), strict=True):
+        peaks = [int(v) for v in line.split()]
+        assert peaks[1] <= 1.5 * peaks[0], (law, peaks)
+
+
+@pytest.mark.parametrize("cells", [1, 50, 4096])
+def test_chunk_boundaries_change_no_report(monkeypatch, cells):
+    # a chunk ends once its draws fill ``_FUZZ_CELLS`` tape cells; where it
+    # ends moves no bit of any report
+    trials = 600
+    want = [fuzz(law, trials, seed=47) for law in all_laws()]
+    pending = []  # PCG64's spare half-word flag at each draw onto the start of the tape
+
+    class Spy(np.random.Generator):
+        def standard_exponential(self, *args, out=None, **kwargs):
+            if out is not None and out.ctypes.data == out.base.ctypes.data:
+                pending.append(self.bit_generator.state["has_uint32"])
+            return super().standard_exponential(*args, out=out, **kwargs)
+
+    monkeypatch.setattr(laws_module, "make_rng", lambda seed: Spy(make_rng(seed).bit_generator))
+    monkeypatch.setattr(laws_module, "_FUZZ_CELLS", cells)
+    for law, report in zip(all_laws(), want):
+        got = fuzz(law, trials, seed=47)
+        assert (got.to_csv_row(), got.to_json_dict()) == (report.to_csv_row(), report.to_json_dict()), law
+    assert len(pending) > len(want)  # more than one chunk a law
+    if cells == 1:  # a chunk of one trial each, entered with and without a half-word pending
+        assert len(pending) == trials * len(want)
+        assert set(pending) == {0, 1}
 
 
 @pytest.mark.parametrize("law", [law.value for law in all_laws()])
@@ -712,28 +741,32 @@ def test_samplers_draw_the_reference_stream(law):
 
 @pytest.mark.parametrize("law", [law.value for law in all_laws()])
 def test_grouped_finish_gives_the_bits_of_each_sample(law):
-    # a campaign draws raw exponentials, stacks them by the finished
-    # instance's shapes and finishes each stack in one call; every row must
-    # take the bits of ``spec.sample``, the finish of a stack of one
+    # a campaign draws raw exponentials onto one tape, groups the draws by
+    # the finished instance's shapes and finishes each group off the tape in
+    # one call; every row must take the bits of ``spec.sample``, the finish
+    # of a tape of one draw
     spec = _REGISTRY[LawId(law)]
     ours, twin = make_rng(37), make_rng(37)
-    raws, groups, want = [], {}, []
+    tape = np.empty(1500 * laws_module._MOST_CELLS)
+    starts, groups, want, pos = [], {}, [], 0
     for i in range(1500):
-        raw, shapes = spec.draw(ours)
+        starts.append(pos)
+        shapes, pos = spec.draw(ours, tape, pos)
+        assert 0 < pos - starts[-1] <= laws_module._MOST_CELLS
         instance = spec.sample(twin)
-        assert shapes == _shapes(spec, instance)  # a campaign's cells, group key and worst_shape
+        assert shapes == _shapes(spec, instance)  # a campaign's group key and worst_shape
         want.append(_arrays(spec, instance))
         assert ours.bit_generator.state == twin.bit_generator.state
-        raws.append(raw)
         groups.setdefault(shapes, []).append(i)
+    starts = np.array(starts)
     assert len(groups) == _SHAPES[law]
     if law == "dpi":  # 18 exponentials each, in factors of other shapes
         assert {((3, 3, 2),), ((2, 4, 2),)} <= set(groups)
     for height in (1, 2, 7, 1500):
-        for idx in groups.values():
+        for key, idx in groups.items():
             for start in range(0, len(idx), height):
                 block = idx[start : start + height]
-                stacks = spec.finish(tuple(np.stack(column) for column in zip(*(raws[i] for i in block))))
+                stacks = spec.finish(tape, starts[block], key)
                 for row, i in enumerate(block):
                     got = [s[row] for s in stacks]
                     assert [(a.shape, a.tobytes()) for a in got] == [(a.shape, a.tobytes()) for a in want[i]]
@@ -788,20 +821,21 @@ class _CountingRng:
 
 
 def test_fuzz_draw_calls_per_trial(monkeypatch):
-    rngs = []
+    rngs, stacks = [], []
 
     def counting_rng(seed):
         rngs.append(_CountingRng(make_rng(seed)))
         return rngs[-1]
 
     monkeypatch.setattr(laws_module, "make_rng", counting_rng)
+    stack = np.stack
+    monkeypatch.setattr(np, "stack", lambda *a, **k: stacks.append(a) or stack(*a, **k))
     for law in all_laws():
         fuzz(law, trials=200, seed=9)
-    # indep-superadd draws an axis between its two distributions;
-    # rel-chain-rule keeps two calls, whose arrays own their cells
-    two_calls = (LawId.INDEP_SUPERADD, LawId.REL_CHAIN_RULE)
+    assert stacks == []  # a group comes off the tape by index
+    # indep-superadd draws an axis between its two distributions
     for law, rng in zip(all_laws(), rngs):
-        assert rng.calls["standard_exponential"] == 200 * (2 if law in two_calls else 1), law
+        assert rng.calls["standard_exponential"] == 200 * (2 if law == LawId.INDEP_SUPERADD else 1), law
         # q and the axis lengths come from the bit generator, not the Generator
         assert rng.calls["next_double"] == 200, law
         assert not {"integers", "random", "uniform"} & set(rng.calls), law
