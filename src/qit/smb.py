@@ -41,15 +41,18 @@ for every draw of a chunk at once, how many distinct cumulative columns
 lie below it (Chen & Asau 1974), and each step is then one gather from a
 table of next states (``_walk_table``, built once per probe) over row
 views built once with the workspace.  The time scan writes into that one
-workspace, so no chunk allocates an array of its size.  A table parallel
-to the next states holds each step's three running-sum terms and a pad,
-a 32-byte row (numpy gathers rows of 32 bytes on a fast copy path, not
-of 24), so one gather a chunk lays every term in the rows of the sums,
-which one in-order reduce per grid length in the chunk keeps, not a
-running cumsum over every position.  Every order k reads its factors from
-that table: a transition for k >= 1, and for k = 0 the law of the step's
-next state, which is the one-step law of the stationary start at every
-position.
+workspace, so no chunk allocates an array of its size.  A (position,
+trajectory) cell of a chunk costs 48 B: 32 B of step terms, whose rows
+hold the chunk's draws and the walk's floats until the terms are
+gathered over them, 8 B of step indices and 8 B of states.  A table
+parallel to the next states holds each step's three running-sum terms
+and a pad, a 32-byte row (numpy gathers rows of 32 bytes on a fast copy
+path, not of 24), so one gather a chunk lays every term in the rows of
+the sums, which one in-order reduce per grid length in the chunk keeps,
+not a running cumsum over every position.  Every order k reads its
+factors from that table: a transition for k >= 1, and for k = 0 the law
+of the step's next state, which is the one-step law of the stationary
+start at every position.
 """
 
 import math
@@ -139,21 +142,29 @@ def _walk_table(rcum: np.ndarray) -> _WalkTable:
 
 
 class _WalkSpace(NamedTuple):
-    """The walk's workspace for T trajectories and chunks of up to w positions."""
+    """The walk's workspace for T trajectories and chunks of up to w positions.
+
+    A cell, one (position, trajectory), costs 8 B of indices in ``kb``
+    and 8 B of states in ``syms``, and 16 B of floats in ``floats``,
+    which the probe lends from the rows of its sums.
+    """
 
     syms: np.ndarray  # (w + 1, T): row 0 the state carried in, row i after step i
     kb: np.ndarray  # (w, T): step i's index ``j * m + syms[i]`` into ``flat``
-    scratch: np.ndarray  # (w, T) floats: the values a pass tests
-    passed: np.ndarray  # (w, T) bools: the draws past those values
+    floats: np.ndarray  # (2, w, T): the draws times the guide size, then the values a pass tests
     steps: list  # the row views (kb[i], syms[i], syms[i + 1]) of step i
 
 
-def _walk_space(big_t: int, width: int) -> _WalkSpace:
-    """A walk workspace whose step row views are built once, here."""
+def _walk_space(big_t: int, width: int, floats: np.ndarray | None = None) -> _WalkSpace:
+    """A walk workspace whose step row views are built once, here.
+
+    ``floats`` is a (2, width, big_t) float buffer the walk may overwrite,
+    or None for one of its own.
+    """
     syms = np.empty((width + 1, big_t), dtype=np.int64)
     kb = np.empty((width, big_t), dtype=np.int64)
     steps = [(kb[i], syms[i], syms[i + 1]) for i in range(width)]
-    return _WalkSpace(syms, kb, np.empty((width, big_t)), np.empty((width, big_t), dtype=bool), steps)
+    return _WalkSpace(syms, kb, np.empty((2, width, big_t)) if floats is None else floats, steps)
 
 
 def _walk(table: _WalkTable, u: np.ndarray, ws: _WalkSpace) -> np.ndarray:
@@ -164,37 +175,44 @@ def _walk(table: _WalkTable, u: np.ndarray, ws: _WalkSpace) -> np.ndarray:
     ``_walk_table`` of the transition.  ``ws.kb[:c]`` is left holding
     step i's index ``j * m + syms[i]`` into ``table.flat``, so a table
     parallel to ``flat`` gives any function of the steps in one gather.
+    ``u`` is read once, first, so it may lie in the buffer of
+    ``ws.floats`` as long as the two do not overlap.
 
     All c * T counts j come first, from the guide and a branch-free
     bisection of each draw's bucket: pass p tests the value 2**p - 1
     places past j and, if the draw is above it, moves j 2**p on.  The
-    positions cannot run in parallel, so a step costs numpy's per-call
-    overhead; the table keeps it at two calls whatever m is, on row views
-    the workspace built once.
+    draws and the values are both scaled by the guide size G, a power of
+    two, so the products are exact and every test compares as the
+    unscaled ones would, on the time-major copy of the draws rather than
+    a strided view.  The positions cannot run in parallel, so a step
+    costs numpy's per-call overhead; the table keeps it at two calls
+    whatever m is, on row views the workspace built once.
     """
     vals, flat, guide, passes = table
     c = u.shape[1]
     m = flat.size // vals.size
-    kb, below, passed = ws.kb[:c], ws.scratch[:c], ws.passed[:c]
+    kb, scaled, tested = ws.kb[:c], ws.floats[0, :c], ws.floats[1, :c]
     # the states the steps fill in last hold each draw's bucket, then the
-    # values a pass tests: indices apart from ``kb``, so no take aliases
+    # index of the value a pass tests and whether the draw is past it:
+    # indices apart from ``kb``, so no take aliases
     at = ws.syms[1 : c + 1]
-    ut = u.T
-    np.multiply(ut, guide.size, out=below)  # exact: the guide size is a power of two
-    np.copyto(at, below, casting="unsafe")  # truncation: floor of a nonnegative product
+    # exact: the guide size is a power of two; the one strided read of ``u``
+    np.multiply(u.T, guide.size, out=scaled)
+    np.copyto(at, scaled, casting="unsafe")  # truncation: floor of a nonnegative product
+    vals = vals * guide.size  # exact too
     # indices always lie in the tables, or past the end of ``vals``, whose
     # last value no draw passes; "clip" writes ``out`` unbuffered
     guide.take(at, out=kb, mode="clip")
     for p in range(passes - 1, 0, -1):
         np.add(kb, (1 << p) - 1, out=at)
-        vals.take(at, out=below, mode="clip")
-        np.less(below, ut, out=passed)
-        np.multiply(passed, 1 << p, out=at)
+        vals.take(at, out=tested, mode="clip")
+        np.less(tested, scaled, out=at)  # 0 or 1
+        np.left_shift(at, p, out=at)
         kb += at
     if passes:  # p = 0: the value at j itself
-        vals.take(kb, out=below, mode="clip")
-        np.less(below, ut, out=passed)
-        kb += passed
+        vals.take(kb, out=tested, mode="clip")
+        np.less(tested, scaled, out=at)
+        kb += at
     kb *= m  # offset of row j in ``flat``
     add, take = np.add, flat.take
     for k_row, s_row, s_next in ws.steps[:c]:
@@ -240,11 +258,14 @@ def sample_trajectory(chain: MarkovChain, length: int, rng: np.random.Generator)
     out = np.empty(length, dtype=np.int64)
     out[0] = _advance(_cum_rows(chain.initial.p)[None, :], rng.random(1))[0]
     table = _walk_table(_cum_rows(chain.transition))
-    ws = _walk_space(1, min(_CHUNK, length - 1))
+    width = min(_CHUNK, length - 1)
+    ws = _walk_space(1, width)
+    u = np.empty((1, width))
     ws.syms[0] = out[0]
     for a in range(1, length, _CHUNK):
         c = min(_CHUNK, length - a)
-        out[a : a + c] = _walk(table, rng.random((1, c)), ws)[1:, 0]
+        rng.random(out=u[0, :c])
+        out[a : a + c] = _walk(table, u[:, :c], ws)[1:, 0]
         ws.syms[0] = ws.syms[c]
     return Trajectory(out, chain.m)
 
@@ -528,10 +549,6 @@ def smb_probe(chain: MarkovChain, q, n_max: int, trajectories: int, seed: int = 
     at = {}  # n -> the three running sums at length n, a (3, T) array
     rngs = [make_rng(seed, stream=t) for t in range(big_t)]
     width = min(_CHUNK, n_max)
-    u = np.empty((big_t, width))  # row t: the draws of trajectory t
-    draws = [(g.random, u[t]) for t, g in enumerate(rngs)]
-    ws = _walk_space(big_t, width)
-    syms, kb = ws.syms, ws.kb
     # sums[i, t, j]: trajectory t's running sum at position a - 1 + i of the
     # block log-probability (j = 0), the factor logs (1), the factor q-logs
     # (2) and the pad (3); row 0 carries the sums so far, -0.0 at first
@@ -542,6 +559,13 @@ def smb_probe(chain: MarkovChain, q, n_max: int, trajectories: int, seed: int = 
     # axis pairwise when it is the innermost loop, as the rows would be
     # for a lone trajectory (T = 1), and pairwise sums round differently.
     sums = np.full((width + 1, big_t, 4), -0.0)
+    # Until a chunk's gather writes its terms, rows 1.. hold its draws and
+    # the walk's floats: u (T, w), then (2, w, T), 3 of the 4 floats a cell
+    lent = sums[1:].reshape(4, width * big_t)
+    u = lent[0].reshape(big_t, width)  # row t: the draws of trajectory t
+    draws = [(g.random, u[t]) for t, g in enumerate(rngs)]
+    ws = _walk_space(big_t, width, lent[1:3].reshape(2, width, big_t))
+    syms, kb = ws.syms, ws.kb
     acc = np.empty((big_t, 4))
     syms[0] = _advance(np.broadcast_to(_cum_rows(st), (big_t, m)), np.concatenate([g.random(1) for g in rngs]))
     for a in range(1, n_max + 1, _CHUNK):

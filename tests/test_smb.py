@@ -86,8 +86,8 @@ def _step_walk(rcum, state, u):
 
 def _walk_chains(rng, m):
     """Transitions on m states for the walk: dense, sparse, dyadic, with
-    leading zeros, banded, with identical rows, and with inner columns
-    clustered within 1e-12."""
+    leading zeros, banded, with identical rows, with inner columns
+    clustered within 1e-12, and with a subnormal cumulative column."""
     dense = rng.dirichlet(np.ones(m), size=m)
     sparse = dense * (rng.random((m, m)) < 0.5)
     sparse[np.arange(m), rng.integers(0, m, m)] += 0.5  # every row keeps some mass
@@ -104,6 +104,11 @@ def _walk_chains(rng, m):
     # every row near the first: columns of a kind lie within 1e-12, so
     # they share a bucket at any guide size
     cluster = dense[0] * (1.0 + 1e-13 * rng.standard_normal((m, m)))
+    # row 0 puts the least subnormal, 5e-324, among the columns
+    tiny = dense.copy()
+    if m > 1:
+        tiny[0] = 0.0
+        tiny[0, :2] = 5e-324, 1.0
     chains = {
         "dense": dense,
         "sparse": sparse,
@@ -112,6 +117,7 @@ def _walk_chains(rng, m):
         "band": band,
         "iid": iid,
         "cluster": cluster,
+        "tiny": tiny,
     }
     return {name: x / x.sum(axis=1, keepdims=True) for name, x in chains.items()}
 
@@ -140,14 +146,30 @@ def test_walk_matches_the_step_loop_bit_for_bit(m):
                 p = rng.integers(0, 15, int(edge.sum()))
                 u[edge] = rng.integers(0, 2**p) / 2.0**p
                 u[rng.random((c, big_t)) < 0.05] = np.nextafter(1.0, 0.0)
+                if name == "tiny":  # draws on the subnormal column and below it
+                    u[rng.random((c, big_t)) < 0.2] = 5e-324
+                    u[rng.random((c, big_t)) < 0.1] = 0.0
                 state = rng.integers(0, m, big_t)
+                want = _step_walk(rcum, state, u)
                 ws = smb._walk_space(big_t, c)
                 ws.syms[0] = state
                 got = smb._walk(table, np.ascontiguousarray(u.T), ws)
-                assert np.array_equal(got, _step_walk(rcum, state, u))
+                assert np.array_equal(got, want)
                 # the walk leaves each step's index into the table in kb
                 assert np.array_equal(table[1][ws.kb], got[1:])
                 assert np.array_equal(ws.kb % m, got[:-1])
+                kb = ws.kb.copy()
+                # as in the probe's short last chunk: the draws are the first
+                # c columns of a wider buffer whose tail lends the walk its
+                # floats, in a workspace wider than the chunk
+                w = c + 3
+                buf = np.full(3 * w * big_t, np.nan)
+                wide = buf[: w * big_t].reshape(big_t, w)
+                wide[:, :c] = u.T
+                ws = smb._walk_space(big_t, w, buf[w * big_t :].reshape(2, w, big_t))
+                ws.syms[0] = state
+                assert np.array_equal(smb._walk(table, wide[:, :c], ws), want)
+                assert np.array_equal(ws.kb[:c], kb)
 
 
 def test_sample_trajectory_memory_is_a_few_words_per_step():
@@ -161,6 +183,19 @@ def test_sample_trajectory_memory_is_a_few_words_per_step():
     finally:
         tracemalloc.stop()
     assert peak < 24 * n
+
+
+def test_probe_memory_is_under_64_bytes_per_chunk_cell():
+    # a (position, trajectory) cell of a chunk holds 32 B of step terms,
+    # which carry the draws and the walk's floats until the terms are
+    # gathered, 8 B of step indices and 8 B of states
+    tracemalloc.start()
+    try:
+        smb_probe(STICKY, 0.75, 4096, 200, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 200 * smb._CHUNK
 
 
 def test_block_log_prob_hand_values():
