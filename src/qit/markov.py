@@ -28,12 +28,18 @@ distribution.  Two families of results live here:
   ``(steps, m, m)`` stack of joints at once.  Only the q-logs depend on
   q: reports of one (chain, start, steps) share their q-free blocks
   through a memo of ``_BLOCK_MEMO_CAP`` blocks keyed by the contents of
-  the transition and the block's start and the block's steps.  The
-  report flags whether the doubly-stochastic premise holds, with the
+  the transition and the block's start and the block's steps, and take
+  every q-log of a block in one pass over its flat array of arguments.
+  The report flags whether the doubly-stochastic premise holds, with the
   transition's largest row- or column-sum error, and also carries an
   alternative correction term ``T_q_statement`` (same weights, second
   factor ``ln_q(J m)``), reported for comparison only: no law is
   asserted on it.
+
+Every state law outside ``stationary`` comes from ``_laws``, which stops
+stepping once a law repeats an earlier one byte for byte.  In floating
+point most chains land on a fixed point or a short cycle within tens of
+steps, and the rest of the block is copied from that cycle.
 """
 
 import math
@@ -45,7 +51,7 @@ import numpy as np
 from .errors import ConvergenceError
 from .measures import _entropy_rows, _plogp
 from .prob import NORM_TOL, ProbVec, _count, _csv_row, _float_array, _validate_mass
-from .qcore import SHANNON_TOL, cross_term, q_value
+from .qcore import SHANNON_TOL, ln_q_pos, q_value
 
 #: Sinkhorn scaling in ``random_doubly_stochastic``: row and column deviation bound, round cap.
 SINKHORN_TOL, SINKHORN_ROUNDS = 1e-13, 100_000
@@ -119,16 +125,36 @@ def _laws(psi: np.ndarray, r: np.ndarray, steps: int) -> np.ndarray:
     ``psi_k`` is the column sums of the joint ``psi_{k-1}[:, None] * r``
     (the sums the second-law report weighs), renormalised to unit mass
     (floating-point hygiene over long horizons).
+
+    A step is a function of the law's bytes and ``r``, so once ``psi_k``
+    repeats an earlier law byte for byte the rest of the block is that
+    cycle again, and it is copied rather than stepped.  Brent's cycle
+    check (BIT 20, 1980) keeps one saved law and moves it ahead each time
+    the distance to it reaches a power of two: it finds any period in
+    O(1) memory, and a step compares one float before the bytes.
     """
     out = np.empty((steps + 1, psi.size))
     out[0] = psi
     # bare ufunc calls into one scratch joint: the same adds, in the same
     # order, as ``(psi[:, None] * r).sum(axis=0)`` and ``nxt.sum()``
     joint = np.empty_like(r)
-    for col, nxt in zip(out[:-1, :, None], out[1:]):
+    mark, span = 0, 1
+    first, saved = out[0, 0], out[0].tobytes()
+    for k, (col, nxt) in enumerate(zip(out[:-1, :, None], out[1:]), 1):
         np.multiply(col, r, joint)
         np.add.reduce(joint, 0, None, nxt)
         np.divide(nxt, np.add.reduce(nxt), nxt)
+        if nxt[0] == first and nxt.tobytes() == saved:
+            # rows mark .. k hold whole periods; each copy doubles them
+            period, done = k - mark, k + 1
+            while done <= steps:
+                back = (done - mark) // period * period
+                n = min(back, steps + 1 - done)
+                out[done : done + n] = out[done - back : done - back + n]
+                done += n
+            break
+        if k - mark == span:
+            mark, span, first, saved = k, 2 * span, nxt[0], nxt.tobytes()
     return out
 
 
@@ -340,9 +366,14 @@ def _law_block(psi: np.ndarray, r: np.ndarray, steps: int):
     """The q-free arrays of one block of ``steps`` second-law steps.
 
     Returns the laws ``psi_0 .. psi_steps``, the joints as ``(steps, m*m)``
-    weight rows ``w``, the first q-log factor ``a``, the ``(2, steps, m*m)``
-    stack ``b`` of second factors (the reference ratio for ``T_q`` and
-    ``J m`` for ``T_q_statement``) and ``_ds_deviation(r)``.
+    weight rows ``w``, one flat array ``args`` of the block's q-log
+    arguments and ``_ds_deviation(r)``.  ``_arg_parts`` cuts ``args`` into
+    the laws with their zeros set to 1 (for ``H_q``), the first cross-term
+    factor ``a`` and the ``(2, steps, m*m)`` stack ``b`` of second factors
+    (the reference ratio for ``T_q`` and ``J m`` for ``T_q_statement``);
+    ``a`` and ``b`` are 1 on the joint's zero cells.  The parts are filled
+    in place, so a report takes every q-log of a block in one pass and no
+    temporaries.
 
     Blocks are kept for the next q of the same (chain, start, steps),
     keyed by the exact contents of ``r`` and ``psi``.  Hits are read-only;
@@ -355,18 +386,48 @@ def _law_block(psi: np.ndarray, r: np.ndarray, steps: int):
         laws = _laws(psi, r, steps)
         nxt = laws[1:, None, :]
         joint = laws[:-1, :, None] * r
-        on = joint > 0
         w = joint.reshape(steps, -1)
-        ratio = np.where(on, joint, 1.0) / np.where(on, nxt * r, 1.0)
-        a = np.where(on, nxt * m, 1.0).reshape(w.shape)
-        b = np.stack([ratio, np.where(on, joint * m, 1.0)]).reshape(2, *w.shape)
-        block = laws, w, a, b, _ds_deviation(r)
-        for arr in block[:4]:
+        args = np.empty(laws.size + 3 * w.size)
+        p, a, b = _arg_parts(args, laws, w)
+        a, b = a.reshape(joint.shape), b.reshape(2, *joint.shape)
+        np.copyto(p, laws)
+        np.multiply(nxt, m, a)
+        np.multiply(nxt, r, b[0])
+        on = joint > 0
+        np.divide(joint, b[0], b[0], where=on)
+        np.multiply(joint, m, b[1])
+        # a positive joint has positive laws on both sides of each step
+        if not on.all():
+            off = ~on
+            p[laws <= 0] = 1.0
+            np.copyto(a, 1.0, where=off)
+            np.copyto(b, 1.0, where=off)
+        block = laws, w, args, _ds_deviation(r)
+        for arr in block[:3]:
             arr.setflags(write=False)
         if len(_block_memo) >= _BLOCK_MEMO_CAP:
             del _block_memo[next(iter(_block_memo))]
     _block_memo[key] = block
     return block
+
+
+def _arg_parts(flat: np.ndarray, laws: np.ndarray, w: np.ndarray):
+    """Views of ``flat``, laid out as ``args`` of ``_law_block``: a part
+    shaped as ``laws``, one shaped as ``w`` and a ``(2, *w.shape)`` stack."""
+    i, j = laws.size, laws.size + w.size
+    return flat[:i].reshape(laws.shape), flat[i:j].reshape(w.shape), flat[j:].reshape(2, *w.shape)
+
+
+def _block_terms(laws: np.ndarray, w: np.ndarray, args: np.ndarray, qv: float):
+    """``H_q`` of each law and the ``(2, steps)`` cross terms of a block.
+
+    One q-log pass over ``args``, then the products and row sums of
+    ``_entropy_rows`` and ``cross_term``, so the bits are theirs.  Zero
+    cells add exact zeros; from 8 cells on they regroup numpy's pairwise
+    sums (last bits only).  The logs die on return.
+    """
+    ln_p, ln_a, ln_b = _arg_parts(ln_q_pos(args, qv), laws, w)
+    return 0.0 - (laws * ln_p).sum(axis=-1), (1.0 - qv) * (w * ln_a * ln_b).sum(axis=-1)
 
 
 def second_law_report(chain: MarkovChain, steps: int, q) -> list[SecondLawRow]:
@@ -394,18 +455,18 @@ def second_law_report(chain: MarkovChain, steps: int, q) -> list[SecondLawRow]:
     rows = []
     psi = chain.initial.p
     for start in range(0, steps, block):
-        laws, w, a, b, dev = _law_block(psi, r, min(block, steps - start))
+        laws, w, args, dev = _law_block(psi, r, min(block, steps - start))
         psi = laws[-1]
-        # Zero cells add exact zeros; from 8 cells on they regroup numpy's
-        # pairwise sums (last bits only).
-        h = _entropy_rows(laws, qv)
-        t_q, t_q_stmt = cross_term(w, a, b, qv)
+        h, (t_q, t_q_stmt) = _block_terms(laws, w, args, qv)
         # elementwise array operations round as the scalar ones do
-        delta = np.diff(h)
+        delta = h[1:] - h[:-1]
         lhs = delta * bracket
+        # tuple.__new__ makes each row as ``_make`` does, without its Python
+        # frame; zip gives the eight fields
         rows.extend(
             map(
-                SecondLawRow._make,
+                tuple.__new__,
+                repeat(SecondLawRow),
                 zip(
                     range(start + 1, start + len(delta) + 1),
                     h[1:].tolist(),

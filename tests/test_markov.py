@@ -1,5 +1,6 @@
 """Markov chains: stationary solving, rate approximants, stepwise second law."""
 
+import hashlib
 import math
 import tracemalloc
 
@@ -385,6 +386,37 @@ def test_second_law_matches_the_step_loop_bit_for_bit():
                 assert second_law_report(chain, steps, q) == _loop_second_law_report(chain, steps, q)
 
 
+#: sha256 over the reprs of the rows of ``test_second_law_report_pin``, taken
+#: before the one-pass block and the cycle fill of ``_laws``.
+SECOND_LAW_PIN = "8cb4f6ed08854507a51978b48ec8c8721c01e7fe9b7352cf235c5cefb53eb33c"
+
+
+def test_second_law_report_pin():
+    # the bench campaign at seed 7 (random and uniform starts), at its three q,
+    # q = 0 and the Shannon band, and a near-identity chain whose reference
+    # ratios take the power branch of ln_q_pos
+    ms = [2 + i % 5 for i in range(60)]
+    start_rng = make_rng(7, stream=1)
+    starts = [start_rng.dirichlet(np.ones(m)).tolist() for m in ms]
+    rng = make_rng(7)
+    chains = []
+    for m, start in zip(ms, starts):
+        r = random_doubly_stochastic(m, rng)
+        chains += [MarkovChain(r, start), MarkovChain(r)]
+    sticky = MarkovChain([[1 - 1e-10, 1e-10], [1e-10, 1 - 1e-10]], [1.0, 0.0])
+    chains.append(sticky)
+    laws = loop_laws(sticky.initial.p, sticky.transition, 50)
+    joint = laws[:-1, :, None] * sticky.transition
+    ratio = joint[joint > 0] / (laws[1:, None, :] * sticky.transition)[joint > 0]
+    assert np.count_nonzero(0.5 * np.log(ratio) > 4.0) == 50
+    digest = hashlib.sha256()
+    for chain in chains:
+        for q in (0.2, 0.5, 0.8, 0.0, 1 - 1e-13):
+            for row in second_law_report(chain, 50, q):
+                digest.update(repr(row).encode())
+    assert digest.hexdigest() == SECOND_LAW_PIN
+
+
 def test_second_law_with_zero_transitions_matches_the_step_loop():
     # zero cells pad the block's sums, which regroups them from 8 cells on
     rng = make_rng(10)
@@ -418,6 +450,81 @@ def test_laws_match_the_sum_loop_bit_for_bit():
             for psi in (rng.dirichlet(np.ones(m)), np.eye(m)[rng.integers(m)]):
                 for steps in (0, 1, 300):
                     assert markov._laws(psi, r, steps).tobytes() == loop_laws(psi, r, steps).tobytes()
+
+
+def _first_repeat(rows):
+    """``(mu, period)`` of the first row that repeats an earlier one byte for byte, or None."""
+    seen = {}
+    for k, row in enumerate(rows):
+        j = seen.setdefault(row.tobytes(), k)
+        if j != k:
+            return j, k - j
+    return None
+
+
+def _brent_step(rows):
+    """The step at which Brent's power-of-two check first meets its saved row, or None."""
+    mark, span = 0, 1
+    for k in range(1, len(rows)):
+        if rows[k].tobytes() == rows[mark].tobytes():
+            return k
+        if k - mark == span:
+            mark, span = k, 2 * span
+    return None
+
+
+def _cycle_cases():
+    rng = make_rng(2026)  # the first 20 chains of gate 4, from the uniform start
+    for i in range(20):
+        m = int(rng.integers(2, 7))
+        r = random_doubly_stochastic(m, rng)
+        rng.dirichlet(np.ones(m))  # gate 4's random start, drawn to keep its stream
+        yield f"gate4-{i}", r, np.full(m, 1.0 / m)
+    yield "swap", np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([1.0, 0.0])
+    yield "5-cycle", np.roll(np.eye(5), 1, axis=1), np.eye(5)[2]
+    # two closed classes: one mixes to a fixed point, the other swaps forever
+    reducible = np.array([[0.5, 0.5, 0, 0], [0.3, 0.7, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
+    yield "reducible", reducible, np.array([0.1, 0.2, 0.3, 0.4])
+    # slow mixing: no law repeats within these horizons
+    slow = np.eye(3) * (1 - 3e-5) + np.array([[0, 1, 2], [2, 0, 1], [1, 2, 0]]) * 1e-5
+    yield "slow", slow, np.array([1.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("name, r, psi", [pytest.param(*case, id=case[0]) for case in _cycle_cases()])
+def test_laws_fill_from_the_first_repeat_matches_the_sum_loop_bit_for_bit(name, r, psi):
+    want = loop_laws(psi, r, 600)
+    hit = _brent_step(want)
+    if name == "slow":
+        assert hit is None and _first_repeat(want) is None
+        horizons = [0, 1, 299, 300, 301, 600]
+    else:
+        assert hit is not None
+        mu, period = _first_repeat(want)
+        assert hit >= mu + period
+        if name == "swap":
+            assert (mu, period, hit) == (0, 2, 3)  # the checkpoint moves to step 1 first
+        if name == "5-cycle":
+            assert (mu, period) == (0, 5)
+        horizons = sorted({0, 1, hit - 1, hit, hit + 1, 3 * hit})
+    for steps in horizons:
+        assert markov._laws(psi, r, steps).tobytes() == want[: steps + 1].tobytes()
+    # a horizon past its fixed point or cycle: the fill spans whole blocks
+    mu_period = _first_repeat(want)
+    if mu_period is not None:
+        mu, period = mu_period
+        steps = 10**6
+        got = MarkovChain(r, psi).evolve(steps).p
+        assert got.tobytes() == want[mu + (steps - mu) % period].tobytes()
+
+
+def test_evolve_a_million_steps_of_a_fast_mixing_chain_matches_the_sum_loop():
+    rng = make_rng(31)
+    r = rng.dirichlet(np.ones(6), size=6)
+    psi = rng.dirichlet(np.ones(6))
+    want = loop_laws(psi, r, 400)  # a short way past the fixed point
+    mu, period = _first_repeat(want)
+    assert mu < 200
+    assert MarkovChain(r, psi).evolve(10**6).p.tobytes() == want[mu + (10**6 - mu) % period].tobytes()
 
 
 def test_doubly_stochastic_sampler_matches_the_sum_loop_bit_for_bit():
@@ -519,9 +626,9 @@ def test_second_law_memo_arrays_are_read_only(monkeypatch):
     monkeypatch.setattr(markov, "_block_memo", {})
     second_law_report(sticky_chain([1.0, 0.0]), 5, 0.5)
     (block,) = markov._block_memo.values()
-    laws, w, a, b, dev = block
+    laws, w, args, dev = block
     assert dev == 0.0
-    for arr in (laws, w, a, b):
+    for arr in (laws, w, args):
         assert not arr.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             arr[...] = 0.0
