@@ -22,7 +22,9 @@ the Tsallis cutoff.  The solver finds the cutoff by bisection on the
 sorted levels, one O(m) mean per probe, then runs a damped Newton
 iteration on the two multipliers over that support, keeping every active
 level strictly inside the domain, and checks the removed levels' margins
-at the final multipliers.
+at the final multipliers.  Each line search tries the full Newton step
+first, which most steps take, and scans the smaller halvings in one block
+only when it is rejected.
 
 ``verify_optimality`` spot-checks a solution against random feasible
 competitors, mixtures of the vertices of the feasible polytope, so no
@@ -41,7 +43,7 @@ import numpy as np
 from .errors import ConvergenceError
 from .measures import _entropy_rows, _plogp
 from .prob import ProbVec, _count, _float_array, make_rng
-from .qcore import SHANNON_TOL, exp_q_inside, ln_q, ln_q_pos, q_value
+from .qcore import SHANNON_TOL, exp_q_inside, ln_q_pos, q_value
 
 #: Removed levels must have domain margin at or below this at the solution.
 KKT_MARGIN_TOL = 1e-9
@@ -49,7 +51,8 @@ KKT_MARGIN_TOL = 1e-9
 NEWTON_TOL, NEWTON_ITERS = 1e-12, 200
 #: Step fractions ``t = 2**-k``, k < 60, that the line search tries, largest first.
 _FRACTIONS = np.array([math.ldexp(1.0, -k) for k in range(60)])
-#: Cells per array in the line-search scan and in a block of competitors.
+#: Cells per array in the line search's block of halvings after a rejected
+#: full step, and in a block of competitors.
 _CELLS = 1 << 12
 
 
@@ -102,27 +105,48 @@ def _arguments(lam, mu, eps, qv):
     return (-lam - mu * eps) / (2.0 - qv)
 
 
-def _line_search(lam, mu, step, eps, target, qv, norm):
-    """First halving ``t = 2**-k`` whose candidate lowers the residual norm.
+def _candidate(arg, eps, target, qv, norm):
+    """``(p, f1, f2, norm)`` at the arguments ``arg``, or None.
 
-    The domain margins of a block of halvings are one array, so only the
-    candidates inside the ``exp_q`` domain are evaluated.  Returns
-    ``(t, p, f1, f2, norm)``, or None when no halving does.
+    None when ``arg`` leaves the ``exp_q`` domain, when p overflows, or when
+    p does not lower the residual norm below ``norm``.
     """
+    if not (1.0 + (1.0 - qv) * arg).min() > 0.0:
+        return None
+    cand = exp_q_inside(arg, qv)
+    if not np.isfinite(cand).all():
+        return None
+    c1 = float(cand.sum()) - 1.0
+    c2 = float(cand @ eps) - target
+    cn = max(abs(c1), abs(c2))
+    return (cand, c1, c2, cn) if cn < norm else None
+
+
+def _line_search(lam, mu, step, eps, target, qv, norm):
+    """First halving ``t = 2**-k``, k < 60, whose candidate lowers the residual norm.
+
+    The full step (k = 0) is tried alone; most Newton steps take it.  When
+    it fails, the domain margins of a block of the other halvings are one
+    array, so only the candidates inside the ``exp_q`` domain are evaluated.
+    Returns ``(t, p, f1, f2, norm)``, or None when no halving does.
+
+    An overflowed candidate is rejected, but this function does not silence
+    the overflow warning: ``_newton`` holds one ``np.errstate(over="ignore")``
+    over all its line searches, and a direct caller must hold its own.
+    """
+    s0, s1 = step
+    found = _candidate(_arguments(lam + s0, mu + s1, eps, qv), eps, target, qv, norm)
+    if found is not None:
+        return (1.0, *found)
     rows = max(1, _CELLS // eps.size)
-    for k0 in range(0, _FRACTIONS.size, rows):
+    for k0 in range(1, _FRACTIONS.size, rows):
         t = _FRACTIONS[k0 : k0 + rows, None]
-        arg = _arguments(lam + t * step[0], mu + t * step[1], eps, qv)
-        base = 1.0 + (1.0 - qv) * arg
-        with np.errstate(over="ignore"):  # overflowed candidates are rejected
-            for k in np.flatnonzero(base.min(axis=1) > 0.0):
-                cand = exp_q_inside(arg[k], qv)
-                if np.isfinite(cand).all():
-                    c1 = float(cand.sum()) - 1.0
-                    c2 = float(cand @ eps) - target
-                    cn = max(abs(c1), abs(c2))
-                    if cn < norm:
-                        return float(t[k, 0]), cand, c1, c2, cn
+        arg = _arguments(lam + t * s0, mu + t * s1, eps, qv)
+        # _candidate tests each row's margins again; the min of a row is exact
+        for k in np.flatnonzero((1.0 + (1.0 - qv) * arg).min(axis=1) > 0.0):
+            found = _candidate(arg[k], eps, target, qv, norm)
+            if found is not None:
+                return (float(t[k, 0]), *found)
     return None
 
 
@@ -132,24 +156,34 @@ def _stalled(lam, mu, norm):
     )
 
 
+@np.errstate(over="ignore")  # an overflowed candidate is rejected, in any line search
 def _newton(eps, target, qv):
+    """Damped Newton on ``(lam, mu)`` from the flat law, over the levels ``eps``.
+
+    The Jacobian entries and the step are Python floats; ``np.linalg.solve``
+    stays for LAPACK's pivoting and rounding.  Each step takes the first
+    halving that ``_line_search`` accepts.  Returns
+    ``(lam, mu, p, iterations, (f1, f2))``; a stall raises ConvergenceError.
+    """
     two_q = 2.0 - qv
     m = eps.size
-    lam = -two_q * float(ln_q(1.0 / m, qv))
+    lam = -two_q * float(ln_q_pos(np.array([1.0 / m]), qv)[0])
     mu = 0.0
     p = exp_q_inside(_arguments(lam, mu, eps, qv), qv)
     f1 = float(p.sum()) - 1.0
     f2 = float(p @ eps) - target
     norm = max(abs(f1), abs(f2))
+    eps2 = eps * eps
+    d = -two_q  # dividing each entry by d gives the bits of dividing the array
     iters = 0
     while norm > NEWTON_TOL:
         if iters >= NEWTON_ITERS:
             raise _stalled(lam, mu, norm)
         w = np.power(p, qv)
         j12 = float(w @ eps)
-        jac = np.array([[float(w.sum()), j12], [j12, float(w @ (eps * eps))]]) / -two_q
+        jac = np.array([[float(w.sum()) / d, j12 / d], [j12 / d, float(w @ eps2) / d]])
         try:
-            step = np.linalg.solve(jac, [-f1, -f2])
+            step = np.linalg.solve(jac, [-f1, -f2]).tolist()
         except np.linalg.LinAlgError:
             raise _stalled(lam, mu, norm) from None
         found = _line_search(lam, mu, step, eps, target, qv, norm)
@@ -261,7 +295,7 @@ def solve(problem: MaxEntProblem) -> MaxEntSolution:
     two_q = 2.0 - qv
     if np.ptp(eps_raw) == 0.0:
         p_full = np.full(m, 1.0 / m)
-        lam = -two_q * float(ln_q(1.0 / m, qv))
+        lam = -two_q * float(ln_q_pos(np.array([1.0 / m]), qv)[0])
         mu = 0.0
         active = np.arange(m)
         dropped = ()

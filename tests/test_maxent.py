@@ -372,6 +372,22 @@ def test_cutoff_search_stops_at_the_shannon_switch(q, sizes):
     assert [active.size for active, _ in supports] == sizes
 
 
+@pytest.mark.xfail(strict=True, raises=ConvergenceError, reason="ROADMAP item 9: near-edge stall")
+@pytest.mark.parametrize(
+    "q, fraction",
+    [
+        (1.99, 1e-6),  # stalls with residual 2.934e-12
+        (1.4, 1.0 - 1e-9),  # stalls with residual 1.284e-12
+    ],
+)
+def test_near_edge_target_solves(q, fraction):
+    # NEWTON_TOL is absolute in max|e|-scaled units; these stalls run the
+    # line search's block of halvings and find no step that lowers the norm
+    levels = _jittered_levels(4)
+    sol = solve(MaxEntProblem(levels, levels[0] + fraction * np.ptp(levels), q))
+    assert max(sol.residuals) <= 1e-10
+
+
 # ---------------------------------------------------------------------------
 # Oracles: the line search as a loop over halvings and verify_optimality as a
 # loop over trials, one candidate or competitor at a time.  The array
@@ -496,6 +512,37 @@ def test_solutions_match_their_pin():
     assert digest.hexdigest() == "f281f0026da4431843201bcc0779c49be226819f01e2f0c06993d64068e985cf"
 
 
+def _sweep_problems():
+    """The maxent-sweep benchmark's grid at seed 7: 120 problems, each with its verify seed."""
+    rng = make_rng(7)
+    for m in (3, 8, 16):
+        levels = np.arange(m) + rng.uniform(-0.25, 0.25, m)
+        lo, span = levels[0], levels[-1] - levels[0]
+        for fraction in (0.02, 0.1, 0.25, 0.4, 0.6, 0.75, 0.9, 0.98):
+            for q in (0.3, 0.6, 0.9, 1.0, 1.4):
+                yield MaxEntProblem(levels, lo + span * fraction, q), int(rng.integers(2**31))
+
+
+def test_sweep_solutions_steps_and_gaps_match_their_pin():
+    # adds what the pin above leaves out: the Newton steps and the verify gaps
+    digest = hashlib.sha256()
+    for problem, seed in _sweep_problems():
+        sol = solve(problem)
+        check = verify_optimality(sol, trials=100, seed=seed)
+        digest.update(
+            repr(
+                (
+                    *_bits(sol.lam, sol.mu, sol.p.p),
+                    sol.support,
+                    sol.dropped,
+                    sol.iterations,
+                    *_bits(check.min_gap, check.mean_gap),
+                )
+            ).encode()
+        )
+    assert digest.hexdigest() == "04731f5438bd37ad0a51c7145b9c8057cae08e79b70532b2bd2409cff68b7efc"
+
+
 @pytest.mark.parametrize("cells", [maxent._CELLS, 150])
 def test_line_search_scan_matches_the_halving_loop_bit_for_bit(monkeypatch, cells):
     # 150 cells scan 3 to 50 halvings per block at m >= 3, so blocks end inside the 60
@@ -514,6 +561,104 @@ def test_stall_with_no_halving_in_the_domain_matches_the_halving_loop():
     step = np.array([1e30, -3e29])  # every halving lands far outside the domain
     assert maxent._line_search(lam, mu, step, eps, 0.4, qv, 1.0) is None
     assert _halving_loop(lam, mu, step, eps, 0.4, qv, 1.0) is None
+
+
+def test_halvings_are_scanned_only_after_a_rejected_full_step(monkeypatch):
+    taken, blocks = [], []
+    search, arguments = maxent._line_search, maxent._arguments
+
+    def search_spy(*args):
+        found = search(*args)
+        taken.append(None if found is None else found[0])
+        return found
+
+    def arguments_spy(lam, *args):
+        blocks.append(np.ndim(lam) == 2)  # a column of multipliers, one halving per row
+        return arguments(lam, *args)
+
+    monkeypatch.setattr(maxent, "_line_search", search_spy)
+    monkeypatch.setattr(maxent, "_arguments", arguments_spy)
+    for problem in _oracle_problems():
+        solve(problem)
+    # at m <= 40 one block holds every halving after the full step
+    assert len(taken) == 577
+    assert sum(blocks) == sum(t != 1.0 for t in taken) == 101
+
+
+def _first_line_search(monkeypatch, q):
+    """The arguments of the first line search in solving a 5-level problem at q."""
+    calls = []
+    search = maxent._line_search
+
+    def spy(*args):
+        calls.append(args)
+        return search(*args)
+
+    levels = _jittered_levels(5)
+    with monkeypatch.context() as patch:
+        patch.setattr(maxent, "_line_search", spy)
+        solve(MaxEntProblem(levels, levels[0] + 0.3 * np.ptp(levels), q))
+    return calls[0]
+
+
+def _both_searches(*args):
+    """``_line_search`` and ``_halving_loop`` on the same arguments, as bits."""
+    with np.errstate(over="ignore"):  # as _newton holds around its line searches
+        found = maxent._line_search(*args), _halving_loop(*args)
+    return [None if f is None else _bits(*f) for f in found]
+
+
+@pytest.mark.parametrize(
+    "q, scale, t",
+    [
+        (0.3, 2.0, 0.5),  # the full step leaves the exp_q domain
+        (1.0, 2.0, 0.5),  # the full step is in the domain and does not lower the norm
+        (1.0 - 1e-13, 1.0, 1.0),  # the Shannon switch: exp_q is exp
+        (1.0, 1.0, 1.0),
+        (1.0 + 1e-13, 1.0, 1.0),
+        (1.0 - 1e-13, 1e3, 2.0**-10),  # exp overflows to inf at t = 1, t >= 2**-9 raise the norm
+        (1.0, 1e3, 2.0**-10),
+        (1.0 + 1e-13, 1e3, 2.0**-10),
+    ],
+)
+def test_line_search_matches_the_halving_loop_bit_for_bit(monkeypatch, q, scale, t):
+    lam, mu, step, eps, target, qv, norm = _first_line_search(monkeypatch, q)
+    step = [scale * s for s in step]
+    found, looped = _both_searches(lam, mu, step, eps, target, qv, norm)
+    assert found == looped
+    assert found[0] == _bits(t)[0]
+    if scale == 1e3:
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            exp_q_inside(maxent._arguments(lam + step[0], mu + step[1], eps, qv), qv)
+
+
+def test_a_full_step_that_raises_the_norm_is_rejected(monkeypatch):
+    lam, mu, step, eps, target, qv, norm = _first_line_search(monkeypatch, 1.0)
+    arg = maxent._arguments(lam + 2.0 * step[0], mu + 2.0 * step[1], eps, qv)
+    assert maxent._candidate(arg, eps, target, qv, math.inf)[3] >= norm  # finite, in the domain
+    assert maxent._candidate(arg, eps, target, qv, norm) is None
+
+
+@pytest.mark.parametrize("q", [1.4, 1.9])
+@pytest.mark.parametrize("norm, t", [(None, None), (2.0, 1.0)])
+def test_a_full_step_whose_arguments_overflow_matches_the_halving_loop(monkeypatch, q, norm, t):
+    # every argument overflows to -inf, where exp_q is 0 for q > 1; p = 0 has
+    # residual norm max(1, |target|), so only a norm above 1 accepts it
+    lam, mu, _, eps, target, qv, first_norm = _first_line_search(monkeypatch, q)
+    step = [1.7e308, 1.7e308]
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        maxent._arguments(lam + step[0], mu + step[1], eps, qv)
+    found, looped = _both_searches(lam, mu, step, eps, target, qv, norm or first_norm)
+    assert found == looped
+    assert (found is None) == (t is None)
+    if t is not None:
+        assert found[0] == _bits(t)[0]
+
+
+def test_a_stall_in_the_domain_matches_the_halving_loop(monkeypatch):
+    # at q = 1 every halving is in the domain; none lowers a norm of 0
+    lam, mu, step, eps, target, qv, _ = _first_line_search(monkeypatch, 1.0)
+    assert _both_searches(lam, mu, step, eps, target, qv, 0.0) == [None, None]
 
 
 @pytest.mark.parametrize("cells", [maxent._CELLS, 50])
