@@ -130,8 +130,10 @@ def _line_search(lam, mu, step, eps, target, qv, norm):
     array, so only the candidates inside the ``exp_q`` domain are evaluated.
     Returns ``(t, p, f1, f2, norm)``, or None when no halving does.
 
-    An overflowed candidate is rejected, but this function does not silence
-    the overflow warning: ``_newton`` holds one ``np.errstate(over="ignore")``
+    An overflowed candidate, and one whose arguments or margins overflow to
+    nan (``inf - inf``, or ``0 * inf`` at q = 1), is rejected: a nan margin
+    fails the domain test.  This function does not silence those warnings:
+    ``_newton`` holds one ``np.errstate(over="ignore", invalid="ignore")``
     over all its line searches, and a direct caller must hold its own.
     """
     s0, s1 = step
@@ -156,7 +158,7 @@ def _stalled(lam, mu, norm):
     )
 
 
-@np.errstate(over="ignore")  # an overflowed candidate is rejected, in any line search
+@np.errstate(over="ignore", invalid="ignore")  # overflowed or nan candidates are rejected
 def _newton(eps, target, qv):
     """Damped Newton on ``(lam, mu)`` from the flat law, over the levels ``eps``.
 

@@ -15,14 +15,17 @@ campaigns can confirm the identity numerically.
 
 ``ln_q`` is the checked public kernel.  ``ln_q_pos`` and ``ln_q_from_log``
 are its unchecked internal forms for positive arrays and for a given
-natural log; every q-log in the package is evaluated by one of the three,
-and each form is written once.  They compute
-``expm1((1 - q) log x) / (1 - q)``, which keeps the digits that
-``x**(1-q) - 1`` cancels as q approaches the classical branch or x
+natural log; every q-log in the package is evaluated by one of the three.
+They compute ``expm1((1 - q) log x) / (1 - q)``, which keeps the digits
+that ``x**(1-q) - 1`` cancels as q approaches the classical branch or x
 approaches 1; ``ln_q_pos`` keeps the power form only where it cancels
-nothing (see there).  One ``ln_q_pos`` body takes a float q or a q
-column (one q per row of a stack), and ``ln_q_from_log`` makes one new
-array per call, so large tables of logs cost no temporaries.
+nothing (see there).  Both run one body, ``_ln_q_body``, so the band test
+and the expm1 form are written once: ``ln_q_pos`` writes ``log x`` into
+its one output array and finishes it in place, for a float q or a q
+column (one q per row of a stack), and ``ln_q_from_log`` is the tail of
+that body without the power branch, filling one new array from the given
+log.  A call holds one float array the size of its input (``ln_q_pos``
+one bool mask too), so large tables of logs cost no temporaries.
 ``exp_q_inside`` is the unchecked ``exp_q``.
 
 Conventions
@@ -109,53 +112,69 @@ def ln_q_pos(x, q):
     costs about y/3 ulps; cells with y above 4 take ``x**(1-q) - 1``
     instead, which cancels nothing there and keeps within an ulp.
 
-    ``q`` is a float, or an array that broadcasts against ``x`` such as a
-    ``(B, 1)`` column for ``B`` rows of cells.  One body serves both: the
-    power cells take their exponents as an array, and the exponents of
-    ``_SCALAR_POWER_CASES`` are redone as scalars, so each cell takes the
-    value a float call with its own q gives, bit for bit.
+    ``q`` is a float, or an array that broadcasts to the shape of ``x``
+    such as a ``(B, 1)`` column for ``B`` rows of cells.  One body serves
+    both: the power cells take their exponents as an array, and the
+    exponents of ``_SCALAR_POWER_CASES`` are redone as scalars, so each
+    cell takes the value a float call with its own q gives, bit for bit.
+    The result is the array that ``log x`` was written into, finished in
+    place by :func:`_ln_q_body` (a numpy float for a 0-d x): one float
+    array and one bool mask per call, and while the power cells are taken,
+    up to five floats more per power cell.
     """
-    eps = 1.0 - q
-    log_x = np.log(x)
-    # count_nonzero takes a 0-d and an array test alike, at a fraction of
-    # the cost of ``.all()`` / ``.any()`` on small inputs
-    shannon = np.abs(eps) <= SHANNON_TOL
-    n_shannon = np.count_nonzero(shannon)
-    if n_shannon == shannon.size:
-        return log_x
-    y = eps * log_x
-    out = np.expm1(y)
-    big = y > 4.0
-    if np.count_nonzero(big):
-        xb = np.broadcast_to(x, y.shape)[big]
-        eb = np.broadcast_to(eps, y.shape)[big]
-        pb = np.power(xb, eb)
-        for e in _SCALAR_POWER_CASES:
-            hit = eb == e
-            if hit.any():
-                pb[hit] = np.power(xb[hit], e)
-        out[big] = pb - 1.0
-    if not n_shannon:
-        return out / eps
-    return np.where(shannon, log_x, out / np.where(shannon, 1.0, eps))
+    # asarray: log of a 0-d x is a numpy float, which cannot be written
+    return _ln_q_body(np.asarray(np.log(x)), q, x)
 
 
 def ln_q_from_log(log_x, q: float):
     """Unchecked ``ln_q`` of x given ``log x`` for a float index q.
 
-    The log is all there is, so every cell takes the expm1 form.  The
-    result is one new array (a numpy float for a scalar ``log_x``), which
-    expm1 and the division fill in place; ``log_x`` is never written, and
-    the Shannon band returns it as it is.  Overflows to ``-inf`` (q > 1)
+    The tail of :func:`ln_q_pos` with no power branch: the log is all
+    there is, so every cell takes the expm1 form.  The result is one new
+    float array (a numpy float for a scalar ``log_x``), a copy of the log
+    that the product, expm1 and the division finish in place; ``log_x`` is
+    never written, and the Shannon band returns it as it is.  Overflows to ``-inf`` (q > 1)
     where ``(1 - q) log x`` exceeds the float range; callers that expect it
     silence the warning themselves.
     """
+    return _ln_q_body(log_x, q)
+
+
+def _ln_q_body(log_x, q, x=None):
+    """The one q-log body: ``expm1((1 - q) log x) / (1 - q)`` in one array.
+
+    Given ``x``, ``log_x`` is the caller's own array of ``log x`` and is
+    finished in place, with the power form on the cells where
+    ``(1 - q) log x > 4``; without it, ``log_x`` is left as it is and a
+    copy is finished instead.  Rows of a q column in the Shannon band keep
+    ``log x``: the in-place ufuncs skip them through ``where=``.
+    """
     eps = 1.0 - q
-    if abs(eps) <= SHANNON_TOL:
+    off = abs(eps) > SHANNON_TOL
+    n_off = np.count_nonzero(off)
+    if x is None and not n_off:
         return log_x
-    out = np.asarray(eps * log_x)
-    np.expm1(out, out=out)
-    out /= eps
+    out = log_x if x is not None else np.array(log_x, dtype=float)
+    if n_off:
+        # off is a bool for a float q; a mask goes to the ufuncs only where the
+        # band splits a column, as their masked loops are slower
+        where = True if n_off == getattr(off, "size", 1) else off
+        np.multiply(out, eps, out=out, where=where)
+        if x is not None:
+            big = out > 4.0
+            if where is not True:
+                big &= where
+        np.expm1(out, out=out, where=where)
+        if x is not None and np.count_nonzero(big):
+            xb = np.broadcast_to(x, out.shape)[big]
+            eb = np.broadcast_to(eps, out.shape)[big]
+            pb = np.power(xb, eb)
+            for e in _SCALAR_POWER_CASES:
+                hit = eb == e
+                if hit.any():
+                    pb[hit] = np.power(xb[hit], e)
+            out[big] = pb - 1.0
+        np.divide(out, eps, out=out, where=where)
     return out if out.ndim else out[()]
 
 

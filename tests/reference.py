@@ -5,7 +5,8 @@ convention taken literally, one instance at a time.  The package's
 kernels instead add an exact 0 for every zero cell, in a row stack; on
 all-positive inputs the two agree bit for bit, and zero cells only
 regroup numpy's pairwise sums.  Their q-logs come from the float-only
-``ln_q_pos`` here, not from the package's kernel.
+``ln_q_pos`` here, not from the package's kernel; ``ln_q_from_log`` is the
+given-log form as it was written before the two shared one body.
 
 ``laws`` and ``random_doubly_stochastic`` are the Markov state-law step
 and Sinkhorn sampler written with one ``.sum`` call per reduction; the
@@ -44,6 +45,21 @@ def ln_q_pos(x, q: float):
         big = y > 4.0
         out[big] = np.power(x[big], eps) - 1.0
     return out / eps
+
+
+def ln_q_from_log(log_x, q: float):
+    """``ln_q`` of x given ``log x`` for a float q: the expm1 form in one new array.
+
+    The form ``qcore.ln_q_from_log`` had before it became the tail of the
+    package's one q-log body, which must give the same bits and types.
+    """
+    eps = 1.0 - q
+    if abs(eps) <= SHANNON_TOL:
+        return log_x
+    out = np.asarray(eps * log_x)
+    np.expm1(out, out=out)
+    out /= eps
+    return out if out.ndim else out[()]
 
 
 def entropy(t: np.ndarray, qv: float) -> float:

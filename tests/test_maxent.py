@@ -399,7 +399,7 @@ _ORACLE_QS = (0.0, 0.3, 0.6, 0.9, 1.0 - 1e-13, 1.0, 1.0 + 1e-13, 1.4, 1.9)
 def _p_from_multipliers(lam, mu, eps, qv):
     """Distribution at (lam, mu), or None out of the domain."""
     arg = (-lam - mu * eps) / (2.0 - qv)
-    if (1.0 + (1.0 - qv) * arg).min() <= 0.0:
+    if not (1.0 + (1.0 - qv) * arg).min() > 0.0:  # a nan margin is out of the domain too
         return None
     with np.errstate(over="ignore"):
         return exp_q_inside(arg, qv)
@@ -603,7 +603,7 @@ def _first_line_search(monkeypatch, q):
 
 def _both_searches(*args):
     """``_line_search`` and ``_halving_loop`` on the same arguments, as bits."""
-    with np.errstate(over="ignore"):  # as _newton holds around its line searches
+    with np.errstate(over="ignore", invalid="ignore"):  # as _newton holds around its line searches
         found = maxent._line_search(*args), _halving_loop(*args)
     return [None if f is None else _bits(*f) for f in found]
 
@@ -653,6 +653,22 @@ def test_a_full_step_whose_arguments_overflow_matches_the_halving_loop(monkeypat
     assert (found is None) == (t is None)
     if t is not None:
         assert found[0] == _bits(t)[0]
+
+
+@pytest.mark.parametrize("q", [0.3, 1.0])
+def test_a_step_whose_margins_turn_nan_is_rejected(monkeypatch, q):
+    # a step scaled to 1.7e308 gives inf - inf in the arguments at any q, and
+    # 0 * inf in the margins at q = 1; a nan margin is outside the domain, so
+    # no halving is taken and _newton stalls instead of warning
+    lam, mu, step, eps, target, qv, norm = _first_line_search(monkeypatch, q)
+    huge = [1.7e308 / abs(step[0]) * s for s in step]
+    with np.errstate(over="ignore", invalid="ignore"):
+        margins = 1.0 + (1.0 - qv) * maxent._arguments(lam + huge[0], mu + huge[1], eps, qv)
+    assert np.isnan(margins).any()
+    assert _both_searches(lam, mu, huge, eps, target, qv, norm) == [None, None]
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.array(huge))
+    with pytest.raises(ConvergenceError, match="stalled"):
+        maxent._newton(eps, target, qv)
 
 
 def test_a_stall_in_the_domain_matches_the_halving_loop(monkeypatch):

@@ -1,6 +1,9 @@
 """Scalar deformed log/exp kernel."""
 
+import ast
 import math
+import pathlib
+import tracemalloc
 import warnings
 from decimal import Decimal, localcontext
 
@@ -10,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qit import QDomainError, QParam, SHANNON_TOL, exp_q, ln_q, pseudo_additivity_residual, q_value
+from qit import qcore
 from qit.measures import q_entropy
 from qit.qcore import cross_term, ln_q_from_log, ln_q_pos
 from qit.prob import make_rng
@@ -224,18 +228,41 @@ def test_q_column_matches_per_row_scalar_calls_bit_for_bit():
     assert np.array(cross_term(w, x, y, q)).tobytes() == np.array(want).tobytes()
 
 
+# q on both sides of the Shannon band and at the exponents of
+# _SCALAR_POWER_CASES (q = 2, 0.5 and -1)
+_KERNEL_QS = (0.0, 0.5, 0.999, 1.0 - 1e-13, 1.0, 1.0 + 1e-13, 1.3, 1.5, 2.0, -1.0)
+
+
+def _kernel_xs():
+    """0, subnormal and zero-adjacent x, 1 and its neighbours, the float
+    max and inf, and random draws with many cells past ``(1-q) log x = 4``."""
+    rng = make_rng(37)
+    tiny = np.finfo(float).tiny
+    edges = [0.0, 5e-324, 1e-320, 1e-310, tiny, 2.0 * tiny, 1e-300, 1e-30, 1.0 - U, 1.0 - U / 2.0, 1.0,
+             1.0 + U, 1e30, 1e300, np.finfo(float).max, math.inf]
+    return np.concatenate([edges, rng.uniform(0.0, 1.0, 400) ** 30, np.exp(rng.uniform(-700.0, 700.0, 400))])
+
+
 def test_ln_q_from_log_is_the_expm1_form_in_one_new_array():
     rng = make_rng(3)
     logs = [-0.7, np.float64(2.5), np.array(-3.0), rng.uniform(-40.0, 40.0, 50), rng.uniform(-40.0, 40.0, (6, 7))]
-    for qv in (0.0, 0.3, 1.0 - 2e-12, 1.0 + 2e-12, 1.7, 2.0, -1.0):
-        for log_x in logs:
-            before = np.array(log_x, copy=True)
-            got = ln_q_from_log(log_x, qv)
-            want = np.expm1((1.0 - qv) * log_x) / (1.0 - qv)
-            assert type(got) is type(want)
-            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
-            assert np.array_equal(log_x, before) and got is not log_x
-    for qv in (1.0, 1.0 - 0.5 * SHANNON_TOL, 1.0 + 0.5 * SHANNON_TOL):
+    with np.errstate(divide="ignore"):
+        logs += [np.empty(0), np.log(_kernel_xs())]
+    for log_x in logs:
+        if isinstance(log_x, np.ndarray):
+            log_x.flags.writeable = False  # a write would raise
+    with np.errstate(over="ignore"):  # (1-q) log x past the float range at the edges
+        for qv in (0.0, 0.3, 0.5, 0.999, 1.0 - 2e-12, 1.0 + 2e-12, 1.3, 1.5, 1.7, 2.0, -1.0):
+            for log_x in logs:
+                before = np.array(log_x, copy=True)
+                got = ln_q_from_log(log_x, qv)
+                want = np.expm1((1.0 - qv) * log_x) / (1.0 - qv)
+                assert type(got) is type(want)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+                assert np.array_equal(log_x, before) and got is not log_x
+                old = reference.ln_q_from_log(log_x, qv)
+                assert type(got) is type(old) and np.asarray(got).tobytes() == np.asarray(old).tobytes()
+    for qv in (1.0, 1.0 - 0.5 * SHANNON_TOL, 1.0 + 0.5 * SHANNON_TOL, 1.0 - 1e-13, 1.0 + 1e-13):
         for log_x in logs:
             assert ln_q_from_log(log_x, qv) is log_x
     # q > 1 and a very negative log: expm1 overflows, the q-log is -inf
@@ -244,3 +271,83 @@ def test_ln_q_from_log_is_the_expm1_form_in_one_new_array():
         with np.errstate(over="ignore"):
             got = ln_q_from_log(np.array([-800.0, -1.0]), 2.0)
     assert got[0] == -math.inf and math.isfinite(got[1])
+
+
+def test_ln_q_pos_matches_the_float_reference_bit_for_bit():
+    x = _kernel_xs()
+    # log 0, expm1 and power overflow on cells the power form or the limits take
+    with np.errstate(divide="ignore", over="ignore"):
+        for q in _KERNEL_QS:
+            assert ln_q_pos(x, q).tobytes() == reference.ln_q_pos(x, q).tobytes(), q
+            assert ln_q_pos(np.empty(0), q).tobytes() == reference.ln_q_pos(np.empty(0), q).tobytes() == b""
+            assert ln_q_pos(np.empty((3, 0)), q).shape == (3, 0)
+            for xv in x[1:17]:  # a 0-d x gives a numpy float, on power cells too
+                got = ln_q_pos(np.array(xv), q)
+                assert type(got) is np.float64
+                assert got.tobytes() == reference.ln_q_pos(np.array([xv]), q).tobytes()
+
+
+def test_q_columns_that_mix_band_rows_match_the_float_reference_bit_for_bit():
+    # band rows keep log x on every cell, those with log x > 4 included, and
+    # the rows beside them take their own float-q values, power cells and all
+    x = _kernel_xs()
+    x = x[(x > 0.0) & (x < math.inf)]
+    assert (np.log(x) > 4.0).any()
+    columns = [
+        [1.0, 0.5, 1.0 - 0.5 * SHANNON_TOL, 2.0, 1.0 + 1e-13, -1.0, 1.3, 1.0 - 1e-13, 0.0, 0.999],
+        [0.0, 0.5, 0.999, 1.3, 1.5, 2.0, -1.0],  # no band row
+        [1.0, 1.0 - 1e-13, 1.0 + 1e-13],  # band rows only
+    ]
+    with np.errstate(over="ignore"):
+        for qs in columns:
+            xs = np.tile(x, (len(qs), 1))
+            want = np.stack([reference.ln_q_pos(row, qv) for row, qv in zip(xs, qs)])
+            assert ln_q_pos(xs, np.array(qs)[:, None]).tobytes() == want.tobytes()
+            # one q per cell, as the max-bound law passes a (B,) q with (B,) x
+            assert ln_q_pos(xs[:, 7], np.array(qs)).tobytes() == want[:, 7].copy().tobytes()
+    # the band rows take no product: an inf cell at q = 1 keeps log inf = inf
+    # with no 0 * inf beside an off-band row
+    got = ln_q_pos(np.array([[math.inf, 2.0], [math.inf, 2.0]]), np.array([[1.0], [1.5]]))
+    assert got[0].tolist() == [math.inf, math.log(2.0)] and got[1, 0] == 2.0
+
+
+def _traced_peak(f, *args):
+    """Bytes newly allocated at the peak of ``f(*args)``, its result included."""
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_ln_q_pos_holds_one_float_array_and_one_mask():
+    n = 10**6
+    x = make_rng(39).uniform(0.0, 1.0, n) ** 30
+    for q in (0.0, 0.5, 0.999):  # (1-q) log x <= 0: no power cell
+        assert _traced_peak(ln_q_pos, x, q) <= 9 * n + 4096 < 10 * 2**20
+    # a power cell adds its x, exponent, power and power - 1 as floats and a
+    # byte of its hit mask (33 bytes); at an exponent of _SCALAR_POWER_CASES
+    # the scalar redo holds two floats more for a moment (41 bytes)
+    with np.errstate(over="ignore"):
+        for q in (1.3, 2.0):
+            big = np.count_nonzero((1.0 - q) * np.log(x) > 4.0)
+            assert big > n // 2
+            assert _traced_peak(ln_q_pos, x, q) <= 9 * n + 41 * big + 4096
+
+
+def test_ln_q_from_log_holds_one_float_array():
+    n = 10**6
+    log_x = np.log(make_rng(40).uniform(0.0, 1.0, n))
+    for q in (0.0, 0.5, 2.0):
+        assert _traced_peak(ln_q_from_log, log_x, q) <= 8 * n + 4096
+
+
+def test_expm1_is_called_once_in_the_package():
+    # the q-log form is written once: every other q-log goes through that call
+    calls = []
+    for path in sorted(pathlib.Path(qcore.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) == "expm1":
+                calls.append(path.name)
+    assert calls == ["qcore.py"]
