@@ -26,11 +26,11 @@ q < 1 because deformed logs are superadditive over products of
 probabilities.
 
 Sampling discipline: trajectory ``t`` of a probe draws its uniforms from
-stream ``t`` of the master seed, chunk by chunk as the probe scans time.
-A generator yields the same stream however its draws are split, and the
-probe and ``sample_trajectory`` drive the same walk (``_walk``), so probe
-trajectory ``t`` is ``sample_trajectory`` of the chain started at its
-stationary law, with ``n_max + 1`` symbols and the generator
+stream ``t`` of the master seed, two chunks at a time as the probe scans
+time.  A generator yields the same stream however its draws are split,
+and the probe and ``sample_trajectory`` drive the same walk (``_walk``),
+so probe trajectory ``t`` is ``sample_trajectory`` of the chain started
+at its stationary law, with ``n_max + 1`` symbols and the generator
 ``make_rng(seed, t)``.  The probe keeps only per-trajectory running sums
 and the values at its grid lengths, so its memory is
 O(trajectories * chunk), whatever the length.
@@ -42,17 +42,20 @@ lie below it (Chen & Asau 1974), and each step is then one gather from a
 table of next states (``_walk_table``, built once per probe) over row
 views built once with the workspace.  The time scan writes into that one
 workspace, so no chunk allocates an array of its size.  A (position,
-trajectory) cell of a chunk costs 48 B: 32 B of step terms, whose rows
-hold the chunk's draws and the walk's floats until the terms are
-gathered over them, 8 B of step indices and 8 B of states.  A table
-parallel to the next states holds each step's three running-sum terms
-and a pad, a 32-byte row (numpy gathers rows of 32 bytes on a fast copy
-path, not of 24), so one gather a chunk lays every term in the rows of
-the sums, which one in-order reduce per grid length in the chunk keeps,
-not a running cumsum over every position.  Every order k reads its
-factors from that table: a transition for k >= 1, and for k = 0 the law
-of the step's next state, which is the one-step law of the stationary
-start at every position.
+trajectory) cell of a chunk costs 48 B: 16 B of step terms, which lend
+the walk its floats until the terms are gathered over them, 16 B of
+draws, 8 B of step indices and 8 B of states.  The draws fill a buffer
+of two chunks, one generator call per trajectory every second chunk,
+which halves the calls and their fixed cost; the terms are gathered half
+a chunk at a time, which frees the 16 B a cell that the second chunk of
+draws takes.  A table parallel to the next states holds each step's
+three running-sum terms and a pad, a 32-byte row (numpy gathers rows of
+32 bytes on a fast copy path, not of 24), so one gather a half chunk
+lays every term in the rows of the sums, which one in-order reduce per
+grid length in the half keeps, not a running cumsum over every
+position.  Every order k reads its factors from that table: a transition
+for k >= 1, and for k = 0 the law of the step's next state, which is the
+one-step law of the stationary start at every position.
 """
 
 import math
@@ -146,7 +149,9 @@ class _WalkSpace(NamedTuple):
 
     A cell, one (position, trajectory), costs 8 B of indices in ``kb``
     and 8 B of states in ``syms``, and 16 B of floats in ``floats``,
-    which the probe lends from the rows of its sums.
+    which the probe lends from the rows of its sums: half a chunk of
+    32-byte rows, 16 B a cell of the walk.  The probe's draws, 16 B a
+    cell more, lie apart, in a buffer of two chunks.
     """
 
     syms: np.ndarray  # (w + 1, T): row 0 the state carried in, row i after step i
@@ -549,56 +554,68 @@ def smb_probe(chain: MarkovChain, q, n_max: int, trajectories: int, seed: int = 
     at = {}  # n -> the three running sums at length n, a (3, T) array
     rngs = [make_rng(seed, stream=t) for t in range(big_t)]
     width = min(_CHUNK, n_max)
-    # sums[i, t, j]: trajectory t's running sum at position a - 1 + i of the
-    # block log-probability (j = 0), the factor logs (1), the factor q-logs
-    # (2) and the pad (3); row 0 carries the sums so far, -0.0 at first
-    # (-0.0 + x == x: an empty sum that changes no bits).  Reducing the rows
-    # from the carry with initial -0.0 adds them one at a time in order, so
-    # chunk after chunk this rounds as one cumsum over the whole sequence
-    # would.  The columns stay innermost on purpose: numpy sums a reduced
-    # axis pairwise when it is the innermost loop, as the rows would be
-    # for a lone trajectory (T = 1), and pairwise sums round differently.
-    sums = np.full((width + 1, big_t, 4), -0.0)
-    # Until a chunk's gather writes its terms, rows 1.. hold its draws and
-    # the walk's floats: u (T, w), then (2, w, T), 3 of the 4 floats a cell
-    lent = sums[1:].reshape(4, width * big_t)
-    u = lent[0].reshape(big_t, width)  # row t: the draws of trajectory t
-    draws = [(g.random, u[t]) for t, g in enumerate(rngs)]
-    ws = _walk_space(big_t, width, lent[1:3].reshape(2, width, big_t))
+    # sums[i, t, j]: trajectory t's running sum at position a0 - 1 + i of
+    # the block log-probability (j = 0), the factor logs (1), the factor
+    # q-logs (2) and the pad (3), a0 the first position of a half chunk;
+    # row 0 carries the sums so far, -0.0 at first (-0.0 + x == x: an empty
+    # sum that changes no bits).  Reducing the rows from the carry with
+    # initial -0.0 adds them one at a time in order, so half after half
+    # this rounds as one cumsum over the whole sequence would.  The columns
+    # stay innermost on purpose: numpy sums a reduced axis pairwise when it
+    # is the innermost loop, as the rows would be for a lone trajectory
+    # (T = 1), and pairwise sums round differently.
+    #
+    # A cell of a chunk costs 48 B: 16 B of step terms, 16 B of draws, 8 B
+    # of step indices and 8 B of states.  The terms are gathered half a
+    # chunk at a time, so ``sums`` holds half a chunk of 32-byte rows, and
+    # until a half's gather writes its terms its rows 1.. lend the walk
+    # its floats, (2, w, T).  The draws have a buffer of two chunks,
+    # (T, 2 w), filled by one draw per trajectory every second chunk, which
+    # halves the generator calls and their fixed cost.
+    half = (width + 1) // 2
+    sums = np.full((half + 1, big_t, 4), -0.0)
+    ws = _walk_space(big_t, width, sums[1:].reshape(-1)[: 2 * width * big_t].reshape(2, width, big_t))
+    ubuf = np.empty((big_t, 2 * width))  # row t: the draws of trajectory t
+    draws = [(g.random, ubuf[t]) for t, g in enumerate(rngs)]
     syms, kb = ws.syms, ws.kb
     acc = np.empty((big_t, 4))
     syms[0] = _advance(np.broadcast_to(_cum_rows(st), (big_t, m)), np.concatenate([g.random(1) for g in rngs]))
     for a in range(1, n_max + 1, _CHUNK):
         b = min(a + _CHUNK, n_max + 1)  # this chunk holds positions a .. b - 1
-        c = b - a
-        if c < width:  # the last chunk is short
-            draws = [(rand, row[:c]) for rand, row in draws]
-        for rand, row in draws:
-            rand(out=row)
-        _walk(table, u[:, :c], ws)  # syms[i]: position a - 1 + i
-        terms = sums[1 : c + 1]
-        steps.take(kb[:c], axis=0, out=terms, mode="clip")  # row i: the step x_{a+i-1} -> x_{a+i}
-        if a == 1:  # the block's first factor is the marginal of position 1
-            head_l = logd1[syms[1]]
-            logr1 = terms[0, :, 0].copy()
-            terms[0, :, 0] = head_l
-        # the head block of the order-k factorization (positions 1..k; none
-        # at k = 0) adds -0.0, no factor
-        terms[: min(max(k + 1 - a, 0), c), :, 1:3] = -0.0
+        off = (a - 1) // _CHUNK % 2 * width  # the chunk's first draw in ``ubuf``
+        if not off:  # draw this chunk and the next
+            if n_max + 1 - a < 2 * width:  # the last block draws only the positions left
+                draws = [(rand, row[: n_max + 1 - a]) for rand, row in draws]
+            for rand, row in draws:
+                rand(out=row)
+        _walk(table, ubuf[:, off : off + b - a], ws)  # syms[i]: position a - 1 + i
+        for a0 in range(a, b, half):
+            b0 = min(a0 + half, b)  # this half holds positions a0 .. b0 - 1
+            terms = sums[1 : b0 - a0 + 1]
+            # row i: the step x_{a0+i-1} -> x_{a0+i}
+            steps.take(kb[a0 - a : b0 - a], axis=0, out=terms, mode="clip")
+            if a0 == 1:  # the block's first factor is the marginal of position 1
+                head_l = logd1[syms[1]]
+                logr1 = terms[0, :, 0].copy()
+                terms[0, :, 0] = head_l
+            # the head block of the order-k factorization (positions 1..k;
+            # none at k = 0) adds -0.0, no factor
+            terms[: max(k + 1 - a0, 0), :, 1:3] = -0.0
 
-        # the running sums at the grid lengths inside the chunk, then at its
-        # end; each reduce starts from the row the one before wrote
-        start = 0
-        for n in [n for n in grid if a <= n < b - 1] + [b - 1]:
-            np.add.reduce(sums[start : n - a + 2], axis=0, out=acc, initial=-0.0)
-            start = n - a + 1
-            sums[start] = acc
-            if n in grid:
-                at[n] = acc[:, :3].T.copy()
-        # a zero factor's -inf stays in every later running sum
-        if not np.isfinite(acc[:, 0]).all():
-            raise ImpossibleTrajectoryError("sampled a transition of probability zero")
-        syms[0], sums[0] = syms[c], acc
+            # the running sums at the grid lengths inside the half, then at
+            # its end; each reduce starts from the row the one before wrote
+            start = 0
+            for n in [n for n in grid if a0 <= n < b0 - 1] + [b0 - 1]:
+                np.add.reduce(sums[start : n - a0 + 2], axis=0, out=acc, initial=-0.0)
+                start = n - a0 + 1
+                sums[start] = acc
+                if n in grid:
+                    at[n] = acc[:, :3].T.copy()
+            # a zero factor's -inf stays in every later running sum
+            if not np.isfinite(acc[:, 0]).all():
+                raise ImpossibleTrajectoryError("sampled a transition of probability zero")
+            sums[0] = acc
+        syms[0] = syms[b - a]
 
     ratio1 = np.exp(logr1 - head_l)
 

@@ -228,9 +228,10 @@ def test_q_column_matches_per_row_scalar_calls_bit_for_bit():
     assert np.array(cross_term(w, x, y, q)).tobytes() == np.array(want).tobytes()
 
 
-# q on both sides of the Shannon band and at the exponents of
-# _SCALAR_POWER_CASES (q = 2, 0.5 and -1)
-_KERNEL_QS = (0.0, 0.5, 0.999, 1.0 - 1e-13, 1.0, 1.0 + 1e-13, 1.3, 1.5, 2.0, -1.0)
+# q on both sides of the Shannon band, at the exponents of
+# _SCALAR_POWER_CASES (q = 2, 0.5 and -1) and at exponents beside them
+# (q = 0, -0.5)
+_KERNEL_QS = (0.0, 0.5, 0.999, 1.0 - 1e-13, 1.0, 1.0 + 1e-13, 1.3, 1.5, 2.0, -1.0, -0.5)
 
 
 def _kernel_xs():
@@ -294,8 +295,8 @@ def test_q_columns_that_mix_band_rows_match_the_float_reference_bit_for_bit():
     x = x[(x > 0.0) & (x < math.inf)]
     assert (np.log(x) > 4.0).any()
     columns = [
-        [1.0, 0.5, 1.0 - 0.5 * SHANNON_TOL, 2.0, 1.0 + 1e-13, -1.0, 1.3, 1.0 - 1e-13, 0.0, 0.999],
-        [0.0, 0.5, 0.999, 1.3, 1.5, 2.0, -1.0],  # no band row
+        [1.0, 0.5, 1.0 - 0.5 * SHANNON_TOL, 2.0, 1.0 + 1e-13, -1.0, 1.3, 1.0 - 1e-13, 0.0, 0.999, -0.5, 1.5],
+        [0.0, 0.5, 0.999, 1.3, 1.5, 2.0, -1.0, -0.5],  # no band row
         [1.0, 1.0 - 1e-13, 1.0 + 1e-13],  # band rows only
     ]
     with np.errstate(over="ignore"):
@@ -326,14 +327,16 @@ def test_ln_q_pos_holds_one_float_array_and_one_mask():
     x = make_rng(39).uniform(0.0, 1.0, n) ** 30
     for q in (0.0, 0.5, 0.999):  # (1-q) log x <= 0: no power cell
         assert _traced_peak(ln_q_pos, x, q) <= 9 * n + 4096 < 10 * 2**20
-    # a power cell adds its x, exponent, power and power - 1 as floats and a
-    # byte of its hit mask (33 bytes); at an exponent of _SCALAR_POWER_CASES
-    # the scalar redo holds two floats more for a moment (41 bytes)
+    # a power cell adds its x, exponent and power as floats (24 bytes), and
+    # power - 1 is written over the power; an exponent of
+    # _SCALAR_POWER_CASES goes to power as one scalar, with no exponent
+    # array (16 bytes)
     with np.errstate(over="ignore"):
-        for q in (1.3, 2.0):
+        for q, per_cell in ((1.3, 24), (1.5, 24), (2.0, 16)):
             big = np.count_nonzero((1.0 - q) * np.log(x) > 4.0)
             assert big > n // 2
-            assert _traced_peak(ln_q_pos, x, q) <= 9 * n + 41 * big + 4096
+            assert _traced_peak(ln_q_pos, x, q) <= 9 * n + per_cell * big + 4096
+        assert _traced_peak(ln_q_pos, x, 2.0) < 26 * 2**20
 
 
 def test_ln_q_from_log_holds_one_float_array():

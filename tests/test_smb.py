@@ -159,10 +159,20 @@ def test_walk_matches_the_step_loop_bit_for_bit(m):
                 assert np.array_equal(table[1][ws.kb], got[1:])
                 assert np.array_equal(ws.kb % m, got[:-1])
                 kb = ws.kb.copy()
-                # as in the probe's short last chunk: the draws are the first
-                # c columns of a wider buffer whose tail lends the walk its
-                # floats, in a workspace wider than the chunk
+                # as in the probe: the draws are columns w .. w + c of a
+                # buffer of two chunks, so their rows are not contiguous, and
+                # another buffer lends the walk its floats, in a workspace
+                # wider than the chunk
                 w = c + 3
+                ubuf = np.full((big_t, 2 * w), np.nan)
+                ubuf[:, w : w + c] = u.T
+                ws = smb._walk_space(big_t, w, np.full((2, w, big_t), np.nan))
+                ws.syms[0] = state
+                assert np.array_equal(smb._walk(table, ubuf[:, w : w + c], ws), want)
+                assert np.array_equal(ws.kb[:c], kb)
+                # the draws may lie in the buffer that lends the floats, as
+                # long as the two do not overlap: the first c columns of a
+                # wider buffer whose tail holds the floats
                 buf = np.full(3 * w * big_t, np.nan)
                 wide = buf[: w * big_t].reshape(big_t, w)
                 wide[:, :c] = u.T
@@ -186,9 +196,10 @@ def test_sample_trajectory_memory_is_a_few_words_per_step():
 
 
 def test_probe_memory_is_under_64_bytes_per_chunk_cell():
-    # a (position, trajectory) cell of a chunk holds 32 B of step terms,
-    # which carry the draws and the walk's floats until the terms are
-    # gathered, 8 B of step indices and 8 B of states
+    # a (position, trajectory) cell of a chunk holds 16 B of step terms,
+    # gathered half a chunk at a time, which lend the walk its floats until
+    # they are gathered; 16 B of draws, a buffer of two chunks; 8 B of step
+    # indices and 8 B of states
     tracemalloc.start()
     try:
         smb_probe(STICKY, 0.75, 4096, 200, seed=1)
@@ -586,13 +597,16 @@ def _replayed_sums(chain, q, k, n_max, big_t, seed):
 
 
 @pytest.mark.parametrize("q", [0.6, 1.0, 1.2])
-@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("k", [0, 1, 2, 130])
 def test_probe_sums_run_left_to_right(q, k):
     # the probe's running sums round as a left-to-right float loop over
-    # positions would, for a lone trajectory and for a few, across chunks
+    # positions would, for a lone trajectory and for a few, across half
+    # chunks, chunks and the two-chunk blocks of draws; the lengths end on
+    # or beside those edges, and k = 130's head block crosses the first
+    # half edge
     for chain in (STICKY, THREE):
         for big_t in (1, 3):
-            for n_max in (255, 257, 513):
+            for n_max in (1, 127, 128, 129, 255, 257, 511, 512, 513, 1025):
                 curve = smb_probe(chain, q, n_max, big_t, seed=29, k=k)
                 sums = _replayed_sums(chain, q, k, n_max, big_t, 29)
                 for pt in curve.points:
@@ -808,6 +822,19 @@ def test_probe_error_order(monkeypatch):
     with pytest.raises(RuntimeError, match="ceiling"):
         smb_probe(STICKY, 0.75, 600, 3)
     assert sum(sizes) == 3 * 601
+
+
+def test_probe_draws_two_chunks_per_generator_call(monkeypatch):
+    # one call per trajectory draws its start state, then one every second
+    # chunk draws that chunk and the next, on the same stream
+    want = smb_probe(STICKY, 0.75, 4 * smb._CHUNK, 3, seed=5)
+    sizes = []
+    monkeypatch.setattr(
+        "qit.smb.make_rng", lambda seed, stream=0: _RecordedDraws(sizes, make_rng(seed, stream).random)
+    )
+    got = smb_probe(STICKY, 0.75, 4 * smb._CHUNK, 3, seed=5)
+    assert sorted(sizes) == [1] * 3 + [2 * smb._CHUNK] * 6
+    assert repr(got.to_json_dict()) == repr(want.to_json_dict())
 
 
 def test_probe_memory_does_not_grow_with_length():
