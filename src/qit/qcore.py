@@ -114,15 +114,15 @@ def ln_q_pos(x, q):
 
     ``q`` is a float, or an array that broadcasts to the shape of ``x``
     such as a ``(B, 1)`` column for ``B`` rows of cells.  One body serves
-    both: a float q whose exponent is one of ``_SCALAR_POWER_CASES`` takes
-    it as a scalar, any other exponent goes as an array, and a column's
-    power cells redo the scalar cases as scalars, so each cell takes the
-    value a float call with its own q gives, bit for bit.  The result is
-    the array that ``log x`` was written into, finished in place by
+    both: a float q's power cells take its one exponent as a scalar, and a
+    column's take theirs as an array and redo the exponents of
+    ``_SCALAR_POWER_CASES`` as scalars, so each cell takes the value a
+    float call with its own q gives, bit for bit.  The result is the array
+    that ``log x`` was written into, finished in place by
     :func:`_ln_q_body` (a numpy float for a 0-d x): one float array and
-    one bool mask per call, and while the power cells are taken, up to
-    three floats more per power cell for a float q (two for a scalar
-    case), and the redo's masks and copies besides for a column.
+    one bool mask per call, and while the power cells are taken, two
+    floats more per power cell for a float q, and for a column the
+    exponent array and the redo's masks and copies besides.
     """
     # asarray: log of a 0-d x is a numpy float, which cannot be written
     return _ln_q_body(np.asarray(np.log(x)), q, x)
@@ -169,17 +169,15 @@ def _ln_q_body(log_x, q, x=None):
         np.expm1(out, out=out, where=where)
         if x is not None and np.count_nonzero(big):
             xb = np.broadcast_to(x, out.shape)[big]
-            if not isinstance(eps, np.ndarray) and eps in _SCALAR_POWER_CASES:
-                pb = np.power(xb, eps)
-            else:
-                # an exponent per cell, so numpy takes no scalar shortcut
+            if isinstance(eps, np.ndarray):  # a q column: redo the scalar cases
                 eb = np.broadcast_to(eps, out.shape)[big]
                 pb = np.power(xb, eb)
-                if isinstance(eps, np.ndarray):  # a q column: redo the scalar cases
-                    for e in _SCALAR_POWER_CASES:
-                        hit = eb == e
-                        if hit.any():
-                            pb[hit] = np.power(xb[hit], e)
+                for e in _SCALAR_POWER_CASES:
+                    hit = eb == e
+                    if hit.any():
+                        pb[hit] = np.power(xb[hit], e)
+            else:
+                pb = np.power(xb, eps)
             out[big] = np.subtract(pb, 1.0, out=pb)
         np.divide(out, eps, out=out, where=where)
     return out if out.ndim else out[()]

@@ -327,15 +327,13 @@ def test_ln_q_pos_holds_one_float_array_and_one_mask():
     x = make_rng(39).uniform(0.0, 1.0, n) ** 30
     for q in (0.0, 0.5, 0.999):  # (1-q) log x <= 0: no power cell
         assert _traced_peak(ln_q_pos, x, q) <= 9 * n + 4096 < 10 * 2**20
-    # a power cell adds its x, exponent and power as floats (24 bytes), and
-    # power - 1 is written over the power; an exponent of
-    # _SCALAR_POWER_CASES goes to power as one scalar, with no exponent
-    # array (16 bytes)
+    # a power cell adds its x and power as floats (16 bytes): a float q goes
+    # to power as one scalar exponent, and power - 1 is written over the power
     with np.errstate(over="ignore"):
-        for q, per_cell in ((1.3, 24), (1.5, 24), (2.0, 16)):
+        for q in (1.3, 1.5, 2.0):
             big = np.count_nonzero((1.0 - q) * np.log(x) > 4.0)
             assert big > n // 2
-            assert _traced_peak(ln_q_pos, x, q) <= 9 * n + per_cell * big + 4096
+            assert _traced_peak(ln_q_pos, x, q) <= 9 * n + 16 * big + 4096
         assert _traced_peak(ln_q_pos, x, 2.0) < 26 * 2**20
 
 
