@@ -22,9 +22,8 @@ the Tsallis cutoff.  The solver finds the cutoff by bisection on the
 sorted levels, one O(m) mean per probe, then runs a damped Newton
 iteration on the two multipliers over that support, keeping every active
 level strictly inside the domain, and checks the removed levels' margins
-at the final multipliers.  Each line search tries the full Newton step
-first, which most steps take, and scans the smaller halvings in one block
-only when it is rejected.
+at the final multipliers.  Each line search is one loop over the step
+halvings ``t = 1, 1/2, 1/4, ...``, which most Newton steps leave at t = 1.
 
 ``verify_optimality`` spot-checks a solution against random feasible
 competitors, mixtures of the vertices of the feasible polytope, so no
@@ -49,10 +48,7 @@ from .qcore import SHANNON_TOL, exp_q_inside, ln_q_pos, q_value
 KKT_MARGIN_TOL = 1e-9
 #: Newton on one active set: constraint residual bound (level-scaled units), iteration cap.
 NEWTON_TOL, NEWTON_ITERS = 1e-12, 200
-#: Step fractions ``t = 2**-k``, k < 60, that the line search tries, largest first.
-_FRACTIONS = np.array([math.ldexp(1.0, -k) for k in range(60)])
-#: Cells per array in the line search's block of halvings after a rejected
-#: full step, and in a block of competitors.
+#: Cells per array in a block of competitors.
 _CELLS = 1 << 12
 
 
@@ -98,10 +94,7 @@ class MaxEntProblem:
 
 
 def _arguments(lam, mu, eps, qv):
-    """Deformed-exponential argument at each level: ``(-lam - mu e) / (2 - q)``.
-
-    ``lam`` and ``mu`` may be ``(k, 1)`` columns, one candidate per row.
-    """
+    """Deformed-exponential argument at each level: ``(-lam - mu e) / (2 - q)``."""
     return (-lam - mu * eps) / (2.0 - qv)
 
 
@@ -125,10 +118,8 @@ def _candidate(arg, eps, target, qv, norm):
 def _line_search(lam, mu, step, eps, target, qv, norm):
     """First halving ``t = 2**-k``, k < 60, whose candidate lowers the residual norm.
 
-    The full step (k = 0) is tried alone; most Newton steps take it.  When
-    it fails, the domain margins of a block of the other halvings are one
-    array, so only the candidates inside the ``exp_q`` domain are evaluated.
-    Returns ``(t, p, f1, f2, norm)``, or None when no halving does.
+    Each halving is one ``_candidate``; most Newton steps take the first,
+    t = 1.  Returns ``(t, p, f1, f2, norm)``, or None when no halving does.
 
     An overflowed candidate, and one whose arguments or margins overflow to
     nan (``inf - inf``, or ``0 * inf`` at q = 1), is rejected: a nan margin
@@ -137,18 +128,12 @@ def _line_search(lam, mu, step, eps, target, qv, norm):
     over all its line searches, and a direct caller must hold its own.
     """
     s0, s1 = step
-    found = _candidate(_arguments(lam + s0, mu + s1, eps, qv), eps, target, qv, norm)
-    if found is not None:
-        return (1.0, *found)
-    rows = max(1, _CELLS // eps.size)
-    for k0 in range(1, _FRACTIONS.size, rows):
-        t = _FRACTIONS[k0 : k0 + rows, None]
-        arg = _arguments(lam + t * s0, mu + t * s1, eps, qv)
-        # _candidate tests each row's margins again; the min of a row is exact
-        for k in np.flatnonzero((1.0 + (1.0 - qv) * arg).min(axis=1) > 0.0):
-            found = _candidate(arg[k], eps, target, qv, norm)
-            if found is not None:
-                return (float(t[k, 0]), *found)
+    t = 1.0
+    for _ in range(60):
+        found = _candidate(_arguments(lam + t * s0, mu + t * s1, eps, qv), eps, target, qv, norm)
+        if found is not None:
+            return (t, *found)
+        t /= 2.0
     return None
 
 
@@ -171,10 +156,7 @@ def _newton(eps, target, qv):
     m = eps.size
     lam = -two_q * float(ln_q_pos(np.array([1.0 / m]), qv)[0])
     mu = 0.0
-    p = exp_q_inside(_arguments(lam, mu, eps, qv), qv)
-    f1 = float(p.sum()) - 1.0
-    f2 = float(p @ eps) - target
-    norm = max(abs(f1), abs(f2))
+    p, f1, f2, norm = _candidate(_arguments(lam, mu, eps, qv), eps, target, qv, math.inf)
     eps2 = eps * eps
     d = -two_q  # dividing each entry by d gives the bits of dividing the array
     iters = 0

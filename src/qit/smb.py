@@ -180,8 +180,6 @@ def _walk(table: _WalkTable, u: np.ndarray, ws: _WalkSpace) -> np.ndarray:
     ``_walk_table`` of the transition.  ``ws.kb[:c]`` is left holding
     step i's index ``j * m + syms[i]`` into ``table.flat``, so a table
     parallel to ``flat`` gives any function of the steps in one gather.
-    ``u`` is read once, first, so it may lie in the buffer of
-    ``ws.floats`` as long as the two do not overlap.
 
     All c * T counts j come first, from the guide and a branch-free
     bisection of each draw's bucket: pass p tests the value 2**p - 1

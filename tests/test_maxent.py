@@ -382,7 +382,7 @@ def test_cutoff_search_stops_at_the_shannon_switch(q, sizes):
 )
 def test_near_edge_target_solves(q, fraction):
     # NEWTON_TOL is absolute in max|e|-scaled units; these stalls run the
-    # line search's block of halvings and find no step that lowers the norm
+    # line search's 60 halvings and find no step that lowers the norm
     levels = _jittered_levels(4)
     sol = solve(MaxEntProblem(levels, levels[0] + fraction * np.ptp(levels), q))
     assert max(sol.residuals) <= 1e-10
@@ -390,8 +390,8 @@ def test_near_edge_target_solves(q, fraction):
 
 # ---------------------------------------------------------------------------
 # Oracles: the line search as a loop over halvings and verify_optimality as a
-# loop over trials, one candidate or competitor at a time.  The array
-# programs must give every output bit for bit as these loops do.
+# loop over trials, one candidate or competitor at a time.  The solver and
+# the verify blocks must give every output bit for bit as these loops do.
 
 _ORACLE_QS = (0.0, 0.3, 0.6, 0.9, 1.0 - 1e-13, 1.0, 1.0 + 1e-13, 1.4, 1.9)
 
@@ -543,15 +543,12 @@ def test_sweep_solutions_steps_and_gaps_match_their_pin():
     assert digest.hexdigest() == "04731f5438bd37ad0a51c7145b9c8057cae08e79b70532b2bd2409cff68b7efc"
 
 
-@pytest.mark.parametrize("cells", [maxent._CELLS, 150])
-def test_line_search_scan_matches_the_halving_loop_bit_for_bit(monkeypatch, cells):
-    # 150 cells scan 3 to 50 halvings per block at m >= 3, so blocks end inside the 60
-    monkeypatch.setattr(maxent, "_CELLS", cells)
+def test_oracle_solves_match_the_halving_loop_bit_for_bit(monkeypatch):
     problems = list(_oracle_problems())
-    scanned = _solve_outputs(problems)
+    searched = _solve_outputs(problems)
     monkeypatch.setattr(maxent, "_line_search", _halving_loop)
-    assert scanned == _solve_outputs(problems)
-    assert any(isinstance(r, tuple) and r[4] for r in scanned)  # a solution dropped a level
+    assert searched == _solve_outputs(problems)
+    assert any(isinstance(r, tuple) and r[4] for r in searched)  # a solution dropped a level
 
 
 def test_stall_with_no_halving_in_the_domain_matches_the_halving_loop():
@@ -563,26 +560,45 @@ def test_stall_with_no_halving_in_the_domain_matches_the_halving_loop():
     assert _halving_loop(lam, mu, step, eps, 0.4, qv, 1.0) is None
 
 
-def test_halvings_are_scanned_only_after_a_rejected_full_step(monkeypatch):
-    taken, blocks = [], []
-    search, arguments = maxent._line_search, maxent._arguments
+def test_line_searches_take_one_candidate_per_halving(monkeypatch):
+    taken, columns = [], []
+    counts = {"candidates": 0, "starts": 0}
+    search, candidate, arguments, newton = (
+        maxent._line_search,
+        maxent._candidate,
+        maxent._arguments,
+        maxent._newton,
+    )
 
     def search_spy(*args):
         found = search(*args)
         taken.append(None if found is None else found[0])
         return found
 
+    def candidate_spy(*args):
+        counts["candidates"] += 1
+        return candidate(*args)
+
     def arguments_spy(lam, *args):
-        blocks.append(np.ndim(lam) == 2)  # a column of multipliers, one halving per row
+        columns.append(np.ndim(lam) == 2)  # a column of multipliers, one halving per row
         return arguments(lam, *args)
 
+    def newton_spy(*args):
+        counts["starts"] += 1
+        return newton(*args)
+
     monkeypatch.setattr(maxent, "_line_search", search_spy)
+    monkeypatch.setattr(maxent, "_candidate", candidate_spy)
     monkeypatch.setattr(maxent, "_arguments", arguments_spy)
+    monkeypatch.setattr(maxent, "_newton", newton_spy)
     for problem in _oracle_problems():
         solve(problem)
-    # at m <= 40 one block holds every halving after the full step
     assert len(taken) == 577
-    assert sum(blocks) == sum(t != 1.0 for t in taken) == 101
+    assert [taken.count(2.0**-k) for k in range(4)] == [476, 52, 41, 8]
+    # every halving from 1 down to the taken one, and each Newton run's start
+    halvings = sum(1 + int(-math.log2(t)) for t in taken)
+    assert counts["candidates"] == halvings + counts["starts"] == 735 + 95
+    assert not any(columns)
 
 
 def _first_line_search(monkeypatch, q):

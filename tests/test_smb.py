@@ -170,16 +170,6 @@ def test_walk_matches_the_step_loop_bit_for_bit(m):
                 ws.syms[0] = state
                 assert np.array_equal(smb._walk(table, ubuf[:, w : w + c], ws), want)
                 assert np.array_equal(ws.kb[:c], kb)
-                # the draws may lie in the buffer that lends the floats, as
-                # long as the two do not overlap: the first c columns of a
-                # wider buffer whose tail holds the floats
-                buf = np.full(3 * w * big_t, np.nan)
-                wide = buf[: w * big_t].reshape(big_t, w)
-                wide[:, :c] = u.T
-                ws = smb._walk_space(big_t, w, buf[w * big_t :].reshape(2, w, big_t))
-                ws.syms[0] = state
-                assert np.array_equal(smb._walk(table, wide[:, :c], ws), want)
-                assert np.array_equal(ws.kb[:c], kb)
 
 
 def test_sample_trajectory_memory_is_a_few_words_per_step():
