@@ -260,7 +260,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("entropy", help="entropy of one distribution")
     p.add_argument("--dist", required=True, help='JSON distribution, e.g. "[0.5,0.5]" or @file')
     p.add_argument("--q", type=float, required=True)
-    p.add_argument("--family", choices=["plain", "tsallis"], default="plain")
+    p.add_argument(
+        "--family", choices=["plain", "tsallis"], default="plain",
+        help="plain: -sum p ln_q p (default); tsallis: -sum p^q ln_q p, which is plain at index 2 - q",
+    )
     _add_common(p)
     p.set_defaults(func=_cmd_entropy)
 

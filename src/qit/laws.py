@@ -70,11 +70,11 @@ Each row takes the bits it takes finished alone, and ``LawSpec.sample``
 is the finish of a tape of one draw.  Then one evaluator call per group
 gives the slacks, which are folded back in trial order.  So ``law_slack``
 on the report's ``worst_trial`` instance and ``worst_q`` gives its
-``min_slack`` exactly; it puts the instance on a tape of its own cells.
+``min_slack`` exactly; it evaluates the instance as a stack of one row.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from enum import Enum
 from functools import partial
 from typing import Callable
@@ -98,6 +98,7 @@ from .prob import (
     _count,
     _csv_row,
     _flat_dirichlet_rows,
+    _float_array,
     _gather,
     _markov_parts,
     _markov_rows,
@@ -408,18 +409,17 @@ def _value(spec: LawSpec, instance, qv: float) -> float:
         raise ValueError(f"{spec.law} expects a pair of arrays")
     arrays = []
     for x in parts:
-        arr = x.p if isinstance(x, ProbVec) else x.t if isinstance(x, JointTable) else np.asarray(x, dtype=float)
+        arr = x.p if isinstance(x, ProbVec) else x.t if isinstance(x, JointTable) else _float_array(x, spec.law)
         if arr.ndim not in spec.ranks:
             raise ValueError(f"{spec.law} expects arrays of rank {spec.ranks}, got rank {arr.ndim}")
         if spec.normalized:
             arr = ProbVec.coerce(x).p if arr.ndim == 1 else JointTable.coerce(x).t
         elif arr.size == 0 or not np.isfinite(arr).all() or (arr < 0).any():
             raise ValueError(f"{spec.law} weights must be non-empty, finite and nonnegative")
-        arrays.append(arr)
+        arrays.append(arr[None])
     if spec.matched and arrays[0].shape != arrays[1].shape:
         raise ValueError(f"{spec.law} expects two arrays of one shape")
-    tape = np.concatenate([a.ravel() for a in arrays])
-    return _grouped_values(spec, [qv], tape, [0], [tuple(a.shape for a in arrays)])[0]
+    return float(spec.evaluate(arrays[0] if spec.arity == 1 else tuple(arrays), np.array([qv]))[0])
 
 
 def identity_residual(identity: str, instance, q) -> float:
@@ -487,7 +487,7 @@ class SlackReport:
         return self.violations == 0
 
     def to_csv_row(self) -> str:
-        return _csv_row((self.law, self.trials, self.min_slack, self.mean_slack, self.violations, self.seed))
+        return _csv_row(astuple(self)[:6])
 
     def to_json_dict(self) -> dict:
         return {
@@ -580,7 +580,7 @@ def fuzz(law, trials: int, q_range=None, seed: int = 0, *, tol=None) -> SlackRep
             starts.append(pos)
             shape, pos = draw(rng, tape, pos)
             shapes.append(shape)
-        for i, value in enumerate(_grouped_values(spec, qs, tape, starts, shapes, spec.finish)):
+        for i, value in enumerate(_grouped_values(spec, qs, tape, starts, shapes)):
             slack = -abs(value) if spec.identity else value
             if slack < min_slack:
                 min_slack = slack
@@ -608,19 +608,18 @@ def fuzz(law, trials: int, q_range=None, seed: int = 0, *, tol=None) -> SlackRep
     )
 
 
-def _grouped_values(spec: LawSpec, qs: list, tape: np.ndarray, starts: list, shapes: list, finish=_gather) -> list:
-    """``spec.evaluate`` of each q and instance, in order, evaluated by one
+def _grouped_values(spec: LawSpec, qs: list, tape: np.ndarray, starts: list, shapes: list) -> list:
+    """``spec.evaluate`` of each q and raw draw, in order, evaluated by one
     call per instance shape (``shapes[i]``, the tuple of the shapes of the
-    finished instance, whose cells lie on ``tape`` from ``starts[i]``).  Each
-    group's stacks come off the tape through ``finish``: arrays as they lie
-    by default, a campaign's raw draws through ``spec.finish``."""
+    finished instance, whose draw lies on ``tape`` from ``starts[i]``).  Each
+    group's stacks come off the tape through ``spec.finish``."""
     groups = {}
     for i, key in enumerate(shapes):
         groups.setdefault(key, []).append(i)
     starts, qs = np.array(starts), np.array(qs)
     values = np.empty(len(shapes))
     for key, idx in groups.items():
-        stacks = finish(tape, starts[idx], key)
+        stacks = spec.finish(tape, starts[idx], key)
         values[idx] = spec.evaluate(stacks[0] if spec.arity == 1 else stacks, qs[idx])
     return values.tolist()
 

@@ -1,10 +1,10 @@
 """Deformed information measures on discrete distributions.
 
-Two entropy families appear side by side:
-
-* ``tsallis_entropy``: ``-sum(p**q * ln_q(p))``, the power-weighted form;
-* ``q_entropy``: ``-sum(p * ln_q(p))``, the plain-weighted form used by all
-  chain rules, conditional measures, and bounds in this package.
+One entropy family serves every measure: ``q_entropy`` is the
+plain-weighted ``-sum(p * ln_q(p)) = (1 - sum(p**(2-q))) / (1 - q)``, the
+form of all chain rules, conditional measures and bounds in this package.
+It is the Tsallis entropy of index ``2 - q``, so ``tsallis_entropy(p, q)``,
+the power-weighted ``-sum(p**q * ln_q(p))``, is ``q_entropy(p, 2 - q)``.
 
 Everything here observes the ``0 * ln_q(0) = 0`` convention: a cell of
 zero mass takes the q-log argument 1 and adds an exact 0.  Relative
@@ -117,11 +117,12 @@ def _chain_terms_rows(t: np.ndarray, q) -> list:
 
 
 def tsallis_entropy(p, q) -> float:
-    """Power-weighted entropy ``-sum(p**q ln_q p)``."""
-    qv = q_value(q)
-    x = ProbVec.coerce(p).p
-    x = np.where(x > 0, x, 1.0)  # a zero cell adds 1**q * ln_q(1) = 0
-    return float(0.0 - (np.power(x, qv) * ln_q_pos(x, qv)).sum())
+    """Power-weighted entropy ``-sum(p**q ln_q p) = (1 - sum(p**q)) / (q - 1)``.
+
+    This is the paper's relation: the q-entropy of index ``2 - q`` is the
+    Tsallis entropy of index q, so the value is ``q_entropy(p, 2 - q)``.
+    """
+    return q_entropy(p, 2.0 - q_value(q))
 
 
 def q_entropy(p, q) -> float:

@@ -113,6 +113,8 @@ class ProbVec:
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("ProbVec expects a non-empty 1-D array")
         _validate_mass(arr, "ProbVec")
+        if isinstance(labels, (str, bytes, bytearray)):
+            raise TypeError(f"labels must be a sequence of outcome names, got {labels!r}")
         if labels is not None:
             labels = tuple(str(s) for s in labels)
             if len(labels) != arr.size:

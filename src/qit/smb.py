@@ -59,7 +59,7 @@ one-step law of the stationary start at every position.
 """
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -380,7 +380,7 @@ def h_q_inf(chain: MarkovChain, q) -> float:
     Every order k >= 1 gives this value for an order-1 chain, so it is
     ``h_q_k(chain, 1, q)``, bit for bit.
     """
-    return _h_q_k(chain.transition, stationary(chain).p, 1, q_value(q))
+    return h_q_k(chain, 1, q)
 
 
 def _h_q_k(r: np.ndarray, st: np.ndarray, k: int, qv: float) -> float:
@@ -436,20 +436,7 @@ class SmbCurve:
     def to_csv(self) -> str:
         lines = [self.CSV_HEADER]
         for pt in self.points:
-            values = (
-                pt.n,
-                pt.block_mean,
-                pt.block_sd,
-                pt.pk_mean,
-                pt.t3_over_n_mean,
-                pt.cond_c1_rate,
-                pt.cond_c2_rate,
-                pt.ratio1_mean,
-                pt.ratio2_mean,
-                self.h_q_k,
-                self.h_q_inf,
-            )
-            lines.append(_csv_row(values))
+            lines.append(_csv_row(astuple(pt)[:-1] + (self.h_q_k, self.h_q_inf)))
         return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:

@@ -1,5 +1,6 @@
 """Command-line surface: formats, exit codes, seeding, determinism."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -9,8 +10,10 @@ import subprocess
 import pytest
 
 from qit.cli import run
-from qit.laws import LawId
-from qit.smb import SmbCurve
+from qit.laws import LawId, SlackReport, fuzz
+from qit.markov import MarkovChain
+from qit.prob import _csv_row
+from qit.smb import SmbCurve, SmbPoint, smb_probe
 
 STICKY = "[[0.9,0.1],[0.1,0.9]]"
 
@@ -335,6 +338,20 @@ def test_smb_csv_to_file(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == SmbCurve.CSV_HEADER
     assert len(lines) == 6  # n in {1, 2, 4, 8, 16}
+
+
+def test_csv_headers_name_the_fields_they_print():
+    # a row is its report's own fields; the literal header must name them
+    curve = smb_probe(MarkovChain(json.loads(STICKY)), 0.75, 16, 5, seed=2)
+    header = SmbCurve.CSV_HEADER.split(",")
+    assert header == [f.name for f in dataclasses.fields(SmbPoint) if f.name != "at_ceiling"] + ["h_q_k", "h_q_inf"]
+    for pt, line in zip(curve.points, curve.to_csv().splitlines()[1:], strict=True):
+        fields = {**dataclasses.asdict(curve), **dataclasses.asdict(pt)}
+        assert line == _csv_row([fields[name] for name in header])
+    report = fuzz("dq-nonneg", 20, seed=4)
+    header = SlackReport.CSV_HEADER.split(",")
+    assert header == [f.name for f in dataclasses.fields(SlackReport)][:6]
+    assert report.to_csv_row() == _csv_row([getattr(report, name) for name in header])
 
 
 def test_smb_initial_picks_the_stationary_law_of_a_reducible_chain(capsys):

@@ -1,8 +1,9 @@
 """Memory layout at the public boundary.
 
 Every container stores a C-order copy of its input, so a Fortran copy, a
-copy with permuted strides or a strided view of a table or a transition
-gives the bits of its C-order copy in every public function.
+copy with permuted strides or a strided view of a table or a transition,
+and a reversed or strided view of a 1-D input, gives the bits of its
+C-order copy in every public function.
 """
 
 import dataclasses
@@ -25,15 +26,19 @@ from qit import (
     markov,
     markov_k_block_log_prob_q,
     mutual_q_information,
+    q_entropy,
     q_entropy_chain_terms,
     q_entropy_conditional,
     q_entropy_joint,
     random_doubly_stochastic,
+    relative_q_entropy,
     relative_q_entropy_conditional,
     sample_trajectory,
     second_law_report,
     smb_probe,
     stationary,
+    t3_residual,
+    tsallis_entropy,
 )
 from qit.prob import conditional, make_rng, marginal
 
@@ -47,17 +52,17 @@ TABLE_LAWS = {"joint-chain": (2,), "cond-chain": (3,), "block-chain": (2, 3, 4),
 def _layouts(a):
     """``a`` as a C-order copy, a Fortran-order copy, a copy with its
     strides permuted (a transposed view at rank 2) and a strided view
-    into a buffer twice as wide."""
+    into a buffer twice as wide.  A 1-D array has one order, so it takes
+    a reversed view of a reversed copy in place of the two copies."""
     a = np.array(a, dtype=float)
     perm = np.roll(np.arange(a.ndim), 1)
     wide = np.zeros(a.shape[:-1] + (2 * a.shape[-1],))
     wide[..., ::2] = a
-    out = [
-        np.ascontiguousarray(a),
-        np.asfortranarray(a),
-        np.ascontiguousarray(a.transpose(perm)).transpose(np.argsort(perm)),
-        wide[..., ::2],
-    ]
+    if a.ndim == 1:
+        copies = [np.ascontiguousarray(a[::-1])[::-1]]
+    else:
+        copies = [np.asfortranarray(a), np.ascontiguousarray(a.transpose(perm)).transpose(np.argsort(perm))]
+    out = [np.ascontiguousarray(a), *copies, wide[..., ::2]]
     assert not any(x.flags.c_contiguous for x in out[1:])
     return out
 
@@ -84,6 +89,47 @@ def _same_bits(results):
     want = _bits(results[0])
     for got in results[1:]:
         assert _bits(got) == want
+
+
+def _vectors():
+    """Seeded 1-D inputs, length 2 to 12: two distributions of one length
+    and two lists of free weights of one length, with a fifth of their
+    cells zero, and a list of factors in (0, 1]."""
+    rng = make_rng(40)
+    out = []
+    for _ in range(12):
+        m, n = (int(s) for s in rng.integers(2, 13, size=2))
+        p, r = rng.standard_exponential((2, m))
+        w, v = rng.standard_exponential((2, n)) * 10.0 ** rng.integers(-3, 4, size=(2, 1))
+        for x in (p, r, w, v):
+            x[rng.random(len(x)) < 0.2] = 0.0
+            x[0] += 1e-3  # some mass survives
+        out.append((p / p.sum(), r / r.sum(), w, v, rng.random(m) * 0.999 + 1e-3))
+    return out
+
+
+def _vector_results(p, r, w, v, f):
+    """Every public function of 1-D inputs: distributions ``p`` and ``r``,
+    free weights ``w`` and ``v`` and factors ``f``."""
+    out = []
+    for q in QS:
+        out += [
+            q_entropy(p, q),
+            tsallis_entropy(p, q),
+            relative_q_entropy(p, r, q),
+            t3_residual(f, q),
+            law_slack("qln-sum", (w, v), q),
+            law_slack("dq-nonneg", (p, r), q),
+            law_slack("max-bound", p, q),
+        ]
+    for q in QS_SUB1:
+        out.append(law_slack("indep-superadd", (p, r), q))
+    return out
+
+
+def test_vector_functions_take_the_bits_of_the_c_order_copy():
+    for arrays in _vectors():
+        _same_bits([_vector_results(*layout) for layout in zip(*map(_layouts, arrays))])
 
 
 def _tables(rank):

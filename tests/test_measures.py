@@ -18,7 +18,7 @@ from qit import (
 )
 from qit.measures import relative_q_entropy_conditional
 from qit.prob import JointTable, make_rng, random_dist, random_joint, random_markov_triple
-from qit.qcore import ln_q, ln_q_pos
+from qit.qcore import ln_q
 from reference import divergence, entropy
 
 J22 = [[0.1, 0.2], [0.3, 0.4]]
@@ -226,10 +226,9 @@ def _compacted_pairs(p, r, t, tr, qv):
     """(public measure, compacted reference) of every measure that sums over
     cells, on distributions p, r of one length and rank-3 tables t, tr of one
     shape; the reference sums over the cells of positive weight only."""
-    pos = p[p > 0]
     t2 = t.sum(axis=2)
     pairs = [
-        (tsallis_entropy(p, qv), float(-(np.power(pos, qv) * ln_q_pos(pos, qv)).sum())),
+        (tsallis_entropy(p, qv), entropy(p, 2.0 - qv)),
         (q_entropy(p, qv), entropy(p, qv)),
         (q_entropy_joint(t, qv), entropy(t, qv)),
         (relative_q_entropy(p, r, qv), divergence(p, p, r, qv)),

@@ -41,6 +41,18 @@ def test_probvec_rejects_bad_mass():
         ProbVec([0.5, 0.5], labels=["only-one"])
 
 
+def test_probvec_refuses_a_string_of_labels():
+    # a str would split into its characters and bytes into the strings of
+    # their integer values; labels are a sequence of names, as the JSON
+    # reader asks for an array
+    for labels in ("ab", b"ab", bytearray(b"ab")):
+        with pytest.raises(TypeError, match="labels"):
+            ProbVec([0.5, 0.5], labels=labels)
+        with pytest.raises(TypeError, match="labels"):
+            ProbVec.normalized([1.0, 3.0], labels=labels)
+    assert ProbVec([0.5, 0.5], labels=("a", "b")).labels == ("a", "b")
+
+
 def test_probvec_immutable():
     v = ProbVec([0.25, 0.75])
     with pytest.raises(AttributeError):
