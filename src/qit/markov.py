@@ -25,11 +25,10 @@ distribution.  Two families of results live here:
   the deformed entropy cannot decrease faster than the correction term
   allows.  The report takes the state laws from the one recursion
   ``_laws`` in blocks of steps and evaluates every piece on the block's
-  ``(steps, m, m)`` stack of joints at once.  Only the q-logs depend on
-  q: reports of one (chain, start, steps) share their q-free blocks
-  through a memo of ``_BLOCK_MEMO_CAP`` blocks keyed by the contents of
-  the transition and the block's start and the block's steps, and take
-  every q-log of a block in one pass over its flat array of arguments.
+  ``(steps, m, m)`` stack of joints at once, in O(m**2 + _STEP_CELLS)
+  memory at any length.  Only the q-logs depend on q; a block takes them
+  in one pass over its flat array of arguments, and a one-block report
+  keeps its block in a memo for the next q of its (chain, start, steps).
   The report flags whether the doubly-stochastic premise holds, with the
   transition's largest row- or column-sum error, and also carries an
   alternative correction term ``T_q_statement`` (same weights, second
@@ -57,10 +56,10 @@ from .qcore import SHANNON_TOL, ln_q_pos, q_value
 SINKHORN_TOL, SINKHORN_ROUNDS = 1e-13, 100_000
 #: Power iteration in ``stationary`` (reducible chains only): L1 residual bound, iteration cap.
 STATIONARY_TOL, STATIONARY_ITERS = 1e-12, 1_000_000
-#: Cells per block of ``second_law_report`` and ``MarkovChain.evolve``; their
-#: memory is O(_STEP_CELLS).
+#: Cells per block of ``second_law_report``, ``evolve`` and smb's k = 0 laws;
+#: a block is at least one step, so memory is O(m**2 + _STEP_CELLS).
 _STEP_CELLS = 1 << 16
-#: Most q-free blocks that ``second_law_report`` keeps for later q.
+#: Most one-block second-law reports kept for later q, each of at most _STEP_CELLS joint cells.
 _BLOCK_MEMO_CAP = 4
 _block_memo: dict = {}
 
@@ -97,7 +96,7 @@ class MarkovChain:
         """State distribution after ``steps`` transitions.
 
         The laws are stepped in blocks of ``_STEP_CELLS`` cells and only
-        the last is kept, so memory is O(_STEP_CELLS) whatever ``steps``.
+        the last is kept, so memory is O(m**2 + _STEP_CELLS) whatever ``steps``.
         """
         steps = _count(steps, "steps", 0)
         psi = (self.initial if start is None else _start_law(start, self.m)).p
@@ -317,7 +316,9 @@ def entropy_rate_approximants(chain: MarkovChain, n: int, q) -> RateApproximants
     (the first term is the entropy of the first symbol, unconditioned).
     For 0 <= q < 1, ``cond_rate >= block_rate``.  For q > 1 the block
     entropy grows geometrically in ``n``, and ``block_rate`` is inf once
-    it passes the float range.  Any ``n`` takes O(n m**2) time.
+    it passes the float range.  Any ``n`` takes O(n m**2) time and
+    O(n m) memory (48.8 MiB at n = 10**5, m = 32): the laws stay whole,
+    since a matrix product of a block of few rows rounds differently.
     """
     n = _count(n, "block length")
     qv = q_value(q)
@@ -371,38 +372,39 @@ def _law_block(psi: np.ndarray, r: np.ndarray, steps: int):
     the laws with their zeros set to 1 (for ``H_q``), the first cross-term
     factor ``a`` and the ``(2, steps, m*m)`` stack ``b`` of second factors
     (the reference ratio for ``T_q`` and ``J m`` for ``T_q_statement``);
-    ``a`` and ``b`` are 1 on the joint's zero cells.  The parts are filled
-    in place, so a report takes every q-log of a block in one pass and no
-    temporaries.
-
-    Blocks are kept for the next q of the same (chain, start, steps),
-    keyed by the exact contents of ``r`` and ``psi``.  Hits are read-only;
-    the least recently used entry goes past ``_BLOCK_MEMO_CAP``.
+    ``a`` and ``b`` are 1 on the joint's zero cells.  Nothing is kept, and
+    the parts are filled in place for one q-log pass with no temporaries.
     """
+    m = r.shape[0]
+    laws = _laws(psi, r, steps)
+    nxt = laws[1:, None, :]
+    joint = laws[:-1, :, None] * r
+    w = joint.reshape(steps, -1)
+    args = np.empty(laws.size + 3 * w.size)
+    p, a, b = _arg_parts(args, laws, w)
+    a, b = a.reshape(joint.shape), b.reshape(2, *joint.shape)
+    np.copyto(p, laws)
+    np.multiply(nxt, m, a)
+    np.multiply(nxt, r, b[0])
+    on = joint > 0
+    np.divide(joint, b[0], b[0], where=on)
+    np.multiply(joint, m, b[1])
+    # a positive joint has positive laws on both sides of each step
+    if not on.all():
+        off = ~on
+        p[laws <= 0] = 1.0
+        np.copyto(a, 1.0, where=off)
+        np.copyto(b, 1.0, where=off)
+    return laws, w, args, _ds_deviation(r)
+
+
+def _kept_block(psi: np.ndarray, r: np.ndarray, steps: int):
+    """``_law_block`` kept under the exact contents of ``r`` and ``psi`` and
+    ``steps``; hits are read-only, and the least recently used goes past the cap."""
     key = (r.tobytes(), psi.tobytes(), steps)
     block = _block_memo.pop(key, None)
     if block is None:
-        m = r.shape[0]
-        laws = _laws(psi, r, steps)
-        nxt = laws[1:, None, :]
-        joint = laws[:-1, :, None] * r
-        w = joint.reshape(steps, -1)
-        args = np.empty(laws.size + 3 * w.size)
-        p, a, b = _arg_parts(args, laws, w)
-        a, b = a.reshape(joint.shape), b.reshape(2, *joint.shape)
-        np.copyto(p, laws)
-        np.multiply(nxt, m, a)
-        np.multiply(nxt, r, b[0])
-        on = joint > 0
-        np.divide(joint, b[0], b[0], where=on)
-        np.multiply(joint, m, b[1])
-        # a positive joint has positive laws on both sides of each step
-        if not on.all():
-            off = ~on
-            p[laws <= 0] = 1.0
-            np.copyto(a, 1.0, where=off)
-            np.copyto(b, 1.0, where=off)
-        block = laws, w, args, _ds_deviation(r)
+        block = _law_block(psi, r, steps)
         for arr in block[:3]:
             arr.setflags(write=False)
         if len(_block_memo) >= _BLOCK_MEMO_CAP:
@@ -437,25 +439,23 @@ def second_law_report(chain: MarkovChain, steps: int, q) -> list[SecondLawRow]:
     0 <= q < 1; the report is computed for any chain in that q range and
     the ``applicable`` flag marks whether the premise holds.
 
-    Reports of one (chain, start, steps) share their q-free blocks: the
-    laws, joints and q-log arguments of each block of at most
-    ``_STEP_CELLS`` cells are kept in a memo of ``_BLOCK_MEMO_CAP``
-    entries, keyed by the contents of the transition and the block's
-    start and the block's steps, so a q-sweep steps its chain once.
-    Memory stays O(_STEP_CELLS).
+    Memory is O(m**2 + _STEP_CELLS): a block is at most ``_STEP_CELLS``
+    joint cells, or one step.  Only a report of one block is kept for the
+    next q of its (chain, start, steps), so a q-sweep of reports with
+    ``steps * m * m <= _STEP_CELLS`` steps its chain once.
     """
     qv = q_value(q)
     if not 0.0 <= qv < 1.0:
         raise ValueError(f"second-law report requires 0 <= q < 1, got {qv:g}")
     steps = _count(steps, "steps")
-    r = chain.transition
-    m = chain.m
+    r, m = chain.transition, chain.m
     bracket = float(m) ** (1.0 - qv)
     block = max(1, _STEP_CELLS // m**2)
+    law_block = _kept_block if steps * m * m <= _STEP_CELLS else _law_block
     rows = []
     psi = chain.initial.p
     for start in range(0, steps, block):
-        laws, w, args, dev = _law_block(psi, r, min(block, steps - start))
+        laws, w, args, dev = law_block(psi, r, min(block, steps - start))
         psi = laws[-1]
         h, (t_q, t_q_stmt) = _block_terms(laws, w, args, qv)
         # elementwise array operations round as the scalar ones do

@@ -66,8 +66,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ImpossibleTrajectoryError
-from .markov import MarkovChain, _chain_cells, _chain_terms, _laws, stationary
-from .prob import _count, _csv_row, make_rng
+from .markov import _STEP_CELLS, MarkovChain, _chain_cells, _chain_terms, _laws, stationary
+from .prob import _count, _csv_row, _float_array, make_rng
 from .qcore import SHANNON_TOL, ln_q_from_log, ln_q_pos, q_value
 
 
@@ -340,7 +340,13 @@ def markov_k_block_log_prob_q(chain: MarkovChain, symbols, k: int, q, *, empiric
         head = np.bincount(g)[g[0]] / g.size
         f = np.concatenate([[head], np.bincount(pair)[pair] / np.bincount(g[:-1])[g[:-1]]])
     else:
-        f = _laws(chain.initial.p, chain.transition, n - 1)[np.arange(n), s]
+        # the laws in blocks of _STEP_CELLS cells, as evolve steps them
+        psi, block, f = chain.initial.p, max(1, _STEP_CELLS // chain.m), np.empty(n)
+        for i in range(0, n, block):
+            laws = _laws(psi, chain.transition, min(block, n - 1 - i))
+            psi = laws[-1].copy()  # so the block's laws are freed before the next block
+            part = s[i : i + block]
+            f[i : i + part.size] = laws[np.arange(part.size), part]
     return _ln_q_of_product(f, qv, lambda i: f"symbol {s[i]} at position {i}")
 
 
@@ -353,7 +359,7 @@ def t3_residual(factors, q) -> float:
     factor lies in (0, 1].  Exactly zero at the classical index.
     """
     qv = q_value(q)
-    f = np.asarray(factors, dtype=float)
+    f = _float_array(factors, "factors")
     if f.ndim != 1 or f.size == 0:
         raise ValueError("factors must be a non-empty 1-D sequence")
     if not np.isfinite(f).all() or (f <= 0).any():

@@ -680,3 +680,49 @@ def test_second_law_multi_block_report_streams_past_the_memo(monkeypatch):
     block = markov._STEP_CELLS // 64**2
     assert calls == [block] * (2000 // block) * 2
     assert len(markov._block_memo) <= markov._BLOCK_MEMO_CAP
+
+
+@pytest.mark.parametrize("steps", [60, 80])  # 4 and 5 blocks of 16 steps
+def test_second_law_q_sweep_of_a_multi_block_report_keeps_nothing(monkeypatch, steps):
+    rng = make_rng(25)
+    chain = MarkovChain(random_doubly_stochastic(64, rng), rng.dirichlet(np.ones(64)))
+    monkeypatch.setattr(markov, "_block_memo", {})
+    calls = _count_laws(monkeypatch)
+    reports = [second_law_report(chain, steps, q) for q in (0.2, 0.5, 0.8)]
+    block = markov._STEP_CELLS // 64**2
+    assert calls == ([block] * (steps // block) + [steps % block] * (steps % block > 0)) * 3
+    assert markov._block_memo == {}
+    assert [row.step for row in reports[0]] == list(range(1, steps + 1))
+
+
+def test_second_law_report_of_exactly_one_block_is_kept_and_hit(monkeypatch):
+    rng = make_rng(26)
+    chain = MarkovChain(random_doubly_stochastic(64, rng), rng.dirichlet(np.ones(64)))
+    steps = markov._STEP_CELLS // 64**2
+    assert steps * 64 * 64 == markov._STEP_CELLS
+    monkeypatch.setattr(markov, "_block_memo", {})
+    calls = _count_laws(monkeypatch)
+    warm = [second_law_report(chain, steps, q) for q in (0.2, 0.5, 0.8)]
+    assert calls == [steps] and len(markov._block_memo) == 1
+    markov._block_memo.clear()
+    assert second_law_report(chain, steps, 0.8) == warm[2]
+    # one step more is two blocks, and neither is kept
+    second_law_report(chain, steps + 1, 0.5)
+    assert calls == [steps, steps, steps, 1] and len(markov._block_memo) == 1
+
+
+def test_second_law_memory_at_many_states_is_one_step_block():
+    rng = make_rng(27)
+    m = 400
+    chain = MarkovChain(random_doubly_stochastic(m, rng), rng.dirichlet(np.ones(m)))
+    tracemalloc.start()
+    try:
+        for q in (0.2, 0.5):
+            second_law_report(chain, 3, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a block is one step of about 4 m**2 floats; with its q-logs and their
+    # products a report peaks near 2.5 such blocks (12.2 MiB), where keeping
+    # all three blocks for the next q would peak near 5.3 (25.7 MiB)
+    assert peak < 3 * 4 * m * m * 8

@@ -26,7 +26,7 @@ from qit import (
     smb_probe,
     t3_residual,
 )
-from qit.markov import _laws, stationary
+from qit.markov import _STEP_CELLS, _laws, stationary
 from qit.prob import make_rng
 from qit.qcore import ln_q, ln_q_from_log
 
@@ -275,6 +275,38 @@ def test_order_zero_multiplies_running_marginals():
     )
 
 
+def test_order_zero_steps_its_laws_in_blocks_with_the_bits_of_one_recursion():
+    rng = make_rng(32)
+    for m in (2, 7, 32):
+        # slow mixing, so the laws still move in their last bits across blocks
+        r = 0.99 * np.eye(m) + 0.01 * rng.dirichlet(np.ones(m), size=m)
+        chain = MarkovChain(r, rng.dirichlet(np.ones(m)))
+        block = _STEP_CELLS // m
+        for n in (1, block - 1, block, block + 1, 2 * block + 1):
+            s = rng.integers(0, m, n)
+            f = _laws(chain.initial.p, r, n - 1)[np.arange(n), s]
+            for q in (0.3, 1.0, 1.5):
+                with np.errstate(over="ignore"):
+                    want = float(ln_q_from_log(np.cumsum(np.log(f))[-1], q))
+                assert markov_k_block_log_prob_q(chain, s, 0, q).hex() == want.hex()
+
+
+def test_order_zero_memory_is_bounded_by_the_block():
+    rng = make_rng(33)
+    m, n = 32, 100_000
+    chain = MarkovChain(rng.dirichlet(np.ones(m), size=m))
+    s = Trajectory(rng.integers(0, m, n), m)
+    tracemalloc.start()
+    try:
+        markov_k_block_log_prob_q(chain, s, 0, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the n laws at once would take 24.4 MiB; a block of them is 0.5 MiB, and
+    # the factors, their logs and the running sum take 0.8 MiB each
+    assert peak < 4 * 2**20
+
+
 def test_empirical_plug_in_frequencies():
     s = [0, 0, 1, 0]
     # order 1 on this block: head 0 appears in 3 of 4 windows; the two
@@ -358,6 +390,12 @@ def test_t3_residual_values_and_sign():
         t3_residual([0.5, -0.1], 0.5)
     with pytest.raises(ValueError):
         t3_residual([0.5, math.nan], 0.5)
+
+
+def test_t3_residual_refuses_non_numeric_factors():
+    for factors in ([object()], [0.5, {"a": 1}]):
+        with pytest.raises(ValueError, match="^factors must be numeric"):
+            t3_residual(factors, 0.5)
 
 
 def test_conditional_rate_sequence():
